@@ -1,9 +1,9 @@
 """Command-line entry point: analyze, sweep, and simulate subcommands.
 
 Exit codes follow the usual scripting convention: 0 success, 1 runtime
-failure, 2 bad usage or invalid inputs. Identical invocations on identical
-inputs produce byte-identical outputs; GENECON_THREADS only changes how much
-work runs concurrently, never the result.
+failure, 2 bad usage or invalid inputs. Outputs are byte-identical for the
+same inputs, seed, numpy version and LAPACK build, whatever GENECON_THREADS
+is set to: it only changes how much work runs concurrently, never the result.
 """
 
 from __future__ import annotations
@@ -17,7 +17,14 @@ import numpy as np
 
 from .core import SymMatrix, TraitGrid, load_grid_json
 from .errors import GeneconError
-from .estimate import RELATEDNESS, anova_estimate, ingest_gmatrix, load_family_csv, normalize_design
+from .estimate import (
+    DESIGN_ALIASES,
+    RELATEDNESS,
+    anova_estimate,
+    ingest_gmatrix,
+    load_family_csv,
+    normalize_design,
+)
 from .parallel import thread_count
 from .report import (
     FigureSpec,
@@ -29,13 +36,9 @@ from .report import (
     write_json,
     write_svg,
 )
-from .simplicity import measure_from_kind
+from .simplicity import MEASURE_ALIASES, measure_from_kind
 from .simulate import RNG_DESCRIPTION, SimulationParams, run_study
 from .spaces import partition
-
-MEASURE_CHOICES = ("d1", "d2", "sparse")
-DESIGN_CHOICES = ("half-sib", "halfsib", "full-sib", "fullsib")
-
 
 class UsageError(Exception):
     """Invalid flags or inputs; maps to exit code 2."""
@@ -52,9 +55,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--g", metavar="PATH", help="genetic covariance matrix JSON")
         p.add_argument("--data", metavar="PATH", help="family phenotype CSV")
         p.add_argument("--grid", metavar="PATH", required=True, help="trait grid JSON")
-        p.add_argument("--design", choices=DESIGN_CHOICES,
+        p.add_argument("--design", choices=DESIGN_ALIASES,
                        help="family design when estimating from --data")
-        p.add_argument("--measure", choices=MEASURE_CHOICES, default="d1",
+        p.add_argument("--measure", choices=MEASURE_ALIASES, default="d1",
                        help="simplicity measure kind (default d1)")
         p.add_argument("--clip-tol", type=float, default=0.0,
                        help="eigenvalue clipping tolerance (default 0)")
@@ -179,11 +182,21 @@ def _study_config(args) -> tuple[SimulationParams, int, int, str]:
             cfg = json.load(fh)
     except json.JSONDecodeError as exc:
         raise UsageError(f"--config: {path}: invalid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise UsageError(f"--config: {path}: expected a JSON object, got {type(cfg).__name__}")
 
     def need(key):
         if key not in cfg:
             raise UsageError(f"--config: {path}: missing field {key!r}")
         return cfg[key]
+
+    def need_int(key):
+        value = need(key)
+        if isinstance(value, float) and value.is_integer():
+            value = int(value)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise UsageError(f"--config: {path}: field {key!r} must be an integer, got {value!r}")
+        return value
 
     try:
         grid = TraitGrid.from_payload(need("grid"))
@@ -194,25 +207,27 @@ def _study_config(args) -> tuple[SimulationParams, int, int, str]:
             g=g,
             e=e,
             sigma2=float(need("sigma2")),
-            n_families=int(need("families")),
-            family_size=int(need("siblings")),
+            n_families=need_int("families"),
+            family_size=need_int("siblings"),
             design=str(need("design")),
-            seed=int(args.seed if args.seed is not None else need("seed")),
+            seed=args.seed if args.seed is not None else need_int("seed"),
         )
     except GeneconError as exc:
         raise UsageError(f"--config: {path}: {exc}") from exc
     except ValueError as exc:
         raise UsageError(f"--config: {path}: {exc}") from exc
 
-    reps = int(args.reps if args.reps is not None else need("reps"))
-    null_dim = int(args.null_dim if args.null_dim is not None else need("null_dim"))
+    reps = args.reps if args.reps is not None else need_int("reps")
+    null_dim = args.null_dim if args.null_dim is not None else need_int("null_dim")
     measure_kind = str(cfg.get("measure", "d1"))
     if reps < 1:
         raise UsageError(f"--reps must be at least 1, got {reps}")
     if not 1 <= null_dim <= grid.size - 1:
         raise UsageError(f"--null-dim must be in [1, {grid.size - 1}], got {null_dim}")
-    if measure_kind not in MEASURE_CHOICES:
-        raise UsageError(f"--config: measure must be one of {MEASURE_CHOICES}, got {measure_kind!r}")
+    if measure_kind not in MEASURE_ALIASES:
+        raise UsageError(
+            f"--config: measure must be one of {tuple(MEASURE_ALIASES)}, got {measure_kind!r}"
+        )
     return params, reps, null_dim, measure_kind
 
 

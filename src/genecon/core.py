@@ -1,9 +1,9 @@
 """Foundational numeric types: trait grids, symmetric matrices, and a
-deterministic symmetric eigensolver with negative-eigenvalue clipping.
+symmetric eigensolver with negative-eigenvalue clipping.
 
-The eigensolver is a cyclic Jacobi sweep. Trait covariance matrices in this
-domain are small (K of order 10), so a fixed rotation order plus a fixed sign
-convention buys exact run-to-run determinism at negligible cost.
+Eigendecompositions come from LAPACK through ``numpy.linalg.eigh``. A fixed
+ordering and sign convention on top of it makes results identical run to
+run for the same numpy version and LAPACK build.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .errors import DimensionMismatch, InvalidGrid, InvalidMatrix
 
 SYMMETRY_RTOL = 1e-10          # allowed asymmetry relative to max |entry|
 DEGENERACY_RTOL = 1e-9         # eigenvalue gap below this fraction of the largest flags degeneracy
-_OFFDIAG_TARGET = 1e-12        # Jacobi stopping threshold relative to max(1, ||A||_F)
-_MAX_SWEEPS = 64
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -57,13 +55,19 @@ class TraitGrid:
         return float(self.gaps.min())
 
     def to_payload(self) -> dict:
-        return {"points": [float(t) for t in self.points]}
+        return {"points": self.points.tolist()}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TraitGrid":
+        if not isinstance(payload, dict):
+            raise InvalidGrid(f"grid payload must be a JSON object, got {type(payload).__name__}")
         if "points" not in payload:
             raise InvalidGrid("grid payload missing 'points'")
-        return cls(np.asarray(payload["points"], dtype=float))
+        try:
+            points = np.asarray(payload["points"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidGrid(f"malformed grid payload: {exc}") from exc
+        return cls(points)
 
     def __eq__(self, other):
         return isinstance(other, TraitGrid) and np.array_equal(self.points, other.points)
@@ -103,10 +107,14 @@ class SymMatrix:
         return float(np.linalg.norm(self.entries))
 
     def to_payload(self) -> dict:
-        return {"dim": self.dim, "entries": [float(x) for x in self.entries.reshape(-1)]}
+        return {"dim": self.dim, "entries": self.entries.reshape(-1).tolist()}
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SymMatrix":
+        if not isinstance(payload, dict):
+            raise InvalidMatrix(
+                f"matrix payload must be a JSON object, got {type(payload).__name__}"
+            )
         try:
             dim = int(payload["dim"])
             raw = np.asarray(payload["entries"], dtype=float)
@@ -148,76 +156,28 @@ class EigenDecomposition:
         return (v * self.eigenvalues) @ v.T
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Apply one Jacobi rotation zeroing a[p, q], accumulating into v."""
-    apq = a[p, q]
-    h = a[q, q] - a[p, p]
-    if abs(apq) * 1e12 < abs(h):
-        t = apq / h
-    else:
-        theta = h / (2.0 * apq)
-        t = 1.0 / (abs(theta) + np.sqrt(theta * theta + 1.0))
-        if theta < 0.0:
-            t = -t
-    c = 1.0 / np.sqrt(t * t + 1.0)
-    s = t * c
-
-    ap = a[p, :].copy()
-    aq = a[q, :].copy()
-    a[p, :] = c * ap - s * aq
-    a[q, :] = s * ap + c * aq
-    ap = a[:, p].copy()
-    aq = a[:, q].copy()
-    a[:, p] = c * ap - s * aq
-    a[:, q] = s * ap + c * aq
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    vp = v[:, p].copy()
-    vq = v[:, q].copy()
-    v[:, p] = c * vp - s * vq
-    v[:, q] = s * vp + c * vq
-
-
 def symmetric_eigen(m: SymMatrix) -> EigenDecomposition:
-    """Eigendecompose a symmetric matrix by cyclic Jacobi sweeps.
+    """Eigendecompose a symmetric matrix with LAPACK (``numpy.linalg.eigh``).
 
-    Output is deterministic for identical input: rotations are applied in a
-    fixed row-major order, eigenvalues are sorted descending with a stable
-    tie-break, and each eigenvector is flipped so its first component of
-    magnitude above 1e-8 is positive.
+    Eigenvalues are sorted descending with a stable tie-break, and each
+    eigenvector is flipped so its first component of magnitude above 1e-8 is
+    positive, so the result does not depend on LAPACK's sign choices.
     """
     if not isinstance(m, SymMatrix):
         m = SymMatrix(np.asarray(m, dtype=float))
-    k = m.dim
-    a = np.array(m.entries, copy=True)
-    v = np.eye(k)
-    threshold = _OFFDIAG_TARGET * m.frobenius()  # relative: Jacobi is scale invariant
-
-    for _ in range(_MAX_SWEEPS):
-        off = np.sqrt(2.0 * sum(a[p, q] ** 2 for p in range(k - 1) for q in range(p + 1, k)))
-        if off <= threshold:
-            break
-        for p in range(k - 1):
-            for q in range(p + 1, k):
-                if a[p, q] != 0.0:
-                    _jacobi_rotate(a, v, p, q)
-    else:
-        raise InvalidMatrix("Jacobi iteration failed to converge")
-
-    lam = np.diag(a).copy()
+    lam, v = np.linalg.eigh(m.entries)
     order = np.argsort(-lam, kind="stable")
     lam = lam[order]
     v = v[:, order]
 
-    for col in range(k):
+    for col in range(m.dim):
         nz = np.nonzero(np.abs(v[:, col]) > 1e-8)[0]
         if nz.size and v[nz[0], col] < 0.0:
             v[:, col] = -v[:, col]
 
     gaps = -np.diff(lam)
     degenerate = bool(gaps.size and gaps.min() < DEGENERACY_RTOL * abs(lam[0]))
-    return EigenDecomposition(lam, v, source_dim=k, degenerate=degenerate)
+    return EigenDecomposition(lam, v, source_dim=m.dim, degenerate=degenerate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,9 +221,26 @@ class GMatrix:
         return int(np.sum(lam > 1e-12 * lam[0]))
 
 
-def _rebuild_from_eig(eig: EigenDecomposition, clipped: np.ndarray) -> SymMatrix:
+def _clip_decomposition(
+    source: SymMatrix,
+    eig: EigenDecomposition,
+    tol: float,
+    grid: TraitGrid | None,
+) -> GMatrix:
+    """Zero the eigenvalues of ``eig`` (the decomposition of ``source``) below ``tol``."""
+    below = eig.eigenvalues < tol
+    if not below.any():
+        return GMatrix(source, eig, grid=grid)
+
+    clipped = np.where(below, 0.0, eig.eigenvalues)
     v = eig.eigenvectors
-    return SymMatrix((v * clipped) @ v.T)
+    new_eig = EigenDecomposition(clipped, v, source_dim=eig.source_dim, degenerate=eig.degenerate)
+    return GMatrix(
+        SymMatrix((v * clipped) @ v.T),
+        new_eig,
+        grid=grid,
+        clipped_indices=tuple(int(i) for i in np.nonzero(below)[0]),
+    )
 
 
 def clip_negative_eigenvalues(
@@ -281,30 +258,13 @@ def clip_negative_eigenvalues(
     if tol < 0.0:
         raise ValueError(f"clip tolerance must be nonnegative, got {tol}")
     if isinstance(m, GMatrix):
-        eig = m.eig
-        source = m.matrix
         if grid is None:
             grid = m.grid
-    else:
-        source = m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m, dtype=float))
-        eig = symmetric_eigen(source)
-
-    below = eig.eigenvalues < tol
-    if not below.any():
-        if isinstance(m, GMatrix) and grid is m.grid:
+        if grid is m.grid and not (m.eigenvalues < tol).any():
             return m
-        return GMatrix(source, eig, grid=grid, clipped_indices=())
-
-    clipped = np.where(below, 0.0, eig.eigenvalues)
-    new_eig = EigenDecomposition(
-        clipped, eig.eigenvectors, source_dim=eig.source_dim, degenerate=eig.degenerate
-    )
-    return GMatrix(
-        _rebuild_from_eig(eig, clipped),
-        new_eig,
-        grid=grid,
-        clipped_indices=tuple(int(i) for i in np.nonzero(below)[0]),
-    )
+        return _clip_decomposition(m.matrix, m.eig, tol, grid)
+    source = m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m, dtype=float))
+    return _clip_decomposition(source, symmetric_eigen(source), tol, grid)
 
 
 def load_matrix_json(path: str | Path) -> SymMatrix:

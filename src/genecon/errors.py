@@ -30,7 +30,7 @@ class DimensionMismatch(GeneconError):
 
 
 class SingularPhenotypicCovariance(GeneconError):
-    """G + E is singular or too ill-conditioned to invert reliably."""
+    """G + E is not positive definite or too ill-conditioned to invert reliably."""
 
 
 class UnbalancedDesign(GeneconError):

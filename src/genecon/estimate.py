@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    EigenDecomposition,
     GMatrix,
     SymMatrix,
     TraitGrid,
+    _clip_decomposition,
     _readonly,
     clip_negative_eigenvalues,
     symmetric_eigen,
@@ -44,15 +44,14 @@ from .errors import (
 HALF_SIB = "half-sib"
 FULL_SIB = "full-sib"
 RELATEDNESS = {HALF_SIB: 4.0, FULL_SIB: 2.0}
+DESIGN_ALIASES = {HALF_SIB: HALF_SIB, "halfsib": HALF_SIB, FULL_SIB: FULL_SIB, "fullsib": FULL_SIB}
 
 
 def normalize_design(tag: str) -> str:
     cleaned = tag.strip().lower().replace("_", "-")
-    if cleaned in (HALF_SIB, "halfsib"):
-        return HALF_SIB
-    if cleaned in (FULL_SIB, "fullsib"):
-        return FULL_SIB
-    raise ValueError(f"unknown family design {tag!r}; expected half-sib or full-sib")
+    if cleaned not in DESIGN_ALIASES:
+        raise ValueError(f"unknown family design {tag!r}; expected half-sib or full-sib")
+    return DESIGN_ALIASES[cleaned]
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,15 +149,7 @@ def anova_estimate(data: FamilyDataset) -> VarianceComponents:
     g_raw = SymMatrix(data.relatedness * family_component.entries)
 
     raw_eig = symmetric_eigen(g_raw)
-    below = raw_eig.eigenvalues < 0.0
-    clipped = np.where(below, 0.0, raw_eig.eigenvalues)
-    g_hat = GMatrix(
-        SymMatrix((raw_eig.eigenvectors * clipped) @ raw_eig.eigenvectors.T),
-        EigenDecomposition(clipped, raw_eig.eigenvectors,
-                           source_dim=raw_eig.source_dim, degenerate=raw_eig.degenerate),
-        grid=data.grid,
-        clipped_indices=tuple(int(i) for i in np.nonzero(below)[0]),
-    )
+    g_hat = _clip_decomposition(g_raw, raw_eig, 0.0, data.grid)
     return VarianceComponents(
         between_ms=msb,
         within_ms=msw,
@@ -194,7 +185,7 @@ def load_family_csv(path: str | Path, grid: TraitGrid, design: str) -> FamilyDat
     """Read `family,individual,t1,...,tK` records, validating balance."""
     k = grid.size
     expected = ["family", "individual"] + [f"t{i + 1}" for i in range(k)]
-    families: dict[str, list[list[float]]] = {}
+    families: dict[str, dict[str, list[float]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -212,10 +203,18 @@ def load_family_csv(path: str | Path, grid: TraitGrid, design: str) -> FamilyDat
                 traits = [float(x) for x in row[2:]]
             except ValueError as exc:
                 raise InvalidMatrix(f"{path}:{row_num}: {exc}") from exc
-            families.setdefault(row[0], []).append(traits)
+            members = families.setdefault(row[0], {})
+            if row[1] in members:
+                raise InvalidMatrix(
+                    f"{path}:{row_num}: duplicate record for family {row[0]!r}, "
+                    f"individual {row[1]!r}"
+                )
+            members[row[1]] = traits
     if not families:
         raise InsufficientData(f"{path}: no records")
-    return FamilyDataset.from_records(list(families.values()), grid, design)
+    return FamilyDataset.from_records(
+        [list(members.values()) for members in families.values()], grid, design
+    )
 
 
 def save_family_csv(data: FamilyDataset, path: str | Path) -> None:

@@ -5,8 +5,8 @@ yield byte-identical documents: element order is fixed and every number is
 formatted to six significant digits. Styling is class-based (solid model
 curves, dashed nearly-null curves) with defaults in the embedded stylesheet.
 JSON reports serialize every numeric result at full precision and carry a
-provenance block (inputs, tolerances, seed, measure kind, relatedness, and
-software version).
+provenance block (inputs, tolerances, seed, measure kind, relatedness,
+software version, and the numpy version and LAPACK build that computed them).
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ text { font-family: sans-serif; font-size: 10px; fill: #222; }
 .label.null { fill: #d62728; font-weight: bold; }"""
 
 _PAD = 16
+_GAP = 12
+_MARGIN = 16
 
 
 def _fmt(x: float) -> str:
@@ -95,15 +97,22 @@ def _y_pixels(values: np.ndarray, lo: float, hi: float, height: float) -> np.nda
     return height - _PAD - (values - lo) / (hi - lo) * (height - 2 * _PAD)
 
 
+def _zero_line(w: float, h: float, span: float) -> str:
+    """Horizontal axis of a panel whose vertical range is [-span, span]."""
+    zero = _y_pixels(np.zeros(1), -span, span, h)[0]
+    return (
+        f'<line class="zero" x1="{_fmt(_PAD)}" y1="{_fmt(zero)}" '
+        f'x2="{_fmt(w - _PAD)}" y2="{_fmt(zero)}"/>'
+    )
+
+
 def _vector_panel(x, y, w, h, t, vec, role, number, caption) -> list[str]:
     xs = _x_pixels(t, w)
     ys = _y_pixels(np.asarray(vec), -1.0, 1.0, h)
-    zero = _y_pixels(np.zeros(1), -1.0, 1.0, h)[0]
     return [
         _panel_open(x, y, f"panel vector {role}"),
         _frame(w, h),
-        f'<line class="zero" x1="{_fmt(_PAD)}" y1="{_fmt(zero)}" '
-        f'x2="{_fmt(w - _PAD)}" y2="{_fmt(zero)}"/>',
+        _zero_line(w, h, 1.0),
         _polyline(xs, ys, f"curve {role}"),
         f'<text class="label {role}" x="{_fmt(_PAD + 3)}" y="{_fmt(_PAD - 3)}">{number}</text>',
         f'<text class="title" x="{_fmt(w / 2 - 12)}" y="{_fmt(h - 3)}">{caption}</text>',
@@ -154,11 +163,31 @@ def _bars_panel(x, y, w, h, part: SubspacePartition) -> list[str]:
     return lines
 
 
-def _metadata_element(provenance: dict | None) -> list[str]:
-    if provenance is None:
-        return []
-    blob = saxutils.escape(json.dumps(provenance, sort_keys=True))
-    return [f'<metadata id="provenance">{blob}</metadata>']
+def _overlay_panel(x, y, w, h, xs, curves, truth, span, kind, caption) -> list[str]:
+    """One faint curve per replicate and the true-parameter curve on top."""
+    return [
+        _panel_open(x, y, f"panel {kind} overlay"),
+        _frame(w, h),
+        _zero_line(w, h, span),
+        *(_polyline(xs, _y_pixels(vec, -span, span, h), "curve rep") for vec in curves),
+        _polyline(xs, _y_pixels(truth, -span, span, h), "curve truth"),
+        f'<text class="title" x="{_fmt(_PAD)}" y="{_fmt(_PAD - 3)}">{caption}</text>',
+        "</g>",
+    ]
+
+
+def _svg_open(width: int, height: int, provenance: dict | None) -> list[str]:
+    """XML prolog, root element, stylesheet and the provenance metadata."""
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f"<style>{_STYLE}</style>",
+    ]
+    if provenance is not None:
+        blob = saxutils.escape(json.dumps(provenance, sort_keys=True))
+        lines.append(f'<metadata id="provenance">{blob}</metadata>')
+    return lines
 
 
 def render_partition_figure(spec: FigureSpec, provenance: dict | None = None) -> str:
@@ -172,21 +201,13 @@ def render_partition_figure(spec: FigureSpec, provenance: dict | None = None) ->
     part = spec.partition
     k = part.dim
     pw, ph = spec.panel_width, spec.panel_height
-    gap = 12
-    margin = 16
-    width = 2 * margin + k * pw + (k - 1) * gap
-    height = 2 * margin + 2 * ph + gap + (18 if spec.title else 0)
-    top = margin + (18 if spec.title else 0)
+    width = 2 * _MARGIN + k * pw + (k - 1) * _GAP
+    height = 2 * _MARGIN + 2 * ph + _GAP + (18 if spec.title else 0)
+    top = _MARGIN + (18 if spec.title else 0)
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f"<style>{_STYLE}</style>",
-        *_metadata_element(provenance),
-    ]
+    lines = _svg_open(width, height, provenance)
     if spec.title:
-        lines.append(f'<text class="title" x="{margin}" y="{margin}">{spec.title}</text>')
+        lines.append(f'<text class="title" x="{_MARGIN}" y="{_MARGIN}">{spec.title}</text>')
 
     combined = part.combined_basis()
     t = np.asarray(spec.grid.points)
@@ -194,14 +215,14 @@ def render_partition_figure(spec: FigureSpec, provenance: dict | None = None) ->
         role = "model" if i < part.j else "null"
         number = i + 1 if i < part.j else i - part.j + 1
         caption = f"{'PC' if role == 'model' else 'S'}{number}"
-        x = margin + i * (pw + gap)
+        x = _MARGIN + i * (pw + _GAP)
         lines += _vector_panel(x, top, pw, ph, t, combined[i], role, number, caption)
 
     bound = 1.0
     if part.scores.size:
         bound = max(1.0, float(part.scores.max()))
-    lines += _scatter_panel(margin, top + ph + gap, pw, ph, part, bound)
-    lines += _bars_panel(margin + pw + gap, top + ph + gap, pw, ph, part)
+    lines += _scatter_panel(_MARGIN, top + ph + _GAP, pw, ph, part, bound)
+    lines += _bars_panel(_MARGIN + pw + _GAP, top + ph + _GAP, pw, ph, part)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -225,10 +246,8 @@ def render_study_figure(
     t = np.asarray(grid.points) if grid is not None else np.arange(k, dtype=float)
     cols = summary.null_dim + 1
     pw, ph = panel_width, panel_height
-    gap = 12
-    margin = 16
-    width = 2 * margin + cols * pw + (cols - 1) * gap
-    height = 2 * margin + 2 * ph + gap
+    width = 2 * _MARGIN + cols * pw + (cols - 1) * _GAP
+    height = 2 * _MARGIN + 2 * ph + _GAP
 
     vector_sets = [summary.simplest_vectors()] + [
         summary.null_pc_vectors()[:, r, :] for r in range(summary.null_dim)
@@ -240,56 +259,20 @@ def render_study_figure(
     truth_responses = [summary.true_simplest_response] + list(summary.true_pc_responses)
     captions = ["simplest"] + [f"PC{j + r + 1}" for r in range(summary.null_dim)]
 
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
-        f"<style>{_STYLE}</style>",
-        *_metadata_element(provenance),
-    ]
+    lines = _svg_open(width, height, provenance)
     xs = _x_pixels(t, pw)
     for col in range(cols):
-        x = margin + col * (pw + gap)
-        lines.append(_panel_open(x, margin, "panel vector overlay"))
-        lines.append(_frame(pw, ph))
-        zero = _y_pixels(np.zeros(1), -1.0, 1.0, ph)[0]
-        lines.append(
-            f'<line class="zero" x1="{_fmt(_PAD)}" y1="{_fmt(zero)}" '
-            f'x2="{_fmt(pw - _PAD)}" y2="{_fmt(zero)}"/>'
-        )
-        for vec in vector_sets[col]:
-            lines.append(_polyline(xs, _y_pixels(vec, -1.0, 1.0, ph), "curve rep"))
-        lines.append(
-            _polyline(xs, _y_pixels(truth_vectors[col], -1.0, 1.0, ph), "curve truth")
-        )
-        lines.append(
-            f'<text class="title" x="{_fmt(_PAD)}" y="{_fmt(_PAD - 3)}">{captions[col]}</text>'
-        )
-        lines.append("</g>")
-
+        x = _MARGIN + col * (pw + _GAP)
+        lines += _overlay_panel(x, _MARGIN, pw, ph, xs, vector_sets[col], truth_vectors[col],
+                                1.0, "vector", captions[col])
         span = max(
             float(np.abs(response_sets[col]).max()),
             float(np.abs(truth_responses[col]).max()),
             1e-12,
         )
-        y = margin + ph + gap
-        lines.append(_panel_open(x, y, "panel response overlay"))
-        lines.append(_frame(pw, ph))
-        zero = _y_pixels(np.zeros(1), -span, span, ph)[0]
-        lines.append(
-            f'<line class="zero" x1="{_fmt(_PAD)}" y1="{_fmt(zero)}" '
-            f'x2="{_fmt(pw - _PAD)}" y2="{_fmt(zero)}"/>'
-        )
-        for vec in response_sets[col]:
-            lines.append(_polyline(xs, _y_pixels(vec, -span, span, ph), "curve rep"))
-        lines.append(
-            _polyline(xs, _y_pixels(truth_responses[col], -span, span, ph), "curve truth")
-        )
-        lines.append(
-            f'<text class="title" x="{_fmt(_PAD)}" y="{_fmt(_PAD - 3)}">'
-            f"response to {captions[col]}</text>"
-        )
-        lines.append("</g>")
+        lines += _overlay_panel(x, _MARGIN + ph + _GAP, pw, ph, xs, response_sets[col],
+                                truth_responses[col], span, "response",
+                                f"response to {captions[col]}")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
@@ -302,9 +285,13 @@ def make_provenance(
     relatedness: float | None = None,
     rng: str | None = None,
 ) -> dict:
+    # output bytes depend on the LAPACK build behind numpy.linalg.eigh
+    lapack = np.show_config(mode="dicts").get("Build Dependencies", {}).get("lapack", {})
     return {
         "software": "genecon",
         "version": __version__,
+        "numpy": np.__version__,
+        "lapack": {"name": lapack.get("name"), "version": lapack.get("version")},
         "inputs": inputs,
         "seed": seed,
         "measure": measure_kind,
@@ -334,7 +321,7 @@ def partition_report(
         entry = {
             "role": role,
             "number": number,
-            "coordinates": [float(x) for x in combined[i]],
+            "coordinates": combined[i].tolist(),
             "simplicity_score": float(part.scores[i]),
             "response_norm": float(part.response_norms[i]),
             "proportion": float(part.proportions[i]),
@@ -344,10 +331,10 @@ def partition_report(
         vectors.append(entry)
     return {
         "provenance": provenance,
-        "grid": [float(t) for t in grid.points],
+        "grid": grid.points.tolist(),
         "dim": part.dim,
         "J": part.j,
-        "eigenvalues": [float(x) for x in g.eig.eigenvalues],
+        "eigenvalues": g.eig.eigenvalues.tolist(),
         "clipped_indices": [int(i) for i in g.clipped_indices],
         "model_variance_fraction": float(part.model_variance_fraction),
         "null_variance_fraction": float(part.null_variance_fraction),
@@ -372,7 +359,7 @@ def study_report(summary: StudySummary, provenance: dict) -> dict:
         "null_dim": summary.null_dim,
         "measure": summary.measure_kind,
         "params": {
-            "mu": [float(x) for x in p.mu],
+            "mu": p.mu.tolist(),
             "g": p.g.matrix.to_payload(),
             "e": p.e.to_payload(),
             "sigma2": float(p.sigma2),
@@ -387,31 +374,23 @@ def study_report(summary: StudySummary, provenance: dict) -> dict:
             "negative_min_eigenvalue": [bool(r.negative_min_eigenvalue) for r in reps],
             "canonical_distance_sq": [float(r.canonical_distance_sq) for r in reps],
             "simplest_response_norm": [float(r.simplest_response_norm) for r in reps],
-            "null_pc_response_norms": [
-                [float(x) for x in r.null_pc_response_norms] for r in reps
-            ],
-            "simplest_vectors": [[float(x) for x in r.simplest_vector] for r in reps],
-            "null_pc_vectors": [
-                [[float(x) for x in row] for row in r.null_pc_vectors] for r in reps
-            ],
-            "simplest_responses": [
-                [float(x) for x in r.simplest_response] for r in reps
-            ],
-            "null_pc_responses": [
-                [[float(x) for x in row] for row in r.null_pc_responses] for r in reps
-            ],
+            "null_pc_response_norms": [r.null_pc_response_norms.tolist() for r in reps],
+            "simplest_vectors": summary.simplest_vectors().tolist(),
+            "null_pc_vectors": summary.null_pc_vectors().tolist(),
+            "simplest_responses": summary.simplest_responses().tolist(),
+            "null_pc_responses": summary.null_pc_responses().tolist(),
         },
         "true": {
-            "null_pcs": [[float(x) for x in row] for row in summary.true_null_pcs],
-            "simplest": [float(x) for x in summary.true_simplest],
-            "simplest_response": [float(x) for x in summary.true_simplest_response],
-            "pc_responses": [[float(x) for x in row] for row in summary.true_pc_responses],
+            "null_pcs": summary.true_null_pcs.tolist(),
+            "simplest": summary.true_simplest.tolist(),
+            "simplest_response": summary.true_simplest_response.tolist(),
+            "pc_responses": summary.true_pc_responses.tolist(),
         },
         "aggregate": {
             "simplest_norm_mean": float(summary.simplest_norm_mean),
             "simplest_norm_sd": float(summary.simplest_norm_sd),
-            "pc_norm_means": [float(x) for x in summary.pc_norm_means],
-            "pc_norm_sds": [float(x) for x in summary.pc_norm_sds],
+            "pc_norm_means": summary.pc_norm_means.tolist(),
+            "pc_norm_sds": summary.pc_norm_sds.tolist(),
             "negative_fraction": float(summary.negative_fraction),
             "min_eigenvalue_observed": float(summary.min_eigenvalue_observed),
             "mean_canonical_distance_sq": float(summary.mean_canonical_distance_sq),

@@ -22,6 +22,7 @@ SPARSENESS = "sparseness"
 CUSTOM = "custom"
 
 _KINDS = (FIRST_DIFFERENCE, SECOND_DIFFERENCE, SPARSENESS, CUSTOM)
+MEASURE_ALIASES = {"d1": FIRST_DIFFERENCE, "d2": SECOND_DIFFERENCE, "sparse": SPARSENESS}
 DEGENERATE_SCORE_RTOL = 1e-9
 _ORTHO_TOL = 1e-12
 
@@ -248,14 +249,15 @@ def simplicity_basis(subspace_basis: np.ndarray, measure: SimplicityMeasure) -> 
 
 def measure_from_kind(kind: str, grid: TraitGrid | None, dim: int) -> SimplicityMeasure:
     """Build one of the named measures; d1/d2 need a grid, sparseness only a dimension."""
-    if kind in (FIRST_DIFFERENCE, "d1"):
+    kind = MEASURE_ALIASES.get(kind, kind)
+    if kind == FIRST_DIFFERENCE:
         if grid is None:
             raise InvalidMatrix("first-difference measure needs a trait grid")
         return first_difference_measure(grid)
-    if kind in (SECOND_DIFFERENCE, "d2"):
+    if kind == SECOND_DIFFERENCE:
         if grid is None:
             raise InvalidMatrix("second-difference measure needs a trait grid")
         return second_difference_measure(grid)
-    if kind in (SPARSENESS, "sparse"):
+    if kind == SPARSENESS:
         return sparseness_measure(dim)
     raise ValueError(f"unknown measure kind {kind!r}")

@@ -23,8 +23,7 @@ import numpy as np
 from .core import GMatrix, SymMatrix, _readonly, symmetric_eigen
 from .errors import DimensionMismatch, InvalidCovariance
 from .estimate import (
-    FULL_SIB,
-    HALF_SIB,
+    RELATEDNESS,
     FamilyDataset,
     VarianceComponents,
     anova_estimate,
@@ -38,9 +37,6 @@ RNG_DESCRIPTION = "philox4x64 counter-based; ziggurat normals (numpy Generator)"
 
 _MASK64 = (1 << 64) - 1
 _FAMILY_EFFECT_SLOT = 0  # member counter word 0 = family-level draw, i+1 = member i
-
-# fraction of G carried by the shared family effect, per design
-_FAMILY_SHARE = {HALF_SIB: 0.25, FULL_SIB: 0.5}
 
 
 def _psd_factor(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -92,7 +88,7 @@ class SimulationParams:
 
     @property
     def relatedness(self) -> float:
-        return {HALF_SIB: 4.0, FULL_SIB: 2.0}[self.design]
+        return RELATEDNESS[self.design]
 
 
 class _SubstreamSampler:
@@ -132,7 +128,7 @@ def generate_dataset(params: SimulationParams, replicate: int = 0) -> FamilyData
     each family effect consumes K normals from the member-0 slot.
     """
     k = params.dim
-    share = _FAMILY_SHARE[params.design]
+    share = 1.0 / params.relatedness  # fraction of G carried by the shared family effect
     factor_family = _psd_factor(share * params.g.matrix.entries, "family share of G")
     factor_resid = _psd_factor((1.0 - share) * params.g.matrix.entries, "residual share of G")
     factor_env = _psd_factor(params.e.entries, "E")

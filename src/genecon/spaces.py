@@ -114,15 +114,16 @@ def response_to_selection(g: GMatrix, beta) -> SelectionVectors:
 
 
 def _solve_phenotypic(g: GMatrix, e: SymMatrix, rhs: np.ndarray) -> np.ndarray:
-    """(G+E)^-1 rhs via the eigendecomposition, guarding the condition number."""
+    """(G+E)^-1 rhs via the eigendecomposition, guarding definiteness and condition."""
     if e.dim != g.dim:
         raise DimensionMismatch(f"E is {e.dim}-dimensional, G is {g.dim}-dimensional")
     total = SymMatrix(g.matrix.entries + e.entries)
     eig = symmetric_eigen(total)
-    mags = np.abs(eig.eigenvalues)
-    if mags.min() == 0.0 or mags.max() / mags.min() > CONDITION_LIMIT:
+    lam_max, lam_min = eig.eigenvalues[0], eig.eigenvalues[-1]
+    if lam_min <= 0.0 or lam_max / lam_min > CONDITION_LIMIT:
         raise SingularPhenotypicCovariance(
-            f"G + E condition number exceeds {CONDITION_LIMIT:.0e}"
+            f"G + E must be positive definite with condition number at most "
+            f"{CONDITION_LIMIT:.0e}; its eigenvalues span [{lam_min:.3e}, {lam_max:.3e}]"
         )
     v = eig.eigenvectors
     coords = v.T @ rhs

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import genecon
 
 from genecon.cli import main
 from genecon.reference import (
@@ -142,6 +148,26 @@ class TestAnalyze:
         assert code == 2
         assert "asym.json" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, content, reason", [
+        ("--grid", "3", "must be a JSON object"),
+        ("--grid", '{"points": {"a": 1}}', "malformed grid payload"),
+        ("--g", "[1, 2]", "must be a JSON object"),
+    ])
+    def test_non_object_json_is_usage_error(self, inputs, tmp_path, capsys, flag, content,
+                                            reason):
+        bad = tmp_path / "bad.json"
+        bad.write_text(content)
+        paths = {"--g": inputs["g"], "--grid": inputs["grid"], flag: bad}
+        out = tmp_path / "x.json"
+        code = main([
+            "analyze", "--g", str(paths["--g"]), "--grid", str(paths["--grid"]),
+            "--J", "2", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"{flag}: {bad}: " in err[0] and reason in err[0]
+        assert not out.exists()
+
     def test_unbalanced_csv_is_usage_error(self, inputs, tmp_path, capsys):
         data = tmp_path / "unbalanced.csv"
         header = "family,individual," + ",".join(f"t{i+1}" for i in range(6))
@@ -190,6 +216,28 @@ class TestSweep:
                   "--J", str(j), "--out", str(single_out), "--svg", str(single_svg)])
             assert (out_dir / f"report_J{j:02d}.json").read_bytes() == single_out.read_bytes()
             assert (out_dir / f"figure_J{j:02d}.svg").read_bytes() == single_svg.read_bytes()
+
+    def test_bytes_independent_of_blas_threads(self, tmp_path):
+        # a dense K = 12 G with a distinct spectrum, so LAPACK does real work
+        k = 12
+        rng = np.random.default_rng(12)
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        g = (q * 0.7 ** np.arange(k)) @ q.T
+        (tmp_path / "g.json").write_text(json.dumps({"dim": k, "entries": g.ravel().tolist()}))
+        (tmp_path / "grid.json").write_text(json.dumps({"points": list(range(k))}))
+        env = dict(os.environ, PYTHONPATH=str(Path(genecon.__file__).parents[1]))
+        outputs = []
+        for threads in ("1", "2"):
+            env["OPENBLAS_NUM_THREADS"] = threads
+            subprocess.run(
+                [sys.executable, "-m", "genecon.cli", "sweep", "--g", "g.json",
+                 "--grid", "grid.json", "--out-dir", f"out{threads}"],
+                cwd=tmp_path, env=env, check=True, timeout=120,
+            )
+            out_dir = tmp_path / f"out{threads}"
+            outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
+        assert len(outputs[0]) == 2 * (k + 1)
+        assert outputs[0] == outputs[1]
 
 
 class TestSimulate:
@@ -245,6 +293,34 @@ class TestSimulate:
         code = main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o.json")])
         assert code == 2
         assert "bad.json" in capsys.readouterr().err
+
+    def test_non_object_config(self, tmp_path, capsys):
+        cfg = tmp_path / "number.json"
+        cfg.write_text("3")
+        out = tmp_path / "o.json"
+        code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "expected a JSON object" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("families", 3.9),
+        ("siblings", True),
+        ("seed", 1.5),
+        ("reps", True),
+        ("null_dim", "3"),
+    ])
+    def test_non_integer_field_rejected(self, study_config, tmp_path, capsys, field, value):
+        cfg = json.loads(study_config.read_text())
+        cfg[field] = value
+        study_config.write_text(json.dumps(cfg))
+        out = tmp_path / "o.json"
+        code = main(["simulate", "--config", str(study_config), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and repr(field) in err[0]
+        assert not out.exists()
 
     def test_missing_field(self, tmp_path, capsys):
         cfg = tmp_path / "partial.json"

@@ -178,6 +178,16 @@ class TestCsvRoundTrip:
         with pytest.raises(InvalidMatrix):
             load_family_csv(path, GRID1, "half-sib")
 
+    def test_duplicate_record_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "family,individual,t1,t2\n"
+            "F1,I1,0,1\nF1,I2,1,2\n"
+            "F2,I1,0,1\nF2,I1,1,2\n"
+        )
+        with pytest.raises(InvalidMatrix, match=r"dup\.csv:5: duplicate"):
+            load_family_csv(path, GRID1, "half-sib")
+
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("family,individual,t1,t2\n")

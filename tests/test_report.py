@@ -171,10 +171,13 @@ class TestJsonReports:
         prov = make_provenance({"config": "s.json"}, seed=7, measure_kind="d1",
                                clip_tolerance=0.0, relatedness=4.0, rng="philox")
         for key in ("software", "version", "inputs", "seed", "measure",
-                    "clip_tolerance", "relatedness_c", "rng", "tolerances"):
+                    "clip_tolerance", "relatedness_c", "rng", "tolerances",
+                    "numpy", "lapack"):
             assert key in prov
         assert prov["seed"] == 7
         assert prov["relatedness_c"] == 4.0
+        assert prov["numpy"] == np.__version__
+        assert set(prov["lapack"]) == {"name", "version"}
 
     def test_study_report_shape(self):
         summary = run_study(study_params(n_families=12, family_size=4),

@@ -81,6 +81,13 @@ class TestBreedersResponse:
         with pytest.raises(SingularPhenotypicCovariance):
             breeders_response(g, SymMatrix(np.zeros((2, 2))), np.ones(2))
 
+    def test_indefinite_phenotypic_covariance_rejected(self):
+        # G + E = diag(2, 1.5, -0.4) has a small condition number but is indefinite
+        g = psd(np.diag([1.0, 0.5, 0.1]))
+        e = SymMatrix(np.diag([1.0, 1.0, -0.5]))
+        with pytest.raises(SingularPhenotypicCovariance, match="positive definite"):
+            breeders_response(g, e, np.ones(3))
+
     def test_truncation_selection_monte_carlo(self):
         # generative check: under truncation selection on jointly normal
         # (genetic, phenotype) pairs, the realized genetic mean shift of the
