@@ -2,8 +2,8 @@
 
 Exit codes follow the usual scripting convention: 0 success, 1 runtime
 failure, 2 bad usage or invalid inputs. Outputs are byte-identical for the
-same inputs, seed, numpy version and LAPACK build, whatever GENECON_THREADS
-is set to: it only changes how much work runs concurrently, never the result.
+same inputs, seed, numpy version and LAPACK build. GENECON_THREADS is
+accepted for compatibility and ignored; a malformed value exits 2.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SymMatrix, TraitGrid, load_grid_json
+from .core import SymMatrix, TraitGrid, json_int, json_number, json_numbers, load_grid_json
 from .errors import GeneconError
 from .estimate import (
     DESIGN_ALIASES,
@@ -191,34 +191,27 @@ def _study_config(args) -> tuple[SimulationParams, int, int, str]:
         return cfg[key]
 
     def need_int(key):
-        value = need(key)
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise UsageError(f"--config: {path}: field {key!r} must be an integer, got {value!r}")
-        return value
+        return json_int(need(key), f"field {key!r}")
 
     try:
         grid = TraitGrid.from_payload(need("grid"))
         g = ingest_gmatrix(need("g"), grid=grid, clip_tolerance=0.0)
         e = SymMatrix.from_payload(need("e"))
         params = SimulationParams(
-            mu=np.asarray(cfg.get("mu", np.zeros(grid.size)), dtype=float),
+            mu=json_numbers(cfg.get("mu", np.zeros(grid.size)), "field 'mu'"),
             g=g,
             e=e,
-            sigma2=float(need("sigma2")),
+            sigma2=json_number(need("sigma2"), "field 'sigma2'"),
             n_families=need_int("families"),
             family_size=need_int("siblings"),
             design=str(need("design")),
             seed=args.seed if args.seed is not None else need_int("seed"),
         )
-    except GeneconError as exc:
-        raise UsageError(f"--config: {path}: {exc}") from exc
-    except ValueError as exc:
+        reps = args.reps if args.reps is not None else need_int("reps")
+        null_dim = args.null_dim if args.null_dim is not None else need_int("null_dim")
+    except (GeneconError, ValueError) as exc:
         raise UsageError(f"--config: {path}: {exc}") from exc
 
-    reps = args.reps if args.reps is not None else need_int("reps")
-    null_dim = args.null_dim if args.null_dim is not None else need_int("null_dim")
     measure_kind = str(cfg.get("measure", "d1"))
     if reps < 1:
         raise UsageError(f"--reps must be at least 1, got {reps}")
@@ -268,16 +261,10 @@ def main(argv=None) -> int:
     try:
         thread_count()  # reject a malformed GENECON_THREADS before any work
         return handlers[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"genecon {args.command}: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"genecon {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except GeneconError as exc:
-        print(f"genecon {args.command}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (GeneconError, OSError) as exc:
         print(f"genecon {args.command}: {exc}", file=sys.stderr)
         return 1
 

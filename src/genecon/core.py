@@ -9,6 +9,7 @@ run for the same numpy version and LAPACK build.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -24,6 +25,32 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
     return out
+
+
+def json_int(value, what: str) -> int:
+    """An integer read from JSON; bools, strings and non-integral numbers are rejected."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(value, what: str) -> float:
+    """A number read from JSON; bools, strings and containers are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ValueError(f"{what} is out of range: {exc}") from exc
+
+
+def json_numbers(value, what: str) -> np.ndarray:
+    """A number or (nested) list of numbers read from JSON, as a float array."""
+    items = np.asarray(value, dtype=object)
+    entry = f"each entry of {what}"
+    return np.array([json_number(x, entry) for x in items.flat], dtype=float).reshape(items.shape)
 
 
 @dataclass(frozen=True)
@@ -64,8 +91,8 @@ class TraitGrid:
         if "points" not in payload:
             raise InvalidGrid("grid payload missing 'points'")
         try:
-            points = np.asarray(payload["points"], dtype=float)
-        except (TypeError, ValueError) as exc:
+            points = json_numbers(payload["points"], "points")
+        except ValueError as exc:
             raise InvalidGrid(f"malformed grid payload: {exc}") from exc
         return cls(points)
 
@@ -116,9 +143,9 @@ class SymMatrix:
                 f"matrix payload must be a JSON object, got {type(payload).__name__}"
             )
         try:
-            dim = int(payload["dim"])
-            raw = np.asarray(payload["entries"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            dim = json_int(payload["dim"], "dim")
+            raw = json_numbers(payload["entries"], "entries")
+        except (KeyError, ValueError) as exc:
             raise InvalidMatrix(f"malformed matrix payload: {exc}") from exc
         if raw.size != dim * dim:
             raise InvalidMatrix(

@@ -1,21 +1,21 @@
-"""Thread-count policy and an order-preserving parallel map.
+"""Sequential, order-preserving map, and the GENECON_THREADS check.
 
-GENECON_THREADS caps worker threads: unset/1 means sequential, 0 means one
-per CPU. Results are always assembled in input order, so output is identical
-whatever the thread count.
+GENECON_THREADS is accepted for compatibility and ignored: a thread pool
+never beat one thread, because the interpreter lock serializes the Python
+work. A malformed value is still a usage error.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
 def thread_count() -> int:
+    """GENECON_THREADS as a validated count (1 when unset); checked, never acted on."""
     raw = os.environ.get("GENECON_THREADS", "").strip()
     if not raw:
         return 1
@@ -25,15 +25,8 @@ def thread_count() -> int:
         raise ValueError(f"GENECON_THREADS must be an integer, got {raw!r}") from exc
     if n < 0:
         raise ValueError(f"GENECON_THREADS must be nonnegative, got {n}")
-    if n == 0:
-        return os.cpu_count() or 1
     return n
 
 
 def ordered_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
-    seq: Sequence[T] = list(items)
-    workers = min(thread_count(), len(seq)) if seq else 0
-    if workers <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seq))
+    return [fn(x) for x in items]

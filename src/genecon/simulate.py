@@ -7,16 +7,15 @@ effect carries G/4 and the remainder 3G/4 (c = 4); full siblings share G/2
 (c = 2). Environmental deviations are N(0, E) and measurement noise is
 isotropic N(0, sigma2 I), all independent.
 
-Randomness is counter-based (Philox): the key holds (seed, replicate) and the
-high counter words hold (family, member), so every individual owns a
-substream addressed by (seed, replicate, family, member). Draws are therefore
-reproducible and independent of evaluation order; normal variates use numpy's
+Randomness is counter-based (Philox): each replicate has its own generator,
+keyed by (seed, replicate), so a replicate's draws are reproducible and do
+not depend on the order replicates run in. Normal variates use numpy's
 ziggurat sampler.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,10 +32,9 @@ from .parallel import ordered_map
 from .simplicity import SimplicityMeasure, simplicity_basis
 from .spaces import canonical_angle_distance, partition
 
-RNG_DESCRIPTION = "philox4x64 counter-based; ziggurat normals (numpy Generator)"
+RNG_DESCRIPTION = "philox4x64 keyed by (seed, replicate); ziggurat normals (numpy Generator)"
 
 _MASK64 = (1 << 64) - 1
-_FAMILY_EFFECT_SLOT = 0  # member counter word 0 = family-level draw, i+1 = member i
 
 
 def _psd_factor(matrix: np.ndarray, name: str) -> np.ndarray:
@@ -91,42 +89,17 @@ class SimulationParams:
         return RELATEDNESS[self.design]
 
 
-class _SubstreamSampler:
-    """Normal draws from Philox substreams addressed by (family, member).
-
-    One bit generator per (seed, replicate); each substream starts at counter
-    (0, 0, member_slot, family), leaving 2^128 draw positions per substream.
-    """
-
-    def __init__(self, seed: int, replicate: int):
-        if replicate < 0:
-            raise ValueError(f"replicate index must be nonnegative, got {replicate}")
-        key = np.array([seed & _MASK64, replicate & _MASK64], dtype=np.uint64)
-        self._bg = np.random.Philox(key=key)
-        self._gen = np.random.Generator(self._bg)
-        self._state = self._bg.state
-
-    def normals(self, family: int, member_slot: int, count: int) -> np.ndarray:
-        st = self._state
-        counter = st["state"]["counter"]
-        counter[0] = 0
-        counter[1] = 0
-        counter[2] = member_slot
-        counter[3] = family
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
-        return self._gen.standard_normal(count)
-
-
 def generate_dataset(params: SimulationParams, replicate: int = 0) -> FamilyDataset:
     """Draw one balanced family data set; bit-identical for identical inputs.
 
-    Each member's record consumes one block of 3K normals from its own
-    substream (genetic remainder, then environment, then measurement noise);
-    each family effect consumes K normals from the member-0 slot.
+    All normals come from one generator keyed by (seed, replicate), in one
+    draw of one row per family: K normals for the family effect, then 3K per
+    member (genetic remainder, then environment, then measurement noise).
+    Row j depends only on j, so a data set of N families is the first N
+    families of any larger one with the same seed, replicate and family size.
     """
+    if replicate < 0:
+        raise ValueError(f"replicate index must be nonnegative, got {replicate}")
     k = params.dim
     share = 1.0 / params.relatedness  # fraction of G carried by the shared family effect
     factor_family = _psd_factor(share * params.g.matrix.entries, "family share of G")
@@ -134,19 +107,18 @@ def generate_dataset(params: SimulationParams, replicate: int = 0) -> FamilyData
     factor_env = _psd_factor(params.e.entries, "E")
     noise_sd = float(np.sqrt(params.sigma2))
 
-    sampler = _SubstreamSampler(params.seed, replicate)
-    values = np.empty((params.n_families, params.family_size, k))
-    for j in range(params.n_families):
-        family_effect = factor_family @ sampler.normals(j, _FAMILY_EFFECT_SLOT, k)
-        base = params.mu + family_effect
-        for i in range(params.family_size):
-            z = sampler.normals(j, i + 1, 3 * k)
-            values[j, i] = (
-                base
-                + factor_resid @ z[:k]
-                + factor_env @ z[k:2 * k]
-                + noise_sd * z[2 * k:]
-            )
+    key = [params.seed & _MASK64, replicate & _MASK64]
+    gen = np.random.Generator(np.random.Philox(key=key))
+    n, m = params.n_families, params.family_size
+    z = gen.standard_normal((n, k + m * 3 * k))
+    members = z[:, k:].reshape(n, m, 3, k)
+    base = params.mu + z[:, :k] @ factor_family.T
+    values = (
+        base[:, None, :]
+        + members[:, :, 0] @ factor_resid.T
+        + members[:, :, 1] @ factor_env.T
+        + noise_sd * members[:, :, 2]
+    )
     return FamilyDataset(values, params.g.grid, params.design)
 
 
@@ -254,21 +226,13 @@ def _aligned(result: ReplicateResult, ref: ReplicateResult) -> ReplicateResult:
     s0 = _align_sign(result.simplest_vector, ref.simplest_vector)
     flips = np.array([
         _align_sign(v, rv) for v, rv in zip(result.null_pc_vectors, ref.null_pc_vectors)
-    ])
-    if s0 == 1.0 and (flips == 1.0).all():
-        return result
-    col = flips[:, None]
-    return ReplicateResult(
-        components=result.components,
+    ])[:, None]
+    return replace(
+        result,
         simplest_vector=s0 * result.simplest_vector,
-        null_pc_vectors=col * result.null_pc_vectors,
+        null_pc_vectors=flips * result.null_pc_vectors,
         simplest_response=s0 * result.simplest_response,
-        null_pc_responses=col * result.null_pc_responses,
-        simplest_response_norm=result.simplest_response_norm,
-        null_pc_response_norms=result.null_pc_response_norms,
-        min_raw_eigenvalue=result.min_raw_eigenvalue,
-        negative_min_eigenvalue=result.negative_min_eigenvalue,
-        canonical_distance_sq=result.canonical_distance_sq,
+        null_pc_responses=flips * result.null_pc_responses,
     )
 
 
@@ -280,10 +244,10 @@ def run_study(
 ) -> StudySummary:
     """Replicate the pipeline: generate, estimate, clip, partition, respond.
 
-    Each replicate r draws from substream (seed, r), so parallel and
-    sequential execution yield identical summaries. Vectors are sign-aligned
-    against the first replicate before aggregation, since eigenvectors and
-    simplicity vectors are only defined up to sign.
+    Each replicate r draws from its own generator keyed by (seed, r), so the
+    summary does not depend on the order replicates run in. Vectors are
+    sign-aligned against the first replicate before aggregation, since
+    eigenvectors and simplicity vectors are only defined up to sign.
     """
     if reps < 1:
         raise ValueError(f"need at least 1 replicate, got {reps}")

@@ -17,6 +17,8 @@ from genecon.reference import (
     TEMPERATURE_POINTS,
 )
 
+IDENTITY6 = np.eye(6).ravel().tolist()
+
 
 @pytest.fixture
 def inputs(tmp_path):
@@ -152,6 +154,14 @@ class TestAnalyze:
         ("--grid", "3", "must be a JSON object"),
         ("--grid", '{"points": {"a": 1}}', "malformed grid payload"),
         ("--g", "[1, 2]", "must be a JSON object"),
+        pytest.param("--g", json.dumps({"dim": 6.5, "entries": IDENTITY6}),
+                     "dim must be an integer", id="fractional-dim"),
+        pytest.param("--g", json.dumps({"dim": 6, "entries": ["1"] + IDENTITY6[1:]}),
+                     "entries must be a number", id="string-entry"),
+        pytest.param("--grid", json.dumps({"points": [str(t) for t in TEMPERATURE_POINTS]}),
+                     "points must be a number", id="string-points"),
+        pytest.param("--grid", '{"points": [false, true, 2, 3, 4, 5]}',
+                     "points must be a number", id="bool-points"),
     ])
     def test_non_object_json_is_usage_error(self, inputs, tmp_path, capsys, flag, content,
                                             reason):
@@ -310,6 +320,10 @@ class TestSimulate:
         ("seed", 1.5),
         ("reps", True),
         ("null_dim", "3"),
+        ("sigma2", [1]),
+        ("sigma2", True),
+        ("sigma2", "0.5"),
+        ("mu", {"a": 1}),
     ])
     def test_non_integer_field_rejected(self, study_config, tmp_path, capsys, field, value):
         cfg = json.loads(study_config.read_text())

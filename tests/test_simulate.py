@@ -34,6 +34,33 @@ class TestGenerateDataset:
         b = generate_dataset(small_params(seed=2))
         assert not np.array_equal(a.values, b.values)
 
+    def test_family_count_keeps_prefix(self):
+        # each family's records depend only on its own index, so a smaller data
+        # set is the first families of a larger one with the same seed
+        small = generate_dataset(small_params(n_families=5), replicate=2)
+        large = generate_dataset(small_params(n_families=12), replicate=2)
+        np.testing.assert_array_equal(small.values, large.values[:5])
+
+    def test_stream_layout_pinned(self):
+        # one row of normals per family: K for the family effect, then 3K per
+        # member; changing that layout changes these records and every study
+        expected = [
+            [0.011018328292530098, 0.016744745878550765, 0.11356720286251354,
+             -0.23210068716472856, 0.7445127581042392, 0.030769416086412815],
+            [1.4197489008213189, 0.13657130335747925, -0.47186655577238035,
+             0.7842512925883833, 0.3076687681507383, 0.2717751314775016],
+            [0.6648969875243751, -0.19434722299606258, 0.3815029846582128,
+             -0.079408227505808, 0.03221833783102299, 0.13531631469605765],
+            [0.9448256887190831, 0.26747875834923523, -0.6037768614347795,
+             1.041510409645176, 0.29668053426516827, -0.3923455989395883],
+        ]
+        values = generate_dataset(small_params(), 3).values[0]
+        np.testing.assert_allclose(values, expected, rtol=1e-12)
+
+    def test_negative_replicate_rejected(self):
+        with pytest.raises(ValueError, match="replicate"):
+            generate_dataset(small_params(), replicate=-1)
+
     def test_zero_covariance_yields_mu(self):
         grid = temperature_grid()
         g = clip_negative_eigenvalues(SymMatrix(np.zeros((6, 6))), 0.0, grid=grid)
