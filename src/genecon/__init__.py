@@ -7,7 +7,7 @@ Breeder's equation, estimates G from balanced family designs, runs the
 replicated sampling study, and renders SVG/JSON reports.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .core import (
     EigenDecomposition,

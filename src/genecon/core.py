@@ -9,6 +9,7 @@ run for the same numpy version and LAPACK build.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,13 +38,16 @@ def json_int(value, what: str) -> int:
 
 
 def json_number(value, what: str) -> float:
-    """A number read from JSON; bools, strings and containers are rejected."""
+    """A finite number read from JSON; bools, strings, containers, NaN and ±inf are rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError as exc:
         raise ValueError(f"{what} is out of range: {exc}") from exc
+    if not math.isfinite(number):
+        raise ValueError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def json_numbers(value, what: str) -> np.ndarray:
@@ -147,6 +151,8 @@ class SymMatrix:
             raw = json_numbers(payload["entries"], "entries")
         except (KeyError, ValueError) as exc:
             raise InvalidMatrix(f"malformed matrix payload: {exc}") from exc
+        if dim < 1:
+            raise InvalidMatrix(f"matrix payload dim must be at least 1, got {dim}")
         if raw.size != dim * dim:
             raise InvalidMatrix(
                 f"matrix payload has {raw.size} entries, expected dim*dim = {dim * dim}"
@@ -168,15 +174,11 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column k is the eigenvector for eigenvalues[k]
-    source_dim: int
     degenerate: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
         object.__setattr__(self, "eigenvectors", _readonly(self.eigenvectors))
-
-    def vector(self, k: int) -> np.ndarray:
-        return self.eigenvectors[:, k]
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
@@ -197,14 +199,13 @@ def symmetric_eigen(m: SymMatrix) -> EigenDecomposition:
     lam = lam[order]
     v = v[:, order]
 
-    for col in range(m.dim):
-        nz = np.nonzero(np.abs(v[:, col]) > 1e-8)[0]
-        if nz.size and v[nz[0], col] < 0.0:
-            v[:, col] = -v[:, col]
+    big = np.abs(v) > 1e-8
+    leading = np.where(big & (np.cumsum(big, axis=0) == 1), v, 0.0).sum(axis=0)
+    v = v * np.where(leading < 0.0, -1.0, 1.0)
 
     gaps = -np.diff(lam)
     degenerate = bool(gaps.size and gaps.min() < DEGENERACY_RTOL * abs(lam[0]))
-    return EigenDecomposition(lam, v, source_dim=m.dim, degenerate=degenerate)
+    return EigenDecomposition(lam, v, degenerate=degenerate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +262,7 @@ def _clip_decomposition(
 
     clipped = np.where(below, 0.0, eig.eigenvalues)
     v = eig.eigenvectors
-    new_eig = EigenDecomposition(clipped, v, source_dim=eig.source_dim, degenerate=eig.degenerate)
+    new_eig = EigenDecomposition(clipped, v, degenerate=eig.degenerate)
     return GMatrix(
         SymMatrix((v * clipped) @ v.T),
         new_eig,
@@ -292,11 +293,6 @@ def clip_negative_eigenvalues(
         return _clip_decomposition(m.matrix, m.eig, tol, grid)
     source = m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m, dtype=float))
     return _clip_decomposition(source, symmetric_eigen(source), tol, grid)
-
-
-def load_matrix_json(path: str | Path) -> SymMatrix:
-    with open(path, encoding="utf-8") as fh:
-        return SymMatrix.from_payload(json.load(fh))
 
 
 def load_grid_json(path: str | Path) -> TraitGrid:

@@ -47,6 +47,8 @@ text { font-family: sans-serif; font-size: 10px; fill: #222; }
 _PAD = 16
 _GAP = 12
 _MARGIN = 16
+_PANEL_WIDTH = 170
+_PANEL_HEIGHT = 130
 
 
 def _fmt(x: float) -> str:
@@ -59,9 +61,6 @@ class FigureSpec:
 
     partition: SubspacePartition
     grid: TraitGrid
-    title: str = ""
-    panel_width: int = 170
-    panel_height: int = 130
 
     def __post_init__(self):
         if self.grid.size != self.partition.dim:
@@ -200,15 +199,11 @@ def render_partition_figure(spec: FigureSpec, provenance: dict | None = None) ->
     """
     part = spec.partition
     k = part.dim
-    pw, ph = spec.panel_width, spec.panel_height
+    pw, ph = _PANEL_WIDTH, _PANEL_HEIGHT
     width = 2 * _MARGIN + k * pw + (k - 1) * _GAP
-    height = 2 * _MARGIN + 2 * ph + _GAP + (18 if spec.title else 0)
-    top = _MARGIN + (18 if spec.title else 0)
+    height = 2 * _MARGIN + 2 * ph + _GAP
 
     lines = _svg_open(width, height, provenance)
-    if spec.title:
-        lines.append(f'<text class="title" x="{_MARGIN}" y="{_MARGIN}">{spec.title}</text>')
-
     combined = part.combined_basis()
     t = np.asarray(spec.grid.points)
     for i in range(k):
@@ -216,23 +211,18 @@ def render_partition_figure(spec: FigureSpec, provenance: dict | None = None) ->
         number = i + 1 if i < part.j else i - part.j + 1
         caption = f"{'PC' if role == 'model' else 'S'}{number}"
         x = _MARGIN + i * (pw + _GAP)
-        lines += _vector_panel(x, top, pw, ph, t, combined[i], role, number, caption)
+        lines += _vector_panel(x, _MARGIN, pw, ph, t, combined[i], role, number, caption)
 
     bound = 1.0
     if part.scores.size:
         bound = max(1.0, float(part.scores.max()))
-    lines += _scatter_panel(_MARGIN, top + ph + _GAP, pw, ph, part, bound)
-    lines += _bars_panel(_MARGIN + pw + _GAP, top + ph + _GAP, pw, ph, part)
+    lines += _scatter_panel(_MARGIN, _MARGIN + ph + _GAP, pw, ph, part, bound)
+    lines += _bars_panel(_MARGIN + pw + _GAP, _MARGIN + ph + _GAP, pw, ph, part)
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def render_study_figure(
-    summary: StudySummary,
-    provenance: dict | None = None,
-    panel_width: int = 170,
-    panel_height: int = 130,
-) -> str:
+def render_study_figure(summary: StudySummary, provenance: dict | None = None) -> str:
     """Overlay panels for the replicated study.
 
     Top row: all replicates' simplest nearly-null vectors, then the estimated
@@ -245,7 +235,7 @@ def render_study_figure(
     grid = summary.params.g.grid
     t = np.asarray(grid.points) if grid is not None else np.arange(k, dtype=float)
     cols = summary.null_dim + 1
-    pw, ph = panel_width, panel_height
+    pw, ph = _PANEL_WIDTH, _PANEL_HEIGHT
     width = 2 * _MARGIN + cols * pw + (cols - 1) * _GAP
     height = 2 * _MARGIN + 2 * ph + _GAP
 

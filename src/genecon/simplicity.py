@@ -98,15 +98,8 @@ def first_difference_penalty(grid: TraitGrid) -> SymMatrix:
     v' L0 v = sum_j (v_j - v_{j-1})^2 / (t_j - t_{j-1}); zero exactly when v
     is constant.
     """
-    k = grid.size
-    weights = 1.0 / grid.gaps
-    m = np.zeros((k, k))
-    for j, w in enumerate(weights):
-        m[j, j] += w
-        m[j + 1, j + 1] += w
-        m[j, j + 1] -= w
-        m[j + 1, j] -= w
-    return SymMatrix(m)
+    d = np.diff(np.eye(grid.size), axis=0)  # row j is e_{j+1} - e_j
+    return SymMatrix(d.T @ (d / grid.gaps[:, None]))
 
 
 def first_difference_measure(grid: TraitGrid) -> SimplicityMeasure:
@@ -191,19 +184,18 @@ def simplicity_score(v: np.ndarray, measure: SimplicityMeasure) -> float:
 
 
 def _orthonormalize(rows: np.ndarray) -> np.ndarray:
-    """Two-pass modified Gram-Schmidt; raises if the rows are rank deficient."""
-    q = np.array(rows, dtype=float, copy=True)
-    for i in range(q.shape[0]):
-        for _ in range(2):
-            for j in range(i):
-                q[i] -= (q[j] @ q[i]) * q[j]
-        norm = float(np.linalg.norm(q[i]))
-        if norm < _ORTHO_TOL:
-            raise RankDeficientSubspace(
-                f"vector {i} lies in the span of its predecessors (residual {norm:.3e})"
-            )
-        q[i] /= norm
-    return q
+    """Householder QR (LAPACK) with Gram-Schmidt's signs; raises if the rows are rank deficient."""
+    q, r = np.linalg.qr(np.asarray(rows, dtype=float).T)
+    # |r[i, i]| is row i's distance from its predecessors' span; rows past K have none
+    residuals = np.zeros(len(rows))
+    residuals[: len(r)] = np.abs(np.diag(r))
+    deficient = np.flatnonzero(residuals < _ORTHO_TOL)
+    if deficient.size:
+        i = deficient[0]
+        raise RankDeficientSubspace(
+            f"vector {i} lies in the span of its predecessors (residual {residuals[i]:.3e})"
+        )
+    return (q * np.sign(np.diag(r))).T
 
 
 def simplicity_basis(subspace_basis: np.ndarray, measure: SimplicityMeasure) -> SimplicityBasis:
@@ -211,8 +203,8 @@ def simplicity_basis(subspace_basis: np.ndarray, measure: SimplicityMeasure) -> 
 
     Args:
         subspace_basis: (L, K) array whose rows span the subspace. Rows should
-            already be near-orthonormal; they are re-orthonormalized by
-            modified Gram-Schmidt before use.
+            already be near-orthonormal; they are re-orthonormalized by a
+            Householder QR factorization before use.
         measure: quadratic simplicity measure on the ambient K-space.
 
     Returns:

@@ -15,7 +15,7 @@ ziggurat sampler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,16 +30,16 @@ from .estimate import (
 )
 from .parallel import ordered_map
 from .simplicity import SimplicityMeasure, simplicity_basis
-from .spaces import canonical_angle_distance, partition
+from .spaces import canonical_angle_distance
 
 RNG_DESCRIPTION = "philox4x64 keyed by (seed, replicate); ziggurat normals (numpy Generator)"
 
 _MASK64 = (1 << 64) - 1
 
 
-def _psd_factor(matrix: np.ndarray, name: str) -> np.ndarray:
+def _psd_factor(matrix: SymMatrix, name: str) -> np.ndarray:
     """Factor A with A A' = matrix; tolerates (and zeroes) roundoff negatives."""
-    eig = symmetric_eigen(SymMatrix(matrix))
+    eig = symmetric_eigen(matrix)
     lam = eig.eigenvalues
     scale = max(1.0, float(np.abs(lam).max()))
     if lam.min() < -1e-9 * scale:
@@ -51,7 +51,11 @@ def _psd_factor(matrix: np.ndarray, name: str) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SimulationParams:
-    """Generative model: mean, covariances, design shape, and the seed."""
+    """Generative model: mean, covariances, design shape, and the seed.
+
+    E is factored once, here, into ``e_factor`` (A with A A' = E); an E that
+    is not positive semidefinite raises :class:`InvalidCovariance`.
+    """
 
     mu: np.ndarray
     g: GMatrix
@@ -61,6 +65,7 @@ class SimulationParams:
     family_size: int
     design: str
     seed: int
+    e_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).reshape(-1)
@@ -79,6 +84,7 @@ class SimulationParams:
         object.__setattr__(self, "design", normalize_design(self.design))
         object.__setattr__(self, "mu", _readonly(mu))
         object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "e_factor", _readonly(_psd_factor(self.e, "E")))
 
     @property
     def dim(self) -> int:
@@ -97,14 +103,17 @@ def generate_dataset(params: SimulationParams, replicate: int = 0) -> FamilyData
     member (genetic remainder, then environment, then measurement noise).
     Row j depends only on j, so a data set of N families is the first N
     families of any larger one with the same seed, replicate and family size.
+    No matrix is factored here: G's factor comes from the checked PSD
+    decomposition ``params.g`` carries (clipping only zeroes roundoff
+    negatives), E's from ``params.e_factor``.
     """
     if replicate < 0:
         raise ValueError(f"replicate index must be nonnegative, got {replicate}")
     k = params.dim
     share = 1.0 / params.relatedness  # fraction of G carried by the shared family effect
-    factor_family = _psd_factor(share * params.g.matrix.entries, "family share of G")
-    factor_resid = _psd_factor((1.0 - share) * params.g.matrix.entries, "residual share of G")
-    factor_env = _psd_factor(params.e.entries, "E")
+    factor_g = params.g.eig.eigenvectors * np.sqrt(np.clip(params.g.eigenvalues, 0.0, None))
+    factor_family = np.sqrt(share) * factor_g
+    factor_resid = np.sqrt(1.0 - share) * factor_g
     noise_sd = float(np.sqrt(params.sigma2))
 
     key = [params.seed & _MASK64, replicate & _MASK64]
@@ -116,7 +125,7 @@ def generate_dataset(params: SimulationParams, replicate: int = 0) -> FamilyData
     values = (
         base[:, None, :]
         + members[:, :, 0] @ factor_resid.T
-        + members[:, :, 1] @ factor_env.T
+        + members[:, :, 1] @ params.e_factor.T
         + noise_sd * members[:, :, 2]
     )
     return FamilyDataset(values, params.g.grid, params.design)
@@ -196,11 +205,8 @@ def _one_replicate(
 ) -> ReplicateResult:
     data = generate_dataset(params, replicate=r)
     components = anova_estimate(data)
-    j = params.dim - null_dim
-    part = partition(components.g_hat, j, measure)
-
-    simplest = part.null_basis.vectors[0]
-    null_pcs = components.g_hat.eig.eigenvectors.T[j:]
+    null_pcs = components.g_hat.eig.eigenvectors.T[params.dim - null_dim:]
+    simplest = simplicity_basis(null_pcs, measure).vectors[0]
     simplest_response = g_true @ simplest
     pc_responses = null_pcs @ g_true.T
     return ReplicateResult(
@@ -217,16 +223,14 @@ def _one_replicate(
     )
 
 
-def _align_sign(vector: np.ndarray, reference: np.ndarray) -> float:
-    """+1 or -1 making the vector's inner product with the reference nonnegative."""
-    return -1.0 if float(vector @ reference) < 0.0 else 1.0
+def _signs(vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """+1 or -1 per row, making each row's inner product with its reference row nonnegative."""
+    return np.where(np.einsum("...k,...k->...", vectors, reference) < 0.0, -1.0, 1.0)
 
 
 def _aligned(result: ReplicateResult, ref: ReplicateResult) -> ReplicateResult:
-    s0 = _align_sign(result.simplest_vector, ref.simplest_vector)
-    flips = np.array([
-        _align_sign(v, rv) for v, rv in zip(result.null_pc_vectors, ref.null_pc_vectors)
-    ])[:, None]
+    s0 = _signs(result.simplest_vector, ref.simplest_vector)
+    flips = _signs(result.null_pc_vectors, ref.null_pc_vectors)[:, None]
     return replace(
         result,
         simplest_vector=s0 * result.simplest_vector,
@@ -260,8 +264,7 @@ def run_study(
     g_true = params.g.matrix.entries
     j = k - null_dim
     true_null_span = params.g.eig.eigenvectors.T[j:]
-    true_basis = simplicity_basis(true_null_span, measure)
-    true_simplest = true_basis.vectors[0]
+    true_simplest = simplicity_basis(true_null_span, measure).vectors[0]
 
     def compute(r: int) -> ReplicateResult:
         try:
@@ -275,12 +278,8 @@ def run_study(
     replicates = tuple(_aligned(r, ref) for r in raw)
 
     # align true references to the same conventions as the displayed replicates
-    s_true = _align_sign(true_simplest, ref.simplest_vector)
-    true_simplest = s_true * true_simplest
-    flips = np.array([
-        _align_sign(v, rv) for v, rv in zip(true_null_span, ref.null_pc_vectors)
-    ])[:, None]
-    true_pcs = flips * true_null_span
+    true_simplest = _signs(true_simplest, ref.simplest_vector) * true_simplest
+    true_pcs = _signs(true_null_span, ref.null_pc_vectors)[:, None] * true_null_span
 
     simplest_norms = np.array([r.simplest_response_norm for r in replicates])
     pc_norms = np.array([r.null_pc_response_norms for r in replicates])

@@ -162,6 +162,8 @@ class TestAnalyze:
                      "points must be a number", id="string-points"),
         pytest.param("--grid", '{"points": [false, true, 2, 3, 4, 5]}',
                      "points must be a number", id="bool-points"),
+        pytest.param("--g", json.dumps({"dim": -1, "entries": [1.0]}),
+                     "dim must be at least 1", id="negative-dim"),
     ])
     def test_non_object_json_is_usage_error(self, inputs, tmp_path, capsys, flag, content,
                                             reason):
@@ -324,6 +326,8 @@ class TestSimulate:
         ("sigma2", True),
         ("sigma2", "0.5"),
         ("mu", {"a": 1}),
+        ("sigma2", float("nan")),
+        ("mu", [float("inf")] + [0.0] * 5),
     ])
     def test_non_integer_field_rejected(self, study_config, tmp_path, capsys, field, value):
         cfg = json.loads(study_config.read_text())
@@ -334,6 +338,18 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and repr(field) in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_non_psd_e_is_usage_error(self, study_config, tmp_path, capsys, dry_run):
+        cfg = json.loads(study_config.read_text())
+        cfg["e"] = {"dim": 6, "entries": np.diag([0.1] * 5 + [-0.1]).ravel().tolist()}
+        study_config.write_text(json.dumps(cfg))
+        out = tmp_path / "o.json"
+        argv = ["simulate", "--config", str(study_config), "--out", str(out)]
+        assert main(argv + ["--dry-run"] * dry_run) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "E is not positive semidefinite" in err[0]
         assert not out.exists()
 
     def test_missing_field(self, tmp_path, capsys):

@@ -105,6 +105,12 @@ class TestSymmetricEigen:
         np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
+    def test_empty_matrix(self):
+        eig = symmetric_eigen(SymMatrix(np.zeros((0, 0))))
+        assert eig.eigenvalues.shape == (0,)
+        assert eig.eigenvectors.shape == (0, 0)
+        assert not eig.degenerate
+
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidMatrix):
             symmetric_eigen(np.array([[np.inf, 0.0], [0.0, 1.0]]))

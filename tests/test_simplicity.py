@@ -213,6 +213,12 @@ class TestSimplicityBasis:
         with pytest.raises(RankDeficientSubspace):
             simplicity_basis(rows, measure)
 
+    def test_dependent_row_named(self):
+        measure = first_difference_measure(equal_grid(3))
+        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(RankDeficientSubspace, match="vector 2"):
+            simplicity_basis(rows, measure)
+
     def test_orthonormal_output(self):
         rng = np.random.default_rng(8)
         measure = first_difference_measure(temp_grid())

@@ -74,12 +74,11 @@ class TestGenerateDataset:
 
     def test_non_psd_e_rejected(self):
         p = small_params()
-        bad = SimulationParams(
-            mu=np.zeros(6), g=p.g, e=SymMatrix(np.diag([1.0] * 5 + [-1.0])),
-            sigma2=0.0, n_families=3, family_size=2, design="half-sib", seed=0,
-        )
         with pytest.raises(InvalidCovariance):
-            generate_dataset(bad)
+            SimulationParams(
+                mu=np.zeros(6), g=p.g, e=SymMatrix(np.diag([1.0] * 5 + [-1.0])),
+                sigma2=0.0, n_families=3, family_size=2, design="half-sib", seed=0,
+            )
 
     def test_negative_sigma2_rejected(self):
         p = small_params()

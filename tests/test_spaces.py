@@ -3,6 +3,7 @@ import pytest
 
 from genecon.core import SymMatrix, TraitGrid, clip_negative_eigenvalues
 from genecon.errors import DimensionMismatch, InvalidMatrix, SingularPhenotypicCovariance
+from genecon.reference import surrogate_g, temperature_grid
 from genecon.simplicity import first_difference_measure, sparseness_measure
 from genecon.spaces import (
     breeders_response,
@@ -250,6 +251,17 @@ class TestPartition:
             partition(g, 7, self.measure())
         with pytest.raises(ValueError):
             partition(g, -1, self.measure())
+
+    def test_reference_null_basis_pinned(self):
+        # values of the reference 3-dimensional null basis computed with the
+        # Gram-Schmidt orthonormalization; a QR without its sign fix flips them
+        part = partition(surrogate_g(), 3, first_difference_measure(temperature_grid()))
+        expected = [
+            [0.0, 0.0, 0.0, 0.3350784271111584, 0.6025998737930813, 0.7242898865711677],
+            [0.0, 0.0, 0.0, 0.7923955286445127, 0.23565725567865065, -0.5626499658137287],
+            [0.0, 0.0, 0.0, 0.5097369653741971, -0.7624559331204456, 0.3985337829852511],
+        ]
+        np.testing.assert_allclose(part.null_basis.vectors, expected, rtol=0, atol=1e-12)
 
     def test_scores_match_quadratic_form(self):
         g = psd(np.diag(GROWTH_EIGS), TEMP_GRID)
