@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -100,8 +101,8 @@ def _require_file(path: str | None, flag: str) -> Path:
 def _load_analysis_inputs(args):
     if bool(args.g) == bool(args.data):
         raise UsageError("provide exactly one of --g or --data")
-    if args.clip_tol < 0.0:
-        raise UsageError(f"--clip-tol must be nonnegative, got {args.clip_tol}")
+    if not (math.isfinite(args.clip_tol) and args.clip_tol >= 0.0):
+        raise UsageError(f"--clip-tol must be finite and nonnegative, got {args.clip_tol}")
     try:
         grid = load_grid_json(_require_file(args.grid, "--grid"))
     except (GeneconError, json.JSONDecodeError) as exc:

@@ -283,8 +283,8 @@ def clip_negative_eigenvalues(
     whose spectrum clears ``tol`` returns it unchanged, which makes the
     operation exactly idempotent.
     """
-    if tol < 0.0:
-        raise ValueError(f"clip tolerance must be nonnegative, got {tol}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"clip tolerance must be finite and nonnegative, got {tol}")
     if isinstance(m, GMatrix):
         if grid is None:
             grid = m.grid

@@ -7,14 +7,21 @@ curves, dashed nearly-null curves) with defaults in the embedded stylesheet.
 JSON reports serialize every numeric result at full precision and carry a
 provenance block (inputs, tolerances, seed, measure kind, relatedness,
 software version, and the numpy version and LAPACK build that computed them).
+
+Byte contract: :func:`report_json_bytes` returns exactly the UTF-8 bytes of
+``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, and rejects with
+``TypeError`` every key or value type that ``json.dumps`` rejects. It formats a
+list of floats in one join instead of going through the pure-Python encoder
+that ``indent`` selects. Figure coordinates are formatted in bulk the same
+way, with the same ``.6g`` text as formatting each point on its own.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from xml.sax import saxutils
 
@@ -82,8 +89,17 @@ def _frame(w: float, h: float) -> str:
     return f'<rect class="frame" x="0" y="0" width="{_fmt(w)}" height="{_fmt(h)}"/>'
 
 
-def _polyline(xs, ys, classes: str) -> str:
-    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in zip(xs, ys))
+def _clamp01(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
+
+
+def _x_text(xs: np.ndarray) -> list[str]:
+    """Each x pixel of a panel, formatted once with the comma that follows it."""
+    return [f"{x:.6g}," for x in xs.tolist()]
+
+
+def _polyline(x_text: list[str], ys: list[float], classes: str) -> str:
+    pts = " ".join(map("{}{:.6g}".format, x_text, ys))
     return f'<polyline class="{classes}" points="{pts}"/>'
 
 
@@ -105,20 +121,6 @@ def _zero_line(w: float, h: float, span: float) -> str:
     )
 
 
-def _vector_panel(x, y, w, h, t, vec, role, number, caption) -> list[str]:
-    xs = _x_pixels(t, w)
-    ys = _y_pixels(np.asarray(vec), -1.0, 1.0, h)
-    return [
-        _panel_open(x, y, f"panel vector {role}"),
-        _frame(w, h),
-        _zero_line(w, h, 1.0),
-        _polyline(xs, ys, f"curve {role}"),
-        f'<text class="label {role}" x="{_fmt(_PAD + 3)}" y="{_fmt(_PAD - 3)}">{number}</text>',
-        f'<text class="title" x="{_fmt(w / 2 - 12)}" y="{_fmt(h - 3)}">{caption}</text>',
-        "</g>",
-    ]
-
-
 def _scatter_panel(x, y, w, h, part: SubspacePartition, bound: float) -> list[str]:
     lines = [
         _panel_open(x, y, "panel scatter"),
@@ -128,9 +130,9 @@ def _scatter_panel(x, y, w, h, part: SubspacePartition, bound: float) -> list[st
     ]
     roles = ["model"] * part.j + ["null"] * part.null_dim
     top = max(bound, float(part.scores.max()) if part.scores.size else 1.0)
-    for role, prop, score in zip(roles, part.proportions, part.scores):
-        cx = _PAD + float(np.clip(prop, 0.0, 1.0)) * (w - 2 * _PAD)
-        cy = h - _PAD - float(np.clip(score / top, 0.0, 1.0)) * (h - 2 * _PAD)
+    for role, prop, score in zip(roles, part.proportions.tolist(), part.scores.tolist()):
+        cx = _PAD + _clamp01(prop) * (w - 2 * _PAD)
+        cy = h - _PAD - _clamp01(score / top) * (h - 2 * _PAD)
         lines.append(
             f'<circle class="pt {role}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" '
             f'data-proportion="{_fmt(prop)}" data-score="{_fmt(score)}"/>'
@@ -149,7 +151,7 @@ def _bars_panel(x, y, w, h, part: SubspacePartition) -> list[str]:
     for idx, (role, frac) in enumerate(
         (("model", part.model_variance_fraction), ("null", part.null_variance_fraction))
     ):
-        bh = float(np.clip(frac, 0.0, 1.0)) * (h - 2 * _PAD)
+        bh = _clamp01(float(frac)) * (h - 2 * _PAD)
         bx = _PAD + bar_w * (0.5 + 1.5 * idx)
         lines.append(
             f'<rect class="bar {role}" x="{_fmt(bx)}" y="{_fmt(h - _PAD - bh)}" '
@@ -162,14 +164,15 @@ def _bars_panel(x, y, w, h, part: SubspacePartition) -> list[str]:
     return lines
 
 
-def _overlay_panel(x, y, w, h, xs, curves, truth, span, kind, caption) -> list[str]:
+def _overlay_panel(x, y, w, h, x_text, curves, truth, span, kind, caption) -> list[str]:
     """One faint curve per replicate and the true-parameter curve on top."""
     return [
         _panel_open(x, y, f"panel {kind} overlay"),
         _frame(w, h),
         _zero_line(w, h, span),
-        *(_polyline(xs, _y_pixels(vec, -span, span, h), "curve rep") for vec in curves),
-        _polyline(xs, _y_pixels(truth, -span, span, h), "curve truth"),
+        *(_polyline(x_text, ys, "curve rep")
+          for ys in _y_pixels(curves, -span, span, h).tolist()),
+        _polyline(x_text, _y_pixels(truth, -span, span, h).tolist(), "curve truth"),
         f'<text class="title" x="{_fmt(_PAD)}" y="{_fmt(_PAD - 3)}">{caption}</text>',
         "</g>",
     ]
@@ -204,14 +207,24 @@ def render_partition_figure(spec: FigureSpec, provenance: dict | None = None) ->
     height = 2 * _MARGIN + 2 * ph + _GAP
 
     lines = _svg_open(width, height, provenance)
-    combined = part.combined_basis()
-    t = np.asarray(spec.grid.points)
+    x_text = _x_text(_x_pixels(np.asarray(spec.grid.points), pw))
+    ys = _y_pixels(part.combined_basis(), -1.0, 1.0, ph).tolist()
+    frame, zero = _frame(pw, ph), _zero_line(pw, ph, 1.0)
+    label_at = f'x="{_fmt(_PAD + 3)}" y="{_fmt(_PAD - 3)}"'
+    title_at = f'x="{_fmt(pw / 2 - 12)}" y="{_fmt(ph - 3)}"'
     for i in range(k):
         role = "model" if i < part.j else "null"
         number = i + 1 if i < part.j else i - part.j + 1
         caption = f"{'PC' if role == 'model' else 'S'}{number}"
-        x = _MARGIN + i * (pw + _GAP)
-        lines += _vector_panel(x, _MARGIN, pw, ph, t, combined[i], role, number, caption)
+        lines += [
+            _panel_open(_MARGIN + i * (pw + _GAP), _MARGIN, f"panel vector {role}"),
+            frame,
+            zero,
+            _polyline(x_text, ys[i], f"curve {role}"),
+            f'<text class="label {role}" {label_at}>{number}</text>',
+            f'<text class="title" {title_at}>{caption}</text>',
+            "</g>",
+        ]
 
     bound = 1.0
     if part.scores.size:
@@ -239,28 +252,30 @@ def render_study_figure(summary: StudySummary, provenance: dict | None = None) -
     width = 2 * _MARGIN + cols * pw + (cols - 1) * _GAP
     height = 2 * _MARGIN + 2 * ph + _GAP
 
+    null_pc_vectors = summary.null_pc_vectors()
+    null_pc_responses = summary.null_pc_responses()
     vector_sets = [summary.simplest_vectors()] + [
-        summary.null_pc_vectors()[:, r, :] for r in range(summary.null_dim)
+        null_pc_vectors[:, r, :] for r in range(summary.null_dim)
     ]
     response_sets = [summary.simplest_responses()] + [
-        summary.null_pc_responses()[:, r, :] for r in range(summary.null_dim)
+        null_pc_responses[:, r, :] for r in range(summary.null_dim)
     ]
     truth_vectors = [summary.true_simplest] + list(summary.true_null_pcs)
     truth_responses = [summary.true_simplest_response] + list(summary.true_pc_responses)
     captions = ["simplest"] + [f"PC{j + r + 1}" for r in range(summary.null_dim)]
 
     lines = _svg_open(width, height, provenance)
-    xs = _x_pixels(t, pw)
+    x_text = _x_text(_x_pixels(t, pw))
     for col in range(cols):
         x = _MARGIN + col * (pw + _GAP)
-        lines += _overlay_panel(x, _MARGIN, pw, ph, xs, vector_sets[col], truth_vectors[col],
+        lines += _overlay_panel(x, _MARGIN, pw, ph, x_text, vector_sets[col], truth_vectors[col],
                                 1.0, "vector", captions[col])
         span = max(
             float(np.abs(response_sets[col]).max()),
             float(np.abs(truth_responses[col]).max()),
             1e-12,
         )
-        lines += _overlay_panel(x, _MARGIN + ph + _GAP, pw, ph, xs, response_sets[col],
+        lines += _overlay_panel(x, _MARGIN + ph + _GAP, pw, ph, x_text, response_sets[col],
                                 truth_responses[col], span, "response",
                                 f"response to {captions[col]}")
     lines.append("</svg>")
@@ -388,21 +403,107 @@ def study_report(summary: StudySummary, provenance: dict) -> dict:
     }
 
 
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _FLOAT_WORDS.get(text, text)
+
+
+def _key_text(key) -> str:
+    """A dict key as ``json`` writes it: the string itself or a scalar's JSON text."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _encode(o, pad: str, out: list[str]) -> None:
+    """Append the JSON text of ``o`` to ``out``; ``pad`` indents the line it starts on.
+
+    The type tests run in ``json``'s order, so bools are written before ints
+    and float or int subclasses are written as their base type.
+    """
+    if isinstance(o, str):
+        out.append(encode_basestring_ascii(o))
+    elif o is None:
+        out.append("null")
+    elif o is True:
+        out.append("true")
+    elif o is False:
+        out.append("false")
+    elif isinstance(o, int):
+        out.append(int.__repr__(o))
+    elif isinstance(o, float):
+        out.append(_float_text(o))
+    elif isinstance(o, (list, tuple)):
+        if not o:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = ",\n" + inner
+        try:
+            # float.__repr__ raises TypeError on the first item that is not a float
+            text = sep.join(map(float.__repr__, o))
+        except TypeError:
+            out.append("[\n" + inner)
+            for i, item in enumerate(o):
+                if i:
+                    out.append(sep)
+                _encode(item, inner, out)
+        else:
+            if "n" in text:  # only nan, inf and -inf contain an n
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            out.append("[\n" + inner + text)
+        out.append("\n" + pad + "]")
+    elif isinstance(o, dict):
+        if not o:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        lead = "{\n" + inner
+        for key, value in sorted(o.items()):
+            out.append(lead + encode_basestring_ascii(_key_text(key)) + ": ")
+            _encode(value, inner, out)
+            lead = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def report_json_bytes(doc: dict) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, UTF-8 encoded."""
+    out: list[str] = []
+    _encode(doc, "", out)
+    out.append("\n")
+    return "".join(out).encode("utf-8")
 
 
 def write_bytes_atomic(data: bytes, path: str | Path) -> None:
-    """Write via a temporary file in the target directory, then rename."""
+    """Write via a temporary file in the target directory, then rename.
+
+    The temporary file is created like any other (mode 0o666 less the umask),
+    and the rename keeps its mode.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    fh = open(tmp, "xb")
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -180,6 +180,18 @@ class TestAnalyze:
         assert len(err) == 1 and f"{flag}: {bad}: " in err[0] and reason in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_clip_tol_rejected(self, inputs, tmp_path, capsys, tol):
+        out = tmp_path / "x.json"
+        code = main([
+            "analyze", "--g", str(inputs["g"]), "--grid", str(inputs["grid"]),
+            "--J", "2", f"--clip-tol={tol}", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--clip-tol" in err[0]
+        assert not out.exists()
+
     def test_unbalanced_csv_is_usage_error(self, inputs, tmp_path, capsys):
         data = tmp_path / "unbalanced.csv"
         header = "family,individual," + ",".join(f"t{i+1}" for i in range(6))
@@ -228,6 +240,18 @@ class TestSweep:
                   "--J", str(j), "--out", str(single_out), "--svg", str(single_svg)])
             assert (out_dir / f"report_J{j:02d}.json").read_bytes() == single_out.read_bytes()
             assert (out_dir / f"figure_J{j:02d}.svg").read_bytes() == single_svg.read_bytes()
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+    def test_non_finite_clip_tol_rejected(self, inputs, tmp_path, capsys, tol):
+        out_dir = tmp_path / "sweep"
+        code = main([
+            "sweep", "--g", str(inputs["g"]), "--grid", str(inputs["grid"]),
+            f"--clip-tol={tol}", "--out-dir", str(out_dir),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--clip-tol" in err[0]
+        assert not out_dir.exists()
 
     def test_bytes_independent_of_blas_threads(self, tmp_path):
         # a dense K = 12 G with a distinct spectrum, so LAPACK does real work

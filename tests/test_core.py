@@ -217,6 +217,11 @@ class TestClipping:
         with pytest.raises(ValueError):
             clip_negative_eigenvalues(SymMatrix(np.eye(2)), -1.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="finite"):
+            clip_negative_eigenvalues(SymMatrix(np.eye(2)), tol)
+
     def test_middle_clip_with_positive_tol(self):
         g = clip_negative_eigenvalues(SymMatrix(np.diag([5.0, 0.5, 0.2])), 1.0)
         np.testing.assert_array_equal(g.eigenvalues, [5.0, 0.0, 0.0])

@@ -1,14 +1,21 @@
 import json
+import math
+import os
+import stat
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from genecon.core import SymMatrix, TraitGrid, clip_negative_eigenvalues
 from genecon.errors import DimensionMismatch
 from genecon.reference import study_params, surrogate_g, temperature_grid
 from genecon.report import (
     FigureSpec,
+    _polyline,
+    _x_text,
     make_provenance,
     partition_report,
     render_partition_figure,
@@ -102,6 +109,15 @@ class TestPartitionFigure:
         g, part = make_partition(2)
         assert FigureSpec(part, GRID).panel_count == 8
 
+    def test_polyline_matches_per_point_format(self):
+        xs = np.array([-0.0, 1e-7, 1e21, np.nan, 16.0, 1 / 3])
+        ys = np.array([1e21, np.nan, -0.0, 1e-7, -2.5, 0.1 + 0.2])
+        per_point = " ".join(
+            f"{format(float(x), '.6g')},{format(float(y), '.6g')}" for x, y in zip(xs, ys)
+        )
+        assert (_polyline(_x_text(xs), ys.tolist(), "curve")
+                == f'<polyline class="curve" points="{per_point}"/>')
+
 
 class TestStudyFigure:
     def make_summary(self, reps=3):
@@ -190,6 +206,68 @@ class TestJsonReports:
         assert json.loads(report_json_bytes(doc)) == doc
 
 
+def reference_json_bytes(doc) -> bytes:
+    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([0, 1, 2**64, -(10**30)]),
+    st.floats(),
+    st.sampled_from([-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf]),
+    st.text(),
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.lists(st.floats()),
+        st.dictionaries(st.text(), children),
+    ),
+    max_leaves=40,
+)
+
+
+class TestJsonEmitter:
+    @given(JSON_TREES)
+    @example({
+        "flags": [True, False, 0, 1, 10**40],
+        "floats": [-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf, 0.1],
+        "text": ["caf\u00e9", "\x00\x1f\t\"\\", "\u2028\U0001f600", ""],
+        "empty": [{}, [], [[]], {"": {}}],
+        "none": None,
+    })
+    def test_bytes_match_json_dumps(self, doc):
+        assert report_json_bytes(doc) == reference_json_bytes(doc)
+
+    @pytest.mark.parametrize("doc", [
+        {1: "a", 2.5: "b", -3: "c"},
+        {True: 0},
+        {None: [1.0]},
+        {math.inf: 0, 0.5: 1},
+        (1.0, [2.0, (3, "x")]),
+        [np.float64(0.1), 2.0],
+    ], ids=["numeric-keys", "bool-key", "none-key", "float-keys", "tuples", "float-subclass"])
+    def test_non_string_keys_and_sequences(self, doc):
+        assert report_json_bytes(doc) == reference_json_bytes(doc)
+
+    @pytest.mark.parametrize("doc", [
+        np.int64(1),
+        {1, 2},
+        {"a": [0.5, np.int64(1)]},
+        [1.0, 2.0, {3.0}],
+        {(1,): 0},
+        {"a": 1, 2: 1},
+    ], ids=["int64", "set", "nested-int64", "set-after-floats", "tuple-key", "mixed-keys"])
+    def test_rejects_what_json_dumps_rejects(self, doc):
+        with pytest.raises(TypeError):
+            reference_json_bytes(doc)
+        with pytest.raises(TypeError):
+            report_json_bytes(doc)
+
+
 class TestAtomicWrites:
     def test_write_json(self, tmp_path):
         path = tmp_path / "out.json"
@@ -201,3 +279,22 @@ class TestAtomicWrites:
         path = tmp_path / "fig.svg"
         write_svg("<svg/>", path)
         assert path.read_text() == "<svg/>"
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask-022", "umask-077"])
+    def test_files_follow_umask(self, tmp_path, umask, mode):
+        previous = os.umask(umask)
+        try:
+            write_json({"a": 1.5}, tmp_path / "out.json")
+            write_svg("<svg/>", tmp_path / "fig.svg")
+        finally:
+            os.umask(previous)
+        for name in ("out.json", "fig.svg"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        (target / "inner").mkdir(parents=True)  # a nonempty directory cannot be replaced
+        with pytest.raises(OSError):
+            write_json({"a": 1}, target)
+        assert list(tmp_path.iterdir()) == [target]
