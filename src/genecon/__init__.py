@@ -52,7 +52,6 @@ from .simplicity import (
     sparseness_measure,
 )
 from .simulate import (
-    ReplicateResult,
     SimulationParams,
     StudySummary,
     generate_dataset,

@@ -45,8 +45,15 @@ class UsageError(Exception):
     """Invalid flags or inputs; maps to exit code 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 2 on a usage error after one line, ``genecon <cmd>: <message>``; subparsers too."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="genecon",
         description="Partition genetic covariance eigenstructure and predict selection response.",
     )
@@ -261,7 +268,10 @@ def main(argv=None) -> int:
     handlers = {"analyze": _cmd_analyze, "sweep": _cmd_sweep, "simulate": _cmd_simulate}
     try:
         thread_count()  # reject a malformed GENECON_THREADS before any work
-        return handlers[args.command](args)
+        # an overflow ends as a NaN or infinity, which the report writer rejects
+        # by field name; numpy's warning lines would only precede that message
+        with np.errstate(all="ignore"):
+            return handlers[args.command](args)
     except (UsageError, ValueError) as exc:
         print(f"genecon {args.command}: {exc}", file=sys.stderr)
         return 2

@@ -4,6 +4,9 @@ symmetric eigensolver with negative-eigenvalue clipping.
 Eigendecompositions come from LAPACK through ``numpy.linalg.eigh``. A fixed
 ordering and sign convention on top of it makes results identical run to
 run for the same numpy version and LAPACK build.
+
+The symmetry check and these conventions run on (K, K) matrices and on
+(reps, K, K) stacks alike; a stack's error names its first failing replicate.
 """
 
 from __future__ import annotations
@@ -55,6 +58,55 @@ def json_numbers(value, what: str) -> np.ndarray:
     items = np.asarray(value, dtype=object)
     entry = f"each entry of {what}"
     return np.array([json_number(x, entry) for x in items.flat], dtype=float).reshape(items.shape)
+
+
+def _first(bad: np.ndarray) -> tuple[tuple[int, ...], str]:
+    """Index of the first True flag, one per matrix, and ``replicate r: `` ('' for one matrix)."""
+    if bad.ndim == 0:
+        return (), ""
+    r = int(np.argmax(bad))
+    return (r,), f"replicate {r}: "
+
+
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """(M + M')/2 of each matrix of a (..., K, K) stack, after checking it.
+
+    Each must be finite and symmetric within ``SYMMETRY_RTOL`` times its
+    largest entry magnitude (at least 1).
+    """
+    mt = np.swapaxes(m, -1, -2)
+    finite = np.isfinite(m).all(axis=(-2, -1))
+    if not finite.all():
+        raise InvalidMatrix(_first(~finite)[1] + "matrix entries must be finite")
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    asym = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
+    bad = asym > SYMMETRY_RTOL * scale
+    if bad.any():
+        i, where = _first(bad)
+        raise InvalidMatrix(
+            f"{where}matrix is asymmetric: max |M - M'| = {asym[i]:.3e} exceeds "
+            f"{SYMMETRY_RTOL:.0e} * {scale[i]:.3e}"
+        )
+    return (m + mt) / 2.0
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`symmetric_eigen`'s values, vectors and degeneracy flags over a (..., K, K) stack."""
+    lam, v = np.linalg.eigh(m)
+    order = np.argsort(-lam, axis=-1, kind="stable")
+    lam = np.take_along_axis(lam, order, axis=-1)
+    # reorder the rows of V', so V keeps LAPACK's column-major layout: BLAS
+    # calls on it downstream round the same way for one matrix and a stack
+    v = np.swapaxes(np.take_along_axis(np.swapaxes(v, -1, -2), order[..., None], axis=-2), -1, -2)
+
+    big = np.abs(v) > 1e-8
+    leading = np.where(big & (np.cumsum(big, axis=-2) == 1), v, 0.0).sum(axis=-2)
+    v = v * np.where(leading < 0.0, -1.0, 1.0)[..., None, :]
+
+    gaps = -np.diff(lam, axis=-1)
+    top = np.abs(lam[..., :1]).max(axis=-1, initial=0.0)
+    degenerate = gaps.min(axis=-1, initial=np.inf) < DEGENERACY_RTOL * top
+    return lam, v, degenerate
 
 
 @dataclass(frozen=True)
@@ -119,16 +171,7 @@ class SymMatrix:
         m = np.asarray(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidMatrix(f"expected a square matrix, got shape {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidMatrix("matrix entries must be finite")
-        scale = max(1.0, float(np.abs(m).max())) if m.size else 1.0
-        asym = float(np.abs(m - m.T).max()) if m.size else 0.0
-        if asym > SYMMETRY_RTOL * scale:
-            raise InvalidMatrix(
-                f"matrix is asymmetric: max |M - M'| = {asym:.3e} exceeds "
-                f"{SYMMETRY_RTOL:.0e} * {scale:.3e}"
-            )
-        object.__setattr__(self, "entries", _readonly((m + m.T) / 2.0))
+        object.__setattr__(self, "entries", _readonly(_symmetrized(m)))
 
     @property
     def dim(self) -> int:
@@ -191,21 +234,13 @@ def symmetric_eigen(m: SymMatrix) -> EigenDecomposition:
     Eigenvalues are sorted descending with a stable tie-break, and each
     eigenvector is flipped so its first component of magnitude above 1e-8 is
     positive, so the result does not depend on LAPACK's sign choices.
+    ``degenerate`` is set when two adjacent eigenvalues are closer than
+    ``DEGENERACY_RTOL`` times the magnitude of the largest.
     """
     if not isinstance(m, SymMatrix):
         m = SymMatrix(np.asarray(m, dtype=float))
-    lam, v = np.linalg.eigh(m.entries)
-    order = np.argsort(-lam, kind="stable")
-    lam = lam[order]
-    v = v[:, order]
-
-    big = np.abs(v) > 1e-8
-    leading = np.where(big & (np.cumsum(big, axis=0) == 1), v, 0.0).sum(axis=0)
-    v = v * np.where(leading < 0.0, -1.0, 1.0)
-
-    gaps = -np.diff(lam)
-    degenerate = bool(gaps.size and gaps.min() < DEGENERACY_RTOL * abs(lam[0]))
-    return EigenDecomposition(lam, v, degenerate=degenerate)
+    lam, v, degenerate = _eigh(m.entries)
+    return EigenDecomposition(lam, v, degenerate=bool(degenerate))
 
 
 @dataclass(frozen=True, eq=False)

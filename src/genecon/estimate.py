@@ -31,6 +31,7 @@ from .core import (
     TraitGrid,
     _clip_decomposition,
     _readonly,
+    _symmetrized,
     clip_negative_eigenvalues,
     symmetric_eigen,
 )
@@ -132,21 +133,31 @@ class VarianceComponents:
         return float(self.raw_eigenvalues.min())
 
 
-def anova_estimate(data: FamilyDataset) -> VarianceComponents:
-    """One-way MANOVA moment estimator of G from a balanced family design."""
-    values = data.values
+def _mean_squares(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """MSB and MSW of (N_f, n, K) balanced records, before symmetrizing and checking."""
     n_f, n, _ = values.shape
     family_means = values.mean(axis=1)
     grand_mean = family_means.mean(axis=0)
 
     dev_b = family_means - grand_mean
-    msb = SymMatrix(n * (dev_b.T @ dev_b) / (n_f - 1))
+    msb = n * (dev_b.T @ dev_b) / (n_f - 1)
 
     dev_w = (values - family_means[:, None, :]).reshape(n_f * n, -1)
-    msw = SymMatrix((dev_w.T @ dev_w) / (n_f * (n - 1)))
+    msw = (dev_w.T @ dev_w) / (n_f * (n - 1))
+    return msb, msw
 
-    family_component = SymMatrix((msb.entries - msw.entries) / n)
-    g_raw = SymMatrix(data.relatedness * family_component.entries)
+
+def _raw_estimates(msb, msw, n: int, c: float) -> tuple[np.ndarray, ...]:
+    """Checked MSB, MSW, (MSB - MSW)/n and G_hat_raw = c (MSB - MSW)/n over (..., K, K) stacks."""
+    msb, msw = _symmetrized(msb), _symmetrized(msw)
+    family = _symmetrized((msb - msw) / n)
+    return msb, msw, family, _symmetrized(c * family)
+
+
+def anova_estimate(data: FamilyDataset) -> VarianceComponents:
+    """One-way MANOVA moment estimator of G from a balanced family design."""
+    estimates = _raw_estimates(*_mean_squares(data.values), data.family_size, data.relatedness)
+    msb, msw, family_component, g_raw = (SymMatrix(m) for m in estimates)
 
     raw_eig = symmetric_eigen(g_raw)
     g_hat = _clip_decomposition(g_raw, raw_eig, 0.0, data.grid)

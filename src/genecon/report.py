@@ -9,16 +9,19 @@ provenance block (inputs, tolerances, seed, measure kind, relatedness,
 software version, and the numpy version and LAPACK build that computed them).
 
 Byte contract: :func:`report_json_bytes` returns exactly the UTF-8 bytes of
-``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, and rejects with
-``TypeError`` every key or value type that ``json.dumps`` rejects. It formats a
-list of floats in one join instead of going through the pure-Python encoder
-that ``indent`` selects. Figure coordinates are formatted in bulk the same
-way, with the same ``.6g`` text as formatting each point on its own.
+``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``. It
+rejects with ``TypeError`` every key or value type that ``json.dumps`` rejects,
+and with ``ValueError`` a NaN or infinity, naming the field that holds it,
+since JSON has no spelling for either. It formats a list of floats in one join
+instead of going through the pure-Python encoder that ``indent`` selects.
+Figure coordinates are formatted in bulk the same way, with the same ``.6g``
+text as formatting each point on its own.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
@@ -252,14 +255,9 @@ def render_study_figure(summary: StudySummary, provenance: dict | None = None) -
     width = 2 * _MARGIN + cols * pw + (cols - 1) * _GAP
     height = 2 * _MARGIN + 2 * ph + _GAP
 
-    null_pc_vectors = summary.null_pc_vectors()
-    null_pc_responses = summary.null_pc_responses()
-    vector_sets = [summary.simplest_vectors()] + [
-        null_pc_vectors[:, r, :] for r in range(summary.null_dim)
-    ]
-    response_sets = [summary.simplest_responses()] + [
-        null_pc_responses[:, r, :] for r in range(summary.null_dim)
-    ]
+    # one column per direction: the simplest vector, then each nearly-null PC by rank
+    vector_sets = [summary.simplest_vectors, *np.swapaxes(summary.null_pc_vectors, 0, 1)]
+    response_sets = [summary.simplest_responses, *np.swapaxes(summary.null_pc_responses, 0, 1)]
     truth_vectors = [summary.true_simplest] + list(summary.true_null_pcs)
     truth_responses = [summary.true_simplest_response] + list(summary.true_pc_responses)
     captions = ["simplest"] + [f"PC{j + r + 1}" for r in range(summary.null_dim)]
@@ -357,7 +355,6 @@ def partition_report(
 def study_report(summary: StudySummary, provenance: dict) -> dict:
     """Lossless JSON document for a replicated study."""
     p = summary.params
-    reps = summary.replicates
     return {
         "provenance": provenance,
         "reps": summary.reps,
@@ -375,15 +372,15 @@ def study_report(summary: StudySummary, provenance: dict) -> dict:
             "seed": p.seed,
         },
         "replicates": {
-            "min_raw_eigenvalue": [float(r.min_raw_eigenvalue) for r in reps],
-            "negative_min_eigenvalue": [bool(r.negative_min_eigenvalue) for r in reps],
-            "canonical_distance_sq": [float(r.canonical_distance_sq) for r in reps],
-            "simplest_response_norm": [float(r.simplest_response_norm) for r in reps],
-            "null_pc_response_norms": [r.null_pc_response_norms.tolist() for r in reps],
-            "simplest_vectors": summary.simplest_vectors().tolist(),
-            "null_pc_vectors": summary.null_pc_vectors().tolist(),
-            "simplest_responses": summary.simplest_responses().tolist(),
-            "null_pc_responses": summary.null_pc_responses().tolist(),
+            "min_raw_eigenvalue": summary.min_raw_eigenvalues.tolist(),
+            "negative_min_eigenvalue": (summary.min_raw_eigenvalues < 0.0).tolist(),
+            "canonical_distance_sq": summary.canonical_distances_sq.tolist(),
+            "simplest_response_norm": summary.simplest_response_norms.tolist(),
+            "null_pc_response_norms": summary.null_pc_response_norms.tolist(),
+            "simplest_vectors": summary.simplest_vectors.tolist(),
+            "null_pc_vectors": summary.null_pc_vectors.tolist(),
+            "simplest_responses": summary.simplest_responses.tolist(),
+            "null_pc_responses": summary.null_pc_responses.tolist(),
         },
         "true": {
             "null_pcs": summary.true_null_pcs.tolist(),
@@ -403,12 +400,20 @@ def study_report(summary: StudySummary, provenance: dict) -> dict:
     }
 
 
-_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+class _NonFinite(ValueError):
+    """A NaN or infinity in a report; ``args``: the value, then the keys to it, innermost first."""
+
+    def __str__(self) -> str:
+        value, *keys = self.args
+        field = ".".join(reversed(keys)) or "(top level)"
+        return f"report field {field} holds {value!r}, which is not a JSON number"
 
 
 def _float_text(x: float) -> str:
     text = float.__repr__(x)
-    return _FLOAT_WORDS.get(text, text)
+    if "n" in text:  # only nan, inf and -inf contain an n
+        raise _NonFinite(x)
+    return text
 
 
 def _key_text(key) -> str:
@@ -463,7 +468,7 @@ def _encode(o, pad: str, out: list[str]) -> None:
                 _encode(item, inner, out)
         else:
             if "n" in text:  # only nan, inf and -inf contain an n
-                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+                raise _NonFinite(next(x for x in o if not math.isfinite(x)))
             out.append("[\n" + inner + text)
         out.append("\n" + pad + "]")
     elif isinstance(o, dict):
@@ -473,8 +478,13 @@ def _encode(o, pad: str, out: list[str]) -> None:
         inner = pad + "  "
         lead = "{\n" + inner
         for key, value in sorted(o.items()):
-            out.append(lead + encode_basestring_ascii(_key_text(key)) + ": ")
-            _encode(value, inner, out)
+            text = _key_text(key)
+            out.append(lead + encode_basestring_ascii(text) + ": ")
+            try:
+                _encode(value, inner, out)
+            except _NonFinite as exc:
+                exc.args += (text,)
+                raise
             lead = ",\n" + inner
         out.append("\n" + pad + "}")
     else:
@@ -482,7 +492,7 @@ def _encode(o, pad: str, out: list[str]) -> None:
 
 
 def report_json_bytes(doc: dict) -> bytes:
-    """The bytes of ``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, UTF-8 encoded."""
+    """The UTF-8 bytes of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``."""
     out: list[str] = []
     _encode(doc, "", out)
     out.append("\n")

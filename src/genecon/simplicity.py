@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SymMatrix, TraitGrid, _readonly, symmetric_eigen
+from .core import SymMatrix, TraitGrid, _eigh, _first, _readonly, _symmetrized, symmetric_eigen
 from .errors import GridTooSmall, InvalidMatrix, NotUnitVector, RankDeficientSubspace
 
 FIRST_DIFFERENCE = "first-difference"
@@ -184,18 +184,31 @@ def simplicity_score(v: np.ndarray, measure: SimplicityMeasure) -> float:
 
 
 def _orthonormalize(rows: np.ndarray) -> np.ndarray:
-    """Householder QR (LAPACK) with Gram-Schmidt's signs; raises if the rows are rank deficient."""
-    q, r = np.linalg.qr(np.asarray(rows, dtype=float).T)
+    """Householder QR (LAPACK) with Gram-Schmidt's signs of each row set of a (..., L, K) stack."""
+    q, r = np.linalg.qr(np.swapaxes(rows, -1, -2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     # |r[i, i]| is row i's distance from its predecessors' span; rows past K have none
-    residuals = np.zeros(len(rows))
-    residuals[: len(r)] = np.abs(np.diag(r))
-    deficient = np.flatnonzero(residuals < _ORTHO_TOL)
-    if deficient.size:
-        i = deficient[0]
+    residuals = np.zeros(rows.shape[:-1])
+    residuals[..., : diag.shape[-1]] = np.abs(diag)
+    deficient = residuals < _ORTHO_TOL
+    if deficient.any():
+        where, prefix = _first(deficient.any(axis=-1))
+        i = int(np.argmax(deficient[where]))
         raise RankDeficientSubspace(
-            f"vector {i} lies in the span of its predecessors (residual {residuals[i]:.3e})"
+            f"{prefix}vector {i} lies in the span of its predecessors "
+            f"(residual {residuals[where][i]:.3e})"
         )
-    return (q * np.sign(np.diag(r))).T
+    return np.swapaxes(q * np.sign(diag)[..., None, :], -1, -2)
+
+
+def _simplicity_vectors(rows: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`simplicity_basis`'s vectors and scores for a (..., L, K) stack, under form ``lam``."""
+    p = np.swapaxes(_orthonormalize(rows), -1, -2)  # columns span each subspace
+    scores, a, _ = _eigh(_symmetrized(np.swapaxes(p, -1, -2) @ lam @ p))
+    vectors = np.swapaxes(p @ a, -1, -2)
+    # renormalize against accumulated roundoff; directions are unchanged
+    vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
+    return vectors, scores
 
 
 def simplicity_basis(subspace_basis: np.ndarray, measure: SimplicityMeasure) -> SimplicityBasis:
@@ -224,14 +237,7 @@ def simplicity_basis(subspace_basis: np.ndarray, measure: SimplicityMeasure) -> 
     if basis.shape[0] == 0:
         return SimplicityBasis(np.empty((0, k)), np.empty(0), degenerate=False)
 
-    p = _orthonormalize(basis).T  # columns span the subspace
-    reduced = SymMatrix(p.T @ measure.lambda_matrix.entries @ p)
-    eig = symmetric_eigen(reduced)
-    vectors = (p @ eig.eigenvectors).T
-
-    # renormalize against accumulated roundoff; directions are unchanged
-    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    scores = eig.eigenvalues
+    vectors, scores = _simplicity_vectors(basis, measure.lambda_matrix.entries)
     gaps = -np.diff(scores)
     degenerate = bool(
         gaps.size and gaps.min() < DEGENERATE_SCORE_RTOL * max(1.0, abs(scores[0]))

@@ -15,22 +15,15 @@ ziggurat sampler.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GMatrix, SymMatrix, _readonly, symmetric_eigen
-from .errors import DimensionMismatch, InvalidCovariance
-from .estimate import (
-    RELATEDNESS,
-    FamilyDataset,
-    VarianceComponents,
-    anova_estimate,
-    normalize_design,
-)
-from .parallel import ordered_map
-from .simplicity import SimplicityMeasure, simplicity_basis
-from .spaces import canonical_angle_distance
+from .core import GMatrix, SymMatrix, _eigh, _readonly, symmetric_eigen
+from .errors import DimensionMismatch, GeneconError, InvalidCovariance
+from .estimate import RELATEDNESS, FamilyDataset, _mean_squares, _raw_estimates, normalize_design
+from .simplicity import SimplicityMeasure, _simplicity_vectors, simplicity_basis
+from .spaces import _canonical_distances, _require_orthonormal
 
 RNG_DESCRIPTION = "philox4x64 keyed by (seed, replicate); ziggurat normals (numpy Generator)"
 
@@ -132,112 +125,47 @@ def generate_dataset(params: SimulationParams, replicate: int = 0) -> FamilyData
 
 
 @dataclass(frozen=True, eq=False)
-class ReplicateResult:
-    """Per-replicate outputs of the estimation study.
-
-    Response vectors are computed against the generating ("true") G, using the
-    estimated directions as selection gradients.
-    """
-
-    components: VarianceComponents
-    simplest_vector: np.ndarray            # (K,)
-    null_pc_vectors: np.ndarray            # (null_dim, K) eigenvectors J+1..K of G_hat
-    simplest_response: np.ndarray          # (K,)
-    null_pc_responses: np.ndarray          # (null_dim, K)
-    simplest_response_norm: float
-    null_pc_response_norms: np.ndarray     # (null_dim,)
-    min_raw_eigenvalue: float
-    negative_min_eigenvalue: bool
-    canonical_distance_sq: float
-
-    def __post_init__(self):
-        for name in ("simplest_vector", "null_pc_vectors", "simplest_response",
-                     "null_pc_responses", "null_pc_response_norms"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-
-@dataclass(frozen=True, eq=False)
 class StudySummary:
-    """All replicates plus the true-parameter references and aggregates."""
+    """The replicated study as columns, with the true-parameter references and aggregates.
+
+    Row r of each ``(reps, ...)`` array is replicate r. Responses use the
+    estimated directions as selection gradients on the generating G. Vectors
+    and responses are sign-aligned against replicate 0.
+    """
 
     params: SimulationParams
     reps: int
     null_dim: int
     measure_kind: str
-    replicates: tuple[ReplicateResult, ...]
-    true_null_pcs: np.ndarray          # (null_dim, K)
-    true_simplest: np.ndarray          # (K,)
+    min_raw_eigenvalues: np.ndarray       # (reps,) smallest eigenvalue of each raw G_hat
+    simplest_vectors: np.ndarray          # (reps, K)
+    null_pc_vectors: np.ndarray           # (reps, null_dim, K) eigenvectors J+1..K of G_hat
+    simplest_responses: np.ndarray        # (reps, K)
+    null_pc_responses: np.ndarray         # (reps, null_dim, K)
+    simplest_response_norms: np.ndarray   # (reps,)
+    null_pc_response_norms: np.ndarray    # (reps, null_dim)
+    canonical_distances_sq: np.ndarray    # (reps,) from the true nearly null space
+    true_null_pcs: np.ndarray             # (null_dim, K)
+    true_simplest: np.ndarray             # (K,)
     true_simplest_response: np.ndarray
-    true_pc_responses: np.ndarray      # (null_dim, K)
+    true_pc_responses: np.ndarray         # (null_dim, K)
     simplest_norm_mean: float
     simplest_norm_sd: float
-    pc_norm_means: np.ndarray          # (null_dim,)
+    pc_norm_means: np.ndarray             # (null_dim,)
     pc_norm_sds: np.ndarray
     negative_fraction: float
     min_eigenvalue_observed: float
     mean_canonical_distance_sq: float
 
     def __post_init__(self):
-        for name in ("true_null_pcs", "true_simplest", "true_simplest_response",
-                     "true_pc_responses", "pc_norm_means", "pc_norm_sds"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
-
-    def simplest_vectors(self) -> np.ndarray:
-        return np.array([r.simplest_vector for r in self.replicates])
-
-    def null_pc_vectors(self) -> np.ndarray:
-        return np.array([r.null_pc_vectors for r in self.replicates])
-
-    def simplest_responses(self) -> np.ndarray:
-        return np.array([r.simplest_response for r in self.replicates])
-
-    def null_pc_responses(self) -> np.ndarray:
-        return np.array([r.null_pc_responses for r in self.replicates])
-
-
-def _one_replicate(
-    params: SimulationParams,
-    r: int,
-    null_dim: int,
-    measure: SimplicityMeasure,
-    true_null_span: np.ndarray,
-    g_true: np.ndarray,
-) -> ReplicateResult:
-    data = generate_dataset(params, replicate=r)
-    components = anova_estimate(data)
-    null_pcs = components.g_hat.eig.eigenvectors.T[params.dim - null_dim:]
-    simplest = simplicity_basis(null_pcs, measure).vectors[0]
-    simplest_response = g_true @ simplest
-    pc_responses = null_pcs @ g_true.T
-    return ReplicateResult(
-        components=components,
-        simplest_vector=simplest,
-        null_pc_vectors=null_pcs,
-        simplest_response=simplest_response,
-        null_pc_responses=pc_responses,
-        simplest_response_norm=float(np.linalg.norm(simplest_response)),
-        null_pc_response_norms=np.linalg.norm(pc_responses, axis=1),
-        min_raw_eigenvalue=components.min_raw_eigenvalue,
-        negative_min_eigenvalue=components.min_raw_eigenvalue < 0.0,
-        canonical_distance_sq=canonical_angle_distance(null_pcs, true_null_span),
-    )
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.ndarray):
+                object.__setattr__(self, name, _readonly(value))
 
 
 def _signs(vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """+1 or -1 per row, making each row's inner product with its reference row nonnegative."""
     return np.where(np.einsum("...k,...k->...", vectors, reference) < 0.0, -1.0, 1.0)
-
-
-def _aligned(result: ReplicateResult, ref: ReplicateResult) -> ReplicateResult:
-    s0 = _signs(result.simplest_vector, ref.simplest_vector)
-    flips = _signs(result.null_pc_vectors, ref.null_pc_vectors)[:, None]
-    return replace(
-        result,
-        simplest_vector=s0 * result.simplest_vector,
-        null_pc_vectors=flips * result.null_pc_vectors,
-        simplest_response=s0 * result.simplest_response,
-        null_pc_responses=flips * result.null_pc_responses,
-    )
 
 
 def run_study(
@@ -246,12 +174,15 @@ def run_study(
     measure: SimplicityMeasure,
     null_dim: int = 3,
 ) -> StudySummary:
-    """Replicate the pipeline: generate, estimate, clip, partition, respond.
+    """Replicate the pipeline: generate, estimate, decompose, find the simplest vector, respond.
 
-    Each replicate r draws from its own generator keyed by (seed, r), so the
-    summary does not depend on the order replicates run in. Vectors are
-    sign-aligned against the first replicate before aggregation, since
-    eigenvectors and simplicity vectors are only defined up to sign.
+    Replicates are drawn one at a time, each from its own generator keyed by
+    (seed, r), keeping only its mean squares. Each later stage is one call on
+    (reps, ...) arrays: G_hat_raw = c (MSB - MSW) / n, its eigendecomposition
+    (not clipped: clipping leaves the eigenvectors as they are), the
+    simplicity bases, responses, norms and canonical distances. An error
+    names the first failing replicate. Vectors are sign-aligned against the
+    first replicate, since they are only defined up to sign.
     """
     if reps < 1:
         raise ValueError(f"need at least 1 replicate, got {reps}")
@@ -266,31 +197,52 @@ def run_study(
     true_null_span = params.g.eig.eigenvectors.T[j:]
     true_simplest = simplicity_basis(true_null_span, measure).vectors[0]
 
-    def compute(r: int) -> ReplicateResult:
+    between = np.empty((reps, k, k))
+    within = np.empty((reps, k, k))
+    for r in range(reps):
         try:
-            return _one_replicate(params, r, null_dim, measure, true_null_span, g_true)
-        except Exception as exc:
+            between[r], within[r] = _mean_squares(generate_dataset(params, r).values)
+        except GeneconError as exc:
             exc.args = (f"replicate {r}: {exc}",)
             raise
+    g_raw = _raw_estimates(between, within, params.family_size, params.relatedness)[3]
 
-    raw = ordered_map(compute, range(reps))
-    ref = raw[0]
-    replicates = tuple(_aligned(r, ref) for r in raw)
+    eigenvalues, eigenvectors, _ = _eigh(g_raw)
+    raw_minima = eigenvalues.min(axis=-1)
+    null_pcs = np.swapaxes(eigenvectors[..., j:], -1, -2)
+    simplest = _simplicity_vectors(null_pcs, measure.lambda_matrix.entries)[0][:, 0]
+    # G x per vector (BLAS gemv) and each norm from x'x (BLAS dot), as for one
+    # vector in np.linalg.norm: each replicate's numbers equal the public path's
+    simplest_responses = (g_true @ simplest[:, :, None])[:, :, 0]
+    simplest_norms = np.sqrt(
+        simplest_responses[:, None, :] @ simplest_responses[:, :, None]
+    )[:, 0, 0]
+    pc_responses = null_pcs @ g_true.T
+    pc_norms = np.linalg.norm(pc_responses, axis=-1)
+    _require_orthonormal(null_pcs, "estimated nearly-null basis")
+    _require_orthonormal(true_null_span, "true nearly-null basis")
+    distances = _canonical_distances(null_pcs, true_null_span)
 
+    s0 = _signs(simplest, simplest[0])[:, None]
+    flips = _signs(null_pcs, null_pcs[0])[:, :, None]
     # align true references to the same conventions as the displayed replicates
-    true_simplest = _signs(true_simplest, ref.simplest_vector) * true_simplest
-    true_pcs = _signs(true_null_span, ref.null_pc_vectors)[:, None] * true_null_span
+    true_simplest = _signs(true_simplest, simplest[0]) * true_simplest
+    true_pcs = _signs(true_null_span, null_pcs[0])[:, None] * true_null_span
 
-    simplest_norms = np.array([r.simplest_response_norm for r in replicates])
-    pc_norms = np.array([r.null_pc_response_norms for r in replicates])
-    raw_minima = np.array([r.min_raw_eigenvalue for r in replicates])
     ddof = 1 if reps > 1 else 0
     return StudySummary(
         params=params,
         reps=reps,
         null_dim=null_dim,
         measure_kind=measure.kind,
-        replicates=replicates,
+        min_raw_eigenvalues=raw_minima,
+        simplest_vectors=s0 * simplest,
+        null_pc_vectors=flips * null_pcs,
+        simplest_responses=s0 * simplest_responses,
+        null_pc_responses=flips * pc_responses,
+        simplest_response_norms=simplest_norms,
+        null_pc_response_norms=pc_norms,
+        canonical_distances_sq=distances,
         true_null_pcs=true_pcs,
         true_simplest=true_simplest,
         true_simplest_response=g_true @ true_simplest,
@@ -301,7 +253,5 @@ def run_study(
         pc_norm_sds=pc_norms.std(axis=0, ddof=ddof),
         negative_fraction=float(np.mean(raw_minima < 0.0)),
         min_eigenvalue_observed=float(raw_minima.min()),
-        mean_canonical_distance_sq=float(
-            np.mean([r.canonical_distance_sq for r in replicates])
-        ),
+        mean_canonical_distance_sq=float(np.mean(distances)),
     )

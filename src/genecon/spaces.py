@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GMatrix, SymMatrix, _readonly, symmetric_eigen
+from .core import GMatrix, SymMatrix, _first, _readonly, symmetric_eigen
 from .errors import DimensionMismatch, InvalidMatrix, SingularPhenotypicCovariance
 from .parallel import ordered_map
 from .simplicity import SimplicityBasis, SimplicityMeasure, simplicity_basis
@@ -159,9 +159,7 @@ def variance_proportions(g: GMatrix, basis) -> VarianceShares:
         b = b.reshape(1, -1)
     if b.shape[1] != g.dim:
         raise DimensionMismatch(f"basis vectors have length {b.shape[1]}, expected {g.dim}")
-    gram = b @ b.T
-    if b.size and np.abs(gram - np.eye(b.shape[0])).max() > 1e-8:
-        raise InvalidMatrix("basis rows are not orthonormal within 1e-8")
+    _require_orthonormal(b, "basis")
     norms = np.linalg.norm(b @ g.matrix.entries.T, axis=1)
     total = float(norms.sum())
     if total <= 0.0:
@@ -223,6 +221,22 @@ def sweep_partitions(g: GMatrix, measure: SimplicityMeasure) -> list[SubspacePar
     return ordered_map(lambda j: partition(g, j, measure), range(g.dim + 1))
 
 
+def _require_orthonormal(b: np.ndarray, what: str) -> None:
+    """Raise unless every row set of a (..., L, K) stack is orthonormal within 1e-8."""
+    if not b.size:
+        return
+    gram = b @ np.swapaxes(b, -1, -2)
+    bad = np.abs(gram - np.eye(b.shape[-2])).max(axis=(-2, -1)) > 1e-8
+    if bad.any():
+        raise InvalidMatrix(f"{_first(bad)[1]}{what} rows are not orthonormal within 1e-8")
+
+
+def _canonical_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """L - ||U'W||_F^2, floored at 0, for (..., L, K) stacks of orthonormal row sets."""
+    cross = u @ np.swapaxes(w, -1, -2)
+    return np.maximum(u.shape[-2] - np.sum(cross * cross, axis=(-2, -1)), 0.0)
+
+
 def canonical_angle_distance(u, w) -> float:
     """Squared subspace distance: sum of squared sines of the canonical angles.
 
@@ -243,9 +257,6 @@ def canonical_angle_distance(u, w) -> float:
         raise DimensionMismatch(
             f"ambient dimensions differ: {ub.shape[1]} vs {wb.shape[1]}"
         )
-    for name, b in (("first", ub), ("second", wb)):
-        if b.size and np.abs(b @ b.T - np.eye(b.shape[0])).max() > 1e-8:
-            raise InvalidMatrix(f"{name} basis rows are not orthonormal within 1e-8")
-    cross = ub @ wb.T
-    dist2 = ub.shape[0] - float(np.sum(cross * cross))
-    return max(dist2, 0.0)
+    _require_orthonormal(ub, "first basis")
+    _require_orthonormal(wb, "second basis")
+    return float(_canonical_distances(ub, wb))

@@ -389,3 +389,53 @@ class TestSimulate:
                      "--out", str(tmp_path / "o.json")])
         assert code == 2
         assert "GENECON_THREADS" in capsys.readouterr().err
+
+
+class TestNonFiniteReports:
+    # a finite G large enough to overflow the response norms: the report would
+    # hold NaN or Infinity, which is not JSON, so nothing is written
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_analyze(self, inputs, tmp_path, capsys):
+        g = tmp_path / "huge.json"
+        entries = (1e160 * np.eye(6) + 1e150).ravel().tolist()
+        g.write_text(json.dumps({"dim": 6, "entries": entries}))
+        out, svg = tmp_path / "x.json", tmp_path / "x.svg"
+        code = main(["analyze", "--g", str(g), "--grid", str(inputs["grid"]), "--J", "3",
+                     "--out", str(out), "--svg", str(svg)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("genecon analyze: report field vectors.")
+        assert not out.exists() and not svg.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_simulate(self, study_config, tmp_path, capsys):
+        cfg = json.loads(study_config.read_text())
+        cfg["g"] = {"dim": 6, "entries": (1e160 * np.eye(6)).ravel().tolist()}
+        study_config.write_text(json.dumps(cfg))
+        out, svg = tmp_path / "s.json", tmp_path / "s.svg"
+        code = main(["simulate", "--config", str(study_config), "--out", str(out),
+                     "--svg", str(svg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genecon simulate: report field ")
+        assert "which is not a JSON number" in err[0]
+        assert captured.out == ""
+        assert not out.exists() and not svg.exists()
+
+
+@pytest.mark.parametrize("argv, prefix, reason", [
+    (["analyze", "--g", "g.json", "--grid", "grid.json", "--J", "2", "--clip-tol", "-inf",
+      "--out", "x.json"], "genecon analyze: ", "--clip-tol"),
+    (["simulate", "--config", "study.json"], "genecon simulate: ", "--out"),
+    (["analyze", "--g", "g.json", "--grid", "grid.json", "--J", "two", "--out", "x.json"],
+     "genecon analyze: ", "'two'"),
+    (["frobnicate"], "genecon: ", "'frobnicate'"),
+], ids=["clip-tol-minus-inf", "missing-out", "non-integer-J", "unknown-subcommand"])
+def test_usage_error_is_one_line(argv, prefix, reason, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix) and reason in err[0]
+    assert captured.out == ""

@@ -7,6 +7,7 @@ from genecon.core import (
     GMatrix,
     SymMatrix,
     TraitGrid,
+    _symmetrized,
     clip_negative_eigenvalues,
     symmetric_eigen,
 )
@@ -66,6 +67,19 @@ class TestSymMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidMatrix):
             SymMatrix(np.zeros((2, 3)))
+
+    def test_stack_check_names_first_failing_matrix(self):
+        stack = np.array([np.eye(2)] * 4)
+        stack[2, 0, 1] = 0.5
+        stack[3, 0, 1] = 0.5
+        with pytest.raises(InvalidMatrix, match=r"^replicate 2: matrix is asymmetric"):
+            _symmetrized(stack)
+        stack[1, 1, 1] = np.inf
+        with pytest.raises(InvalidMatrix, match=r"^replicate 1: matrix entries must be finite$"):
+            _symmetrized(stack)
+        single = np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(InvalidMatrix, match=r"^matrix is asymmetric"):
+            _symmetrized(single)
 
     def test_payload_round_trip(self):
         m = from_spectrum([3.0, 1.0, 0.5], np.random.default_rng(7))

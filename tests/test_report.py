@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import stat
 import xml.etree.ElementTree as ET
 
@@ -207,7 +208,7 @@ class TestJsonReports:
 
 
 def reference_json_bytes(doc) -> bytes:
-    return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    return (json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 JSON_SCALARS = st.one_of(
@@ -234,19 +235,42 @@ class TestJsonEmitter:
     @given(JSON_TREES)
     @example({
         "flags": [True, False, 0, 1, 10**40],
-        "floats": [-0.0, 1e16, 5e-324, math.nan, math.inf, -math.inf, 0.1],
+        "floats": [-0.0, 1e16, 5e-324, 1.7976931348623157e308, 0.1],
         "text": ["caf\u00e9", "\x00\x1f\t\"\\", "\u2028\U0001f600", ""],
         "empty": [{}, [], [[]], {"": {}}],
         "none": None,
     })
+    @example({"floats": [0.5, math.nan]})
+    @example({"a": {"b": [1, -math.inf]}})
+    @example({"inf": math.inf})
     def test_bytes_match_json_dumps(self, doc):
-        assert report_json_bytes(doc) == reference_json_bytes(doc)
+        # finite floats: the same bytes; NaN or an infinity anywhere: both raise
+        try:
+            expected = reference_json_bytes(doc)
+        except ValueError:
+            with pytest.raises(ValueError):
+                report_json_bytes(doc)
+        else:
+            assert report_json_bytes(doc) == expected
+
+    @pytest.mark.parametrize("doc, field", [
+        ({"a": {"b": [0.5, math.nan]}}, "a.b"),
+        ({"a": [{"c": math.inf}]}, "a.c"),
+        ({"norm": -math.inf}, "norm"),
+        ({"keys": {math.inf: 0}}, "keys"),
+        ([1.0, math.nan], "(top level)"),
+    ], ids=["float-list", "list-of-dicts", "scalar", "infinite-key", "top-level"])
+    def test_non_finite_names_the_field(self, doc, field):
+        with pytest.raises(ValueError):
+            reference_json_bytes(doc)
+        with pytest.raises(ValueError, match=rf"^report field {re.escape(field)} holds "):
+            report_json_bytes(doc)
 
     @pytest.mark.parametrize("doc", [
         {1: "a", 2.5: "b", -3: "c"},
         {True: 0},
         {None: [1.0]},
-        {math.inf: 0, 0.5: 1},
+        {1e300: 0, 0.5: 1},
         (1.0, [2.0, (3, "x")]),
         [np.float64(0.1), 2.0],
     ], ids=["numeric-keys", "bool-key", "none-key", "float-keys", "tuples", "float-subclass"])

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from genecon.core import SymMatrix, TraitGrid, symmetric_eigen
+from genecon.core import SymMatrix, TraitGrid, _eigh, symmetric_eigen
 from genecon.errors import (
     GridTooSmall,
     InvalidMatrix,
@@ -19,6 +19,7 @@ from genecon.simplicity import (
     measure_from_kind,
     second_difference_measure,
     second_difference_penalty,
+    _simplicity_vectors,
     simplicity_basis,
     simplicity_score,
     sparseness_measure,
@@ -298,6 +299,63 @@ class TestSimplicityBasis:
     def test_dimension_checked(self):
         with pytest.raises(InvalidMatrix):
             simplicity_basis(np.eye(4), first_difference_measure(temp_grid()))
+
+
+@st.composite
+def symmetric_stacks(draw):
+    """(n, K, K) exactly symmetric matrices: random, zero, tied diagonals, repeated eigenvalues."""
+    k = draw(st.integers(2, 8))
+    entries = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+    mats = []
+    for kind in draw(st.lists(st.sampled_from(["random", "zero", "tied", "repeated"]),
+                              min_size=1, max_size=5)):
+        if kind == "random":
+            a = draw(hnp.arrays(np.float64, (k, k), elements=entries))
+            mats.append(a + a.T)
+        elif kind == "zero":
+            mats.append(np.zeros((k, k)))
+        elif kind == "tied":
+            diagonal = hnp.arrays(np.float64, k, elements=st.sampled_from([-1.0, 0.0, 2.0]))
+            mats.append(np.diag(draw(diagonal)))
+        else:
+            a = draw(hnp.arrays(np.float64, (k, k), elements=st.floats(-1, 1)))
+            q, _ = np.linalg.qr(a + 3.0 * np.eye(k))
+            spectrum = draw(hnp.arrays(np.float64, k, elements=st.sampled_from([0.0, 1.0, 2.5])))
+            m = (q * spectrum) @ q.T
+            mats.append((m + m.T) / 2.0)
+    return np.array(mats)
+
+
+class TestStackedHelpers:
+    """The stacked forms the replicated study uses equal the single-matrix calls exactly."""
+
+    @given(symmetric_stacks())
+    def test_eigen_slices_equal_symmetric_eigen(self, stack):
+        lam, v, degenerate = _eigh(stack)
+        for i, m in enumerate(stack):
+            single = symmetric_eigen(m)
+            np.testing.assert_array_equal(lam[i], single.eigenvalues)
+            np.testing.assert_array_equal(v[i], single.eigenvectors)
+            assert degenerate[i] == single.degenerate
+
+    @given(symmetric_stacks(), st.data())
+    def test_simplicity_slices_equal_simplicity_basis(self, stack, data):
+        # the study's input: the trailing eigenvectors of each matrix, as rows
+        k = stack.shape[-1]
+        dims = data.draw(st.integers(1, k))
+        rows = np.swapaxes(_eigh(stack)[1][..., k - dims:], -1, -2)
+        measure = first_difference_measure(equal_grid(k))
+        vectors, scores = _simplicity_vectors(rows, measure.lambda_matrix.entries)
+        for i in range(len(stack)):
+            single = simplicity_basis(rows[i], measure)
+            np.testing.assert_array_equal(vectors[i], single.vectors)
+            np.testing.assert_array_equal(scores[i], single.scores)
+
+    def test_rank_deficient_slice_named(self):
+        rows = np.array([np.eye(3)[:2], [[1.0, 0.0, 0.0], [1.0, 1e-14, 0.0]]])
+        lam = first_difference_measure(equal_grid(3)).lambda_matrix.entries
+        with pytest.raises(RankDeficientSubspace, match=r"^replicate 1: vector 1 "):
+            _simplicity_vectors(rows, lam)
 
 
 class TestMeasureConstruction:

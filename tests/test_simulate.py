@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from genecon.core import SymMatrix, clip_negative_eigenvalues
-from genecon.errors import DimensionMismatch, InvalidCovariance
+from genecon.errors import DimensionMismatch, InvalidCovariance, InvalidMatrix
+from genecon.estimate import anova_estimate
 from genecon.reference import study_params, surrogate_g, temperature_grid
-from genecon.simplicity import first_difference_measure
+from genecon.simplicity import first_difference_measure, simplicity_basis
 from genecon.simulate import SimulationParams, generate_dataset, run_study
+from genecon.spaces import canonical_angle_distance
 
 MEASURE = first_difference_measure(temperature_grid())
 
@@ -148,13 +150,14 @@ class TestRunStudy:
             n_families=500, family_size=20, design="half-sib", seed=5150,
         )
         summary = run_study(p, reps=1, null_dim=3, measure=MEASURE)
-        assert summary.replicates[0].canonical_distance_sq < 0.05
+        assert summary.canonical_distances_sq.shape == (1,)
+        assert summary.canonical_distances_sq[0] < 0.05
 
     def test_deterministic(self):
         p = small_params(n_families=30, family_size=6)
         a = run_study(p, reps=4, null_dim=3, measure=MEASURE)
         b = run_study(p, reps=4, null_dim=3, measure=MEASURE)
-        np.testing.assert_array_equal(a.simplest_vectors(), b.simplest_vectors())
+        np.testing.assert_array_equal(a.simplest_vectors, b.simplest_vectors)
         assert a.simplest_norm_mean == b.simplest_norm_mean
         assert a.negative_fraction == b.negative_fraction
 
@@ -164,37 +167,85 @@ class TestRunStudy:
         seq = run_study(p, reps=6, null_dim=3, measure=MEASURE)
         monkeypatch.setenv("GENECON_THREADS", "3")
         par = run_study(p, reps=6, null_dim=3, measure=MEASURE)
-        np.testing.assert_array_equal(seq.simplest_vectors(), par.simplest_vectors())
-        np.testing.assert_array_equal(seq.null_pc_vectors(), par.null_pc_vectors())
+        np.testing.assert_array_equal(seq.simplest_vectors, par.simplest_vectors)
+        np.testing.assert_array_equal(seq.null_pc_vectors, par.null_pc_vectors)
         assert seq.mean_canonical_distance_sq == par.mean_canonical_distance_sq
         assert seq.min_eigenvalue_observed == par.min_eigenvalue_observed
 
     def test_sign_alignment(self):
         summary = run_study(small_params(n_families=40, family_size=8),
                             reps=8, null_dim=3, measure=MEASURE)
-        ref = summary.replicates[0]
-        for rep in summary.replicates[1:]:
-            assert rep.simplest_vector @ ref.simplest_vector >= 0.0
-            for v, rv in zip(rep.null_pc_vectors, ref.null_pc_vectors):
-                assert v @ rv >= 0.0
-        assert summary.true_simplest @ ref.simplest_vector >= 0.0
+        assert np.all(summary.simplest_vectors @ summary.simplest_vectors[0] >= 0.0)
+        pcs = summary.null_pc_vectors
+        assert np.all(np.einsum("rik,ik->ri", pcs, pcs[0]) >= 0.0)
+        assert summary.true_simplest @ summary.simplest_vectors[0] >= 0.0
 
     def test_simplest_response_bounded_by_estimated_null(self):
         # within the estimated matrix, a nearly-null direction can never
         # respond more than the top nearly-null eigenvalue
-        summary = run_study(small_params(n_families=40, family_size=8),
-                            reps=8, null_dim=3, measure=MEASURE)
+        p = small_params(n_families=40, family_size=8)
+        summary = run_study(p, reps=8, null_dim=3, measure=MEASURE)
         j = 6 - summary.null_dim
-        for rep in summary.replicates:
-            ghat = rep.components.g_hat
-            norm = np.linalg.norm(ghat.matrix.entries @ rep.simplest_vector)
+        for r, simplest in enumerate(summary.simplest_vectors):
+            ghat = anova_estimate(generate_dataset(p, r)).g_hat
+            norm = np.linalg.norm(ghat.matrix.entries @ simplest)
             assert norm <= ghat.eigenvalues[j] + 1e-9
 
     def test_aggregates_match_replicates(self):
         summary = run_study(small_params(n_families=30, family_size=6),
                             reps=5, null_dim=3, measure=MEASURE)
-        norms = np.array([r.simplest_response_norm for r in summary.replicates])
+        norms = summary.simplest_response_norms
+        assert norms.shape == (5,)
         assert summary.simplest_norm_mean == pytest.approx(norms.mean(), abs=1e-15)
         assert summary.simplest_norm_sd == pytest.approx(norms.std(ddof=1), abs=1e-15)
-        flags = [r.negative_min_eigenvalue for r in summary.replicates]
+        flags = summary.min_raw_eigenvalues < 0.0
         assert summary.negative_fraction == pytest.approx(np.mean(flags), abs=1e-15)
+
+    def test_equals_per_replicate_public_path(self):
+        # the stacked stages give, bit for bit, what the public single-matrix
+        # functions give one replicate at a time
+        p = small_params(n_families=30, family_size=6)
+        reps, null_dim = 5, 3
+        summary = run_study(p, reps=reps, null_dim=null_dim, measure=MEASURE)
+        g_true = p.g.matrix.entries
+        true_span = p.g.eig.eigenvectors.T[6 - null_dim:]
+        rows = []
+        for r in range(reps):
+            components = anova_estimate(generate_dataset(p, r))
+            pcs = components.g_hat.eig.eigenvectors.T[6 - null_dim:]
+            simplest = simplicity_basis(pcs, MEASURE).vectors[0]
+            rows.append((components.min_raw_eigenvalue, simplest, pcs,
+                         canonical_angle_distance(pcs, true_span)))
+        minima, simplest, pcs, distances = (np.array(c) for c in zip(*rows))
+        s0 = np.where(simplest @ simplest[0] < 0.0, -1.0, 1.0)
+        flips = np.where(np.einsum("rik,ik->ri", pcs, pcs[0]) < 0.0, -1.0, 1.0)
+        simplest = s0[:, None] * simplest
+        pcs = flips[:, :, None] * pcs
+        responses = np.array([g_true @ v for v in simplest])
+        pc_responses = np.array([v @ g_true.T for v in pcs])
+
+        np.testing.assert_array_equal(summary.min_raw_eigenvalues, minima)
+        np.testing.assert_array_equal(summary.simplest_vectors, simplest)
+        np.testing.assert_array_equal(summary.null_pc_vectors, pcs)
+        np.testing.assert_array_equal(summary.simplest_responses, responses)
+        np.testing.assert_array_equal(summary.null_pc_responses, pc_responses)
+        np.testing.assert_array_equal(summary.simplest_response_norms,
+                                      [np.linalg.norm(v) for v in responses])
+        np.testing.assert_array_equal(summary.null_pc_response_norms,
+                                      [np.linalg.norm(v, axis=1) for v in pc_responses])
+        np.testing.assert_array_equal(summary.canonical_distances_sq, distances)
+
+    @pytest.mark.parametrize("scale, first", [(1e307, 0), (5.5e306, 1)])
+    def test_overflowing_mean_squares_name_the_replicate(self, scale, first):
+        # finite records whose cross products overflow: the stacked check
+        # reports the first replicate that fails (at 5.5e306 replicate 0 passes)
+        grid = temperature_grid()
+        g = clip_negative_eigenvalues(SymMatrix(scale * np.eye(6)), 0.0, grid=grid)
+        p = SimulationParams(
+            mu=np.zeros(6), g=g, e=SymMatrix(np.zeros((6, 6))), sigma2=0.0,
+            n_families=10, family_size=4, design="half-sib", seed=0,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidMatrix,
+                               match=rf"^replicate {first}: matrix entries must be finite$"):
+                run_study(p, reps=6, null_dim=3, measure=MEASURE)
