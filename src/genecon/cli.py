@@ -16,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SymMatrix, TraitGrid, json_int, json_number, json_numbers, load_grid_json
+from .core import (SymMatrix, TraitGrid, clip_negative_eigenvalues, json_int, json_number,
+                   json_numbers, load_grid_json)
 from .errors import GeneconError
 from .estimate import (
     DESIGN_ALIASES,
@@ -28,7 +29,6 @@ from .estimate import (
 )
 from .parallel import thread_count
 from .report import (
-    FigureSpec,
     make_provenance,
     partition_report,
     render_partition_figure,
@@ -37,7 +37,7 @@ from .report import (
     write_json,
     write_svg,
 )
-from .simplicity import MEASURE_ALIASES, measure_from_kind
+from .simplicity import MEASURE_ALIASES, SimplicityMeasure, measure_from_kind
 from .simulate import RNG_DESCRIPTION, SimulationParams, run_study
 from .spaces import partition
 
@@ -129,8 +129,11 @@ def _load_analysis_inputs(args):
             data = load_family_csv(_require_file(args.data, "--data"), grid, design)
         except GeneconError as exc:
             raise UsageError(f"--data: {args.data}: {exc}") from exc
-        g = anova_estimate(data).g_hat
-    measure = measure_from_kind(args.measure, grid, grid.size)
+        g = clip_negative_eigenvalues(anova_estimate(data).g_hat, args.clip_tol)
+    try:
+        measure = measure_from_kind(args.measure, grid, grid.size)
+    except GeneconError as exc:
+        raise UsageError(f"--measure {args.measure}: {exc}") from exc
     return g, grid, measure, design
 
 
@@ -154,7 +157,7 @@ def _emit_partition(g, grid, measure, j, provenance, out_path, svg_path):
     part = partition(g, j, measure)
     write_json(partition_report(g, part, grid, measure, provenance), out_path)
     if svg_path:
-        write_svg(render_partition_figure(FigureSpec(part, grid), provenance), svg_path)
+        write_svg(render_partition_figure(part, grid, provenance), svg_path)
 
 
 def _cmd_analyze(args) -> int:
@@ -183,7 +186,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _study_config(args) -> tuple[SimulationParams, int, int, str]:
+def _study_config(args) -> tuple[SimulationParams, int, int, str, SimplicityMeasure]:
     path = _require_file(args.config, "--config")
     try:
         with open(path, encoding="utf-8") as fh:
@@ -229,14 +232,17 @@ def _study_config(args) -> tuple[SimulationParams, int, int, str]:
         raise UsageError(
             f"--config: measure must be one of {tuple(MEASURE_ALIASES)}, got {measure_kind!r}"
         )
-    return params, reps, null_dim, measure_kind
+    try:
+        measure = measure_from_kind(measure_kind, grid, grid.size)
+    except GeneconError as exc:
+        raise UsageError(f"--config: {path}: measure {measure_kind}: {exc}") from exc
+    return params, reps, null_dim, measure_kind, measure
 
 
 def _cmd_simulate(args) -> int:
-    params, reps, null_dim, measure_kind = _study_config(args)
+    params, reps, null_dim, measure_kind, measure = _study_config(args)
     if args.dry_run:
         return 0
-    measure = measure_from_kind(measure_kind, params.g.grid, params.dim)
     summary = run_study(params, reps, measure, null_dim=null_dim)
     provenance = make_provenance(
         inputs={"config": args.config, "reps": reps, "null_dim": null_dim},

@@ -121,7 +121,9 @@ class TraitGrid:
             raise InvalidGrid(f"need at least 2 measurement points, got {pts.size}")
         if not np.all(np.isfinite(pts)):
             raise InvalidGrid("measurement points must be finite")
-        if not np.all(np.diff(pts) > 0):
+        if not math.isfinite(float(pts[-1]) - float(pts[0])):
+            raise InvalidGrid(f"span from {pts[0]:g} to {pts[-1]:g} overflows")
+        if not np.all(pts[1:] > pts[:-1]):
             raise InvalidGrid("measurement points must be strictly increasing")
         object.__setattr__(self, "points", _readonly(pts))
 

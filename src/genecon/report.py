@@ -4,6 +4,10 @@ Figures are plain SVG 1.1 built by string assembly so that identical inputs
 yield byte-identical documents: element order is fixed and every number is
 formatted to six significant digits. Styling is class-based (solid model
 curves, dashed nearly-null curves) with defaults in the embedded stylesheet.
+The layout is written once and both figures compose it: a page of two rows of
+panels, each panel framed at its (column, row), curve panels with their zero
+axis at mid height, and one rule that labels vectors model 1..J, then null
+1..K-J, which the JSON report uses too.
 JSON reports serialize every numeric result at full precision and carry a
 provenance block (inputs, tolerances, seed, measure kind, relatedness,
 software version, and the numpy version and LAPACK build that computed them).
@@ -23,7 +27,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from xml.sax import saxutils
@@ -59,37 +62,26 @@ _GAP = 12
 _MARGIN = 16
 _PANEL_WIDTH = 170
 _PANEL_HEIGHT = 130
+_INNER_WIDTH = _PANEL_WIDTH - 2 * _PAD
+_INNER_HEIGHT = _PANEL_HEIGHT - 2 * _PAD
+_BOTTOM = _PANEL_HEIGHT - _PAD
+
+_FRAME = f'<rect class="frame" x="0" y="0" width="{_PANEL_WIDTH}" height="{_PANEL_HEIGHT}"/>'
+# every vertical range is [-span, span], so zero maps to mid height whatever the span
+_ZERO_AXIS = (
+    f'<line class="zero" x1="{_PAD}" y1="{_PANEL_HEIGHT // 2}" '
+    f'x2="{_PANEL_WIDTH - _PAD}" y2="{_PANEL_HEIGHT // 2}"/>'
+)
 
 
 def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-@dataclass(frozen=True)
-class FigureSpec:
-    """Inputs for one partition figure: K vector panels plus two summaries."""
-
-    partition: SubspacePartition
-    grid: TraitGrid
-
-    def __post_init__(self):
-        if self.grid.size != self.partition.dim:
-            raise DimensionMismatch(
-                f"grid has {self.grid.size} points, partition is "
-                f"{self.partition.dim}-dimensional"
-            )
-
-    @property
-    def panel_count(self) -> int:
-        return self.partition.dim + 2
-
-
-def _panel_open(x: float, y: float, classes: str) -> str:
-    return f'<g class="{classes}" transform="translate({_fmt(x)},{_fmt(y)})">'
-
-
-def _frame(w: float, h: float) -> str:
-    return f'<rect class="frame" x="0" y="0" width="{_fmt(w)}" height="{_fmt(h)}"/>'
+def _labels(part: SubspacePartition) -> list[tuple[str, int]]:
+    """(role, number) of each combined-basis vector: model 1..J, then null 1..K-J."""
+    return ([("model", n) for n in range(1, part.j + 1)]
+            + [("null", n) for n in range(1, part.null_dim + 1)])
 
 
 def _clamp01(x: float) -> float:
@@ -106,83 +98,32 @@ def _polyline(x_text: list[str], ys: list[float], classes: str) -> str:
     return f'<polyline class="{classes}" points="{pts}"/>'
 
 
-def _x_pixels(t: np.ndarray, width: float) -> np.ndarray:
+def _x_pixels(t: np.ndarray) -> np.ndarray:
     span = t[-1] - t[0]
-    return _PAD + (t - t[0]) / span * (width - 2 * _PAD)
+    return _PAD + (t - t[0]) / span * _INNER_WIDTH
 
 
-def _y_pixels(values: np.ndarray, lo: float, hi: float, height: float) -> np.ndarray:
-    return height - _PAD - (values - lo) / (hi - lo) * (height - 2 * _PAD)
+def _y_pixels(values: np.ndarray, span: float) -> np.ndarray:
+    """Pixel heights of values on the vertical range [-span, span]."""
+    return _BOTTOM - (values + span) / (2 * span) * _INNER_HEIGHT
 
 
-def _zero_line(w: float, h: float, span: float) -> str:
-    """Horizontal axis of a panel whose vertical range is [-span, span]."""
-    zero = _y_pixels(np.zeros(1), -span, span, h)[0]
-    return (
-        f'<line class="zero" x1="{_fmt(_PAD)}" y1="{_fmt(zero)}" '
-        f'x2="{_fmt(w - _PAD)}" y2="{_fmt(zero)}"/>'
-    )
+def _title(text: str) -> str:
+    return f'<text class="title" x="{_PAD}" y="{_PAD - 3}">{text}</text>'
 
 
-def _scatter_panel(x, y, w, h, part: SubspacePartition, bound: float) -> list[str]:
-    lines = [
-        _panel_open(x, y, "panel scatter"),
-        _frame(w, h),
-        f'<text class="title" x="{_fmt(_PAD)}" y="{_fmt(_PAD - 3)}">'
-        "simplicity vs variance share</text>",
-    ]
-    roles = ["model"] * part.j + ["null"] * part.null_dim
-    top = max(bound, float(part.scores.max()) if part.scores.size else 1.0)
-    for role, prop, score in zip(roles, part.proportions.tolist(), part.scores.tolist()):
-        cx = _PAD + _clamp01(prop) * (w - 2 * _PAD)
-        cy = h - _PAD - _clamp01(score / top) * (h - 2 * _PAD)
-        lines.append(
-            f'<circle class="pt {role}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" '
-            f'data-proportion="{_fmt(prop)}" data-score="{_fmt(score)}"/>'
-        )
-    lines.append("</g>")
-    return lines
+def _panel(col: int, row: int, classes: str, body: list[str]) -> list[str]:
+    """The framed panel at (column, row) of the page, holding ``body``."""
+    x = _MARGIN + col * (_PANEL_WIDTH + _GAP)
+    y = _MARGIN + row * (_PANEL_HEIGHT + _GAP)
+    return [f'<g class="{classes}" transform="translate({_fmt(x)},{_fmt(y)})">',
+            _FRAME, *body, "</g>"]
 
 
-def _bars_panel(x, y, w, h, part: SubspacePartition) -> list[str]:
-    lines = [
-        _panel_open(x, y, "panel bars"),
-        _frame(w, h),
-        f'<text class="title" x="{_fmt(_PAD)}" y="{_fmt(_PAD - 3)}">variance split</text>',
-    ]
-    bar_w = (w - 2 * _PAD) / 3.0
-    for idx, (role, frac) in enumerate(
-        (("model", part.model_variance_fraction), ("null", part.null_variance_fraction))
-    ):
-        bh = _clamp01(float(frac)) * (h - 2 * _PAD)
-        bx = _PAD + bar_w * (0.5 + 1.5 * idx)
-        lines.append(
-            f'<rect class="bar {role}" x="{_fmt(bx)}" y="{_fmt(h - _PAD - bh)}" '
-            f'width="{_fmt(bar_w * 0.8)}" height="{_fmt(bh)}" data-fraction="{_fmt(frac)}"/>'
-        )
-        lines.append(
-            f'<text x="{_fmt(bx)}" y="{_fmt(h - 3)}">{role} {_fmt(frac)}</text>'
-        )
-    lines.append("</g>")
-    return lines
-
-
-def _overlay_panel(x, y, w, h, x_text, curves, truth, span, kind, caption) -> list[str]:
-    """One faint curve per replicate and the true-parameter curve on top."""
-    return [
-        _panel_open(x, y, f"panel {kind} overlay"),
-        _frame(w, h),
-        _zero_line(w, h, span),
-        *(_polyline(x_text, ys, "curve rep")
-          for ys in _y_pixels(curves, -span, span, h).tolist()),
-        _polyline(x_text, _y_pixels(truth, -span, span, h).tolist(), "curve truth"),
-        f'<text class="title" x="{_fmt(_PAD)}" y="{_fmt(_PAD - 3)}">{caption}</text>',
-        "</g>",
-    ]
-
-
-def _svg_open(width: int, height: int, provenance: dict | None) -> list[str]:
-    """XML prolog, root element, stylesheet and the provenance metadata."""
+def _page(cols: int, provenance: dict | None, panels: list[str]) -> str:
+    """The SVG document: two rows of ``cols`` panels, stylesheet and provenance metadata."""
+    width = 2 * _MARGIN + cols * _PANEL_WIDTH + (cols - 1) * _GAP
+    height = 2 * _MARGIN + 2 * _PANEL_HEIGHT + _GAP
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -192,10 +133,53 @@ def _svg_open(width: int, height: int, provenance: dict | None) -> list[str]:
     if provenance is not None:
         blob = saxutils.escape(json.dumps(provenance, sort_keys=True))
         lines.append(f'<metadata id="provenance">{blob}</metadata>')
-    return lines
+    return "\n".join([*lines, *panels, "</svg>"]) + "\n"
 
 
-def render_partition_figure(spec: FigureSpec, provenance: dict | None = None) -> str:
+def _scatter(part: SubspacePartition) -> list[str]:
+    top = max(1.0, float(part.scores.max()))
+    body = [_title("simplicity vs variance share")]
+    for (role, _), prop, score in zip(
+        _labels(part), part.proportions.tolist(), part.scores.tolist()
+    ):
+        cx = _PAD + _clamp01(prop) * _INNER_WIDTH
+        cy = _BOTTOM - _clamp01(score / top) * _INNER_HEIGHT
+        body.append(
+            f'<circle class="pt {role}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" '
+            f'data-proportion="{_fmt(prop)}" data-score="{_fmt(score)}"/>'
+        )
+    return body
+
+
+def _bars(part: SubspacePartition) -> list[str]:
+    body = [_title("variance split")]
+    bar_w = _INNER_WIDTH / 3.0
+    for idx, (role, frac) in enumerate(
+        (("model", part.model_variance_fraction), ("null", part.null_variance_fraction))
+    ):
+        bh = _clamp01(float(frac)) * _INNER_HEIGHT
+        bx = _PAD + bar_w * (0.5 + 1.5 * idx)
+        body += [
+            f'<rect class="bar {role}" x="{_fmt(bx)}" y="{_fmt(_BOTTOM - bh)}" '
+            f'width="{_fmt(bar_w * 0.8)}" height="{_fmt(bh)}" data-fraction="{_fmt(frac)}"/>',
+            f'<text x="{_fmt(bx)}" y="{_PANEL_HEIGHT - 3}">{role} {_fmt(frac)}</text>',
+        ]
+    return body
+
+
+def _overlay(x_text, curves, truth, span, caption) -> list[str]:
+    """One faint curve per replicate and the true-parameter curve on top."""
+    return [
+        _ZERO_AXIS,
+        *(_polyline(x_text, ys, "curve rep") for ys in _y_pixels(curves, span).tolist()),
+        _polyline(x_text, _y_pixels(truth, span).tolist(), "curve truth"),
+        _title(caption),
+    ]
+
+
+def render_partition_figure(
+    part: SubspacePartition, grid: TraitGrid, provenance: dict | None = None
+) -> str:
     """K vector panels in one top row, scatter and variance bars below.
 
     The top row runs model vectors first (leading eigenvector leftmost), then
@@ -203,39 +187,26 @@ def render_partition_figure(spec: FigureSpec, provenance: dict | None = None) ->
     leading eigenvector and, when the nearly null space is nonempty, the
     simplest nearly-null vector.
     """
-    part = spec.partition
-    k = part.dim
-    pw, ph = _PANEL_WIDTH, _PANEL_HEIGHT
-    width = 2 * _MARGIN + k * pw + (k - 1) * _GAP
-    height = 2 * _MARGIN + 2 * ph + _GAP
-
-    lines = _svg_open(width, height, provenance)
-    x_text = _x_text(_x_pixels(np.asarray(spec.grid.points), pw))
-    ys = _y_pixels(part.combined_basis(), -1.0, 1.0, ph).tolist()
-    frame, zero = _frame(pw, ph), _zero_line(pw, ph, 1.0)
-    label_at = f'x="{_fmt(_PAD + 3)}" y="{_fmt(_PAD - 3)}"'
-    title_at = f'x="{_fmt(pw / 2 - 12)}" y="{_fmt(ph - 3)}"'
-    for i in range(k):
-        role = "model" if i < part.j else "null"
-        number = i + 1 if i < part.j else i - part.j + 1
+    if grid.size != part.dim:
+        raise DimensionMismatch(
+            f"grid has {grid.size} points, partition is {part.dim}-dimensional"
+        )
+    x_text = _x_text(_x_pixels(np.asarray(grid.points)))
+    ys = _y_pixels(part.combined_basis(), 1.0).tolist()
+    label_at = f'x="{_PAD + 3}" y="{_PAD - 3}"'
+    title_at = f'x="{_PANEL_WIDTH // 2 - 12}" y="{_PANEL_HEIGHT - 3}"'
+    panels = []
+    for col, ((role, number), y) in enumerate(zip(_labels(part), ys)):
         caption = f"{'PC' if role == 'model' else 'S'}{number}"
-        lines += [
-            _panel_open(_MARGIN + i * (pw + _GAP), _MARGIN, f"panel vector {role}"),
-            frame,
-            zero,
-            _polyline(x_text, ys[i], f"curve {role}"),
+        panels += _panel(col, 0, f"panel vector {role}", [
+            _ZERO_AXIS,
+            _polyline(x_text, y, f"curve {role}"),
             f'<text class="label {role}" {label_at}>{number}</text>',
             f'<text class="title" {title_at}>{caption}</text>',
-            "</g>",
-        ]
-
-    bound = 1.0
-    if part.scores.size:
-        bound = max(1.0, float(part.scores.max()))
-    lines += _scatter_panel(_MARGIN, _MARGIN + ph + _GAP, pw, ph, part, bound)
-    lines += _bars_panel(_MARGIN + pw + _GAP, _MARGIN + ph + _GAP, pw, ph, part)
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+        ])
+    panels += _panel(0, 1, "panel scatter", _scatter(part))
+    panels += _panel(1, 1, "panel bars", _bars(part))
+    return _page(part.dim, provenance, panels)
 
 
 def render_study_figure(summary: StudySummary, provenance: dict | None = None) -> str:
@@ -250,34 +221,24 @@ def render_study_figure(summary: StudySummary, provenance: dict | None = None) -
     j = k - summary.null_dim
     grid = summary.params.g.grid
     t = np.asarray(grid.points) if grid is not None else np.arange(k, dtype=float)
-    cols = summary.null_dim + 1
-    pw, ph = _PANEL_WIDTH, _PANEL_HEIGHT
-    width = 2 * _MARGIN + cols * pw + (cols - 1) * _GAP
-    height = 2 * _MARGIN + 2 * ph + _GAP
-
     # one column per direction: the simplest vector, then each nearly-null PC by rank
-    vector_sets = [summary.simplest_vectors, *np.swapaxes(summary.null_pc_vectors, 0, 1)]
-    response_sets = [summary.simplest_responses, *np.swapaxes(summary.null_pc_responses, 0, 1)]
-    truth_vectors = [summary.true_simplest] + list(summary.true_null_pcs)
-    truth_responses = [summary.true_simplest_response] + list(summary.true_pc_responses)
-    captions = ["simplest"] + [f"PC{j + r + 1}" for r in range(summary.null_dim)]
-
-    lines = _svg_open(width, height, provenance)
-    x_text = _x_text(_x_pixels(t, pw))
-    for col in range(cols):
-        x = _MARGIN + col * (pw + _GAP)
-        lines += _overlay_panel(x, _MARGIN, pw, ph, x_text, vector_sets[col], truth_vectors[col],
-                                1.0, "vector", captions[col])
-        span = max(
-            float(np.abs(response_sets[col]).max()),
-            float(np.abs(truth_responses[col]).max()),
-            1e-12,
-        )
-        lines += _overlay_panel(x, _MARGIN + ph + _GAP, pw, ph, x_text, response_sets[col],
-                                truth_responses[col], span, "response",
-                                f"response to {captions[col]}")
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    columns = zip(
+        [summary.simplest_vectors, *np.swapaxes(summary.null_pc_vectors, 0, 1)],
+        [summary.simplest_responses, *np.swapaxes(summary.null_pc_responses, 0, 1)],
+        [summary.true_simplest, *summary.true_null_pcs],
+        [summary.true_simplest_response, *summary.true_pc_responses],
+        ["simplest"] + [f"PC{j + r + 1}" for r in range(summary.null_dim)],
+    )
+    x_text = _x_text(_x_pixels(t))
+    panels = []
+    for col, (vectors, responses, true_vector, true_response, caption) in enumerate(columns):
+        span = max(float(np.abs(responses).max()), float(np.abs(true_response).max()), 1e-12)
+        panels += _panel(col, 0, "panel vector overlay",
+                         _overlay(x_text, vectors, true_vector, 1.0, caption))
+        panels += _panel(col, 1, "panel response overlay",
+                         _overlay(x_text, responses, true_response, span,
+                                  f"response to {caption}"))
+    return _page(summary.null_dim + 1, provenance, panels)
 
 
 def make_provenance(
@@ -318,9 +279,7 @@ def partition_report(
     """Lossless JSON document for one partition."""
     combined = part.combined_basis()
     vectors = []
-    for i in range(part.dim):
-        role = "model" if i < part.j else "null"
-        number = i + 1 if i < part.j else i - part.j + 1
+    for i, (role, number) in enumerate(_labels(part)):
         entry = {
             "role": role,
             "number": number,

@@ -27,8 +27,6 @@ from .spaces import _canonical_distances, _require_orthonormal
 
 RNG_DESCRIPTION = "philox4x64 keyed by (seed, replicate); ziggurat normals (numpy Generator)"
 
-_MASK64 = (1 << 64) - 1
-
 
 def _psd_factor(matrix: SymMatrix, name: str) -> np.ndarray:
     """Factor A with A A' = matrix; tolerates (and zeroes) roundoff negatives."""
@@ -77,6 +75,8 @@ class SimulationParams:
         object.__setattr__(self, "design", normalize_design(self.design))
         object.__setattr__(self, "mu", _readonly(mu))
         object.__setattr__(self, "seed", int(self.seed))
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         object.__setattr__(self, "e_factor", _readonly(_psd_factor(self.e, "E")))
 
     @property
@@ -109,7 +109,7 @@ def generate_dataset(params: SimulationParams, replicate: int = 0) -> FamilyData
     factor_resid = np.sqrt(1.0 - share) * factor_g
     noise_sd = float(np.sqrt(params.sigma2))
 
-    key = [params.seed & _MASK64, replicate & _MASK64]
+    key = np.array([params.seed, replicate], dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     n, m = params.n_families, params.family_size
     z = gen.standard_normal((n, k + m * 3 * k))

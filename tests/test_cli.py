@@ -10,12 +10,15 @@ import pytest
 import genecon
 
 from genecon.cli import main
+from genecon.estimate import save_family_csv
 from genecon.reference import (
     GROWTH_EIGENVALUES,
     SURROGATE_ENV_VARIANCE,
     SURROGATE_NOISE_VARIANCE,
     TEMPERATURE_POINTS,
+    study_params,
 )
+from genecon.simulate import generate_dataset
 
 IDENTITY6 = np.eye(6).ravel().tolist()
 
@@ -49,6 +52,14 @@ def study_config(tmp_path, inputs):
     path = tmp_path / "study.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+def identity_inputs(tmp_path, points):
+    """A grid file with these points and a G file holding the identity of that size."""
+    grid, g = tmp_path / "grid.json", tmp_path / "g.json"
+    grid.write_text(json.dumps({"points": points}))
+    g.write_text(json.dumps({"dim": len(points), "entries": np.eye(len(points)).ravel().tolist()}))
+    return grid, g
 
 
 class TestAnalyze:
@@ -205,6 +216,46 @@ class TestAnalyze:
         ])
         assert code == 2
         assert "unbalanced.csv" in capsys.readouterr().err
+
+    def test_clip_tol_applies_to_data(self, inputs, tmp_path):
+        data = tmp_path / "families.csv"
+        save_family_csv(generate_dataset(study_params(n_families=40, family_size=5)), data)
+        docs = []
+        for tol in ("0", "0.15"):
+            out = tmp_path / f"report_{tol}.json"
+            assert main(["analyze", "--data", str(data), "--design", "halfsib",
+                         "--grid", str(inputs["grid"]), "--J", "2", "--clip-tol", tol,
+                         "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+        # the estimate's fourth eigenvalue lies between the two tolerances
+        assert docs[0]["eigenvalues"][3] == pytest.approx(0.1173, abs=1e-4)
+        assert docs[0]["clipped_indices"] == [4, 5]
+        assert docs[1]["eigenvalues"][3] == 0.0
+        assert docs[1]["clipped_indices"] == [3, 4, 5]
+        assert docs[1]["eigenvalues"][:3] == docs[0]["eigenvalues"][:3]
+
+    @pytest.mark.parametrize("measure", ["d1", "d2", "sparse"])
+    def test_overflowing_grid_span_is_usage_error(self, tmp_path, capsys, measure):
+        grid, g = identity_inputs(tmp_path, [-1e308, 0.0, 1e308])
+        out, svg = tmp_path / "x.json", tmp_path / "x.svg"
+        code = main(["analyze", "--g", str(g), "--grid", str(grid), "--J", "1",
+                     "--measure", measure, "--out", str(out), "--svg", str(svg)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"--grid: {grid}: " in err[0] and "overflows" in err[0]
+        assert not out.exists() and not svg.exists()
+
+    @pytest.mark.parametrize("points", [[0.0, 1e-200, 2e-200], [0.0, 1.0]],
+                             ids=["tiny-gaps", "two-points"])
+    def test_measure_failure_names_flag(self, tmp_path, capsys, points):
+        grid, g = identity_inputs(tmp_path, points)
+        out = tmp_path / "x.json"
+        code = main(["analyze", "--g", str(g), "--grid", str(grid), "--J", "1",
+                     "--measure", "d2", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genecon analyze: --measure d2: ")
+        assert not out.exists()
 
     def test_dry_run_writes_nothing(self, inputs, tmp_path):
         out = tmp_path / "never.json"
@@ -374,6 +425,34 @@ class TestSimulate:
         assert main(argv + ["--dry-run"] * dry_run) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "E is not positive semidefinite" in err[0]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed, override", [(-1, False), (2**64, False), (-1, True)],
+                             ids=["config-minus-1", "config-2**64", "flag-minus-1"])
+    def test_seed_outside_64_bits_rejected(self, study_config, tmp_path, capsys, seed,
+                                           override):
+        out = tmp_path / "o.json"
+        argv = ["simulate", "--config", str(study_config), "--out", str(out)]
+        if override:
+            argv += ["--seed", str(seed)]
+        else:
+            cfg = json.loads(study_config.read_text())
+            cfg["seed"] = seed
+            study_config.write_text(json.dumps(cfg))
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and f"seed must be in [0, 2**64), got {seed}" in err[0]
+        assert not out.exists()
+
+    def test_measure_failure_is_usage_error(self, study_config, tmp_path, capsys):
+        cfg = json.loads(study_config.read_text())
+        cfg["grid"] = {"points": [i * 1e-200 for i in range(6)]}
+        cfg["measure"] = "d2"
+        study_config.write_text(json.dumps(cfg))
+        out = tmp_path / "o.json"
+        assert main(["simulate", "--config", str(study_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "measure d2: " in err[0]
         assert not out.exists()
 
     def test_missing_field(self, tmp_path, capsys):

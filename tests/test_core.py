@@ -41,6 +41,11 @@ class TestTraitGrid:
         with pytest.raises(InvalidGrid):
             TraitGrid(np.array([1.0, 1.0, 2.0]))
 
+    def test_overflowing_span_rejected(self):
+        # each gap is finite, but t[-1] - t[0] overflows to infinity
+        with pytest.raises(InvalidGrid, match="overflows"):
+            TraitGrid(np.array([-1e308, 0.0, 1e308]))
+
     def test_payload_round_trip(self):
         grid = TraitGrid(np.array([18.0, 26.0, 33.0, 39.0, 47.0, 57.0]))
         assert TraitGrid.from_payload(grid.to_payload()) == grid

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -14,7 +15,6 @@ from genecon.core import SymMatrix, TraitGrid, clip_negative_eigenvalues
 from genecon.errors import DimensionMismatch
 from genecon.reference import study_params, surrogate_g, temperature_grid
 from genecon.report import (
-    FigureSpec,
     _polyline,
     _x_text,
     make_provenance,
@@ -58,7 +58,7 @@ def make_partition(j=4):
 class TestPartitionFigure:
     def test_panel_structure(self):
         g, part = make_partition(4)
-        svg = render_partition_figure(FigureSpec(part, GRID))
+        svg = render_partition_figure(part, GRID)
         vector_panels = panels(svg, "vector")
         assert len(vector_panels) == 6
         model = [p for p in vector_panels if "model" in p.get("class").split()]
@@ -78,7 +78,7 @@ class TestPartitionFigure:
 
     def test_full_model_space_layout(self):
         g, part = make_partition(6)
-        svg = render_partition_figure(FigureSpec(part, GRID))
+        svg = render_partition_figure(part, GRID)
         vector_panels = panels(svg, "vector")
         assert all("model" in p.get("class").split() for p in vector_panels)
         bars = panels(svg, "bars")[0]
@@ -88,12 +88,11 @@ class TestPartitionFigure:
 
     def test_deterministic(self):
         g, part = make_partition(3)
-        spec = FigureSpec(part, GRID)
-        assert render_partition_figure(spec) == render_partition_figure(spec)
+        assert render_partition_figure(part, GRID) == render_partition_figure(part, GRID)
 
     def test_scatter_matches_report_formatting(self):
         g, part = make_partition(4)
-        svg = render_partition_figure(FigureSpec(part, GRID))
+        svg = render_partition_figure(part, GRID)
         doc = partition_report(g, part, GRID, MEASURE, make_provenance({}))
         ns = "{http://www.w3.org/2000/svg}"
         circles = panels(svg, "scatter")[0].findall(f"{ns}circle")
@@ -104,11 +103,7 @@ class TestPartitionFigure:
     def test_grid_mismatch_rejected(self):
         g, part = make_partition(4)
         with pytest.raises(DimensionMismatch):
-            FigureSpec(part, TraitGrid(np.array([0.0, 1.0])))
-
-    def test_panel_count_property(self):
-        g, part = make_partition(2)
-        assert FigureSpec(part, GRID).panel_count == 8
+            render_partition_figure(part, TraitGrid(np.array([0.0, 1.0])))
 
     def test_polyline_matches_per_point_format(self):
         xs = np.array([-0.0, 1e-7, 1e21, np.nan, 16.0, 1 / 3])
@@ -151,6 +146,40 @@ class TestStudyFigure:
         assert render_study_figure(summary) == render_study_figure(summary)
 
 
+class TestLayout:
+    @staticmethod
+    def assert_framed_with_mid_axis(svg):
+        ns = "{http://www.w3.org/2000/svg}"
+        for panel in panels(svg):
+            frame = panel.find(f"{ns}rect")
+            assert frame.get("class") == "frame"
+            width, height = float(frame.get("width")), float(frame.get("height"))
+            assert (width, height) == (170.0, 130.0)
+            # every panel that draws curves has one zero axis, at mid height
+            axes = panel.findall(f"{ns}line")
+            assert len(axes) == (panel.find(f"{ns}polyline") is not None)
+            for axis in axes:
+                assert axis.get("class") == "zero"
+                assert float(axis.get("y1")) == float(axis.get("y2")) == height / 2
+
+    def test_partition_figure(self):
+        for j in (0, 3, 6):
+            self.assert_framed_with_mid_axis(render_partition_figure(make_partition(j)[1], GRID))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+    def test_study_figure_at_any_response_scale(self, scale):
+        summary = run_study(study_params(n_families=12, family_size=4),
+                            reps=2, null_dim=2, measure=MEASURE)
+        scaled = dataclasses.replace(summary, **{
+            name: getattr(summary, name) * scale
+            for name in ("simplest_responses", "null_pc_responses",
+                         "true_simplest_response", "true_pc_responses")
+        })
+        svg = render_study_figure(scaled)
+        assert len(panels(svg, "response")) == 3
+        self.assert_framed_with_mid_axis(svg)
+
+
 class TestJsonReports:
     def test_round_trip_bit_exact(self):
         g, part = make_partition(4)
@@ -171,9 +200,9 @@ class TestJsonReports:
     def test_figure_provenance_metadata(self):
         g, part = make_partition(4)
         prov = make_provenance({"g": "g.json"}, seed=3)
-        svg = render_partition_figure(FigureSpec(part, GRID), prov)
+        svg = render_partition_figure(part, GRID, prov)
         assert '<metadata id="provenance">' in svg
-        assert render_partition_figure(FigureSpec(part, GRID), prov) == svg
+        assert render_partition_figure(part, GRID, prov) == svg
 
     def test_clipped_indices_recorded(self):
         rng = np.random.default_rng(1)

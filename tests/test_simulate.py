@@ -36,6 +36,19 @@ class TestGenerateDataset:
         b = generate_dataset(small_params(seed=2))
         assert not np.array_equal(a.values, b.values)
 
+    def test_seeds_at_and_above_2_63_differ(self):
+        # a Python list holding an int >= 2**63 becomes float64 in numpy, which
+        # made 2**63 and 2**63 + 1 draw alike and 2**64 - 1 draw seed 0's data
+        seeds = [0, 2**63, 2**63 + 1, 2**64 - 1]
+        firsts = {tuple(generate_dataset(small_params(seed=s)).values[0, 0, :].tolist())
+                  for s in seeds}
+        assert len(firsts) == len(seeds)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed must be in"):
+            small_params(seed=seed)
+
     def test_family_count_keeps_prefix(self):
         # each family's records depend only on its own index, so a smaller data
         # set is the first families of a larger one with the same seed
