@@ -4,6 +4,11 @@ Exit codes follow the usual scripting convention: 0 success, 1 runtime
 failure, 2 bad usage or invalid inputs. Outputs are byte-identical for the
 same inputs, seed, numpy version and LAPACK build. GENECON_THREADS is
 accepted for compatibility and ignored; a malformed value exits 2.
+
+BLAS, OpenMP and MKL run on one thread unless the user says otherwise.
+Importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS to 1 in the process environment wherever they are unset; they
+take effect only if numpy loads afterwards, as it does when the CLI runs.
 """
 
 from __future__ import annotations
@@ -11,8 +16,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# every matrix here is at most K x K, so more BLAS threads only spin
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -112,13 +122,13 @@ def _load_analysis_inputs(args):
         raise UsageError(f"--clip-tol must be finite and nonnegative, got {args.clip_tol}")
     try:
         grid = load_grid_json(_require_file(args.grid, "--grid"))
-    except (GeneconError, json.JSONDecodeError) as exc:
+    except (GeneconError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"--grid: {args.grid}: {exc}") from exc
     if args.g:
         try:
             g = ingest_gmatrix(_require_file(args.g, "--g"), grid=grid,
                                clip_tolerance=args.clip_tol)
-        except (GeneconError, json.JSONDecodeError) as exc:
+        except (GeneconError, json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise UsageError(f"--g: {args.g}: {exc}") from exc
         design = None
     else:
@@ -191,7 +201,7 @@ def _study_config(args) -> tuple[SimulationParams, int, int, str, SimplicityMeas
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise UsageError(f"--config: {path}: invalid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"--config: {path}: expected a JSON object, got {type(cfg).__name__}")
@@ -204,10 +214,23 @@ def _study_config(args) -> tuple[SimulationParams, int, int, str, SimplicityMeas
     def need_int(key):
         return json_int(need(key), f"field {key!r}")
 
+    def checked(key, ok, bounds):
+        """A flag's value if given, else the config field's; named by its source if bad."""
+        flag = getattr(args, key)
+        value = need_int(key) if flag is None else flag
+        if not ok(value):
+            at = (f"--config: {path}: field {key!r}" if flag is None
+                  else "--" + key.replace("_", "-"))
+            raise UsageError(f"{at}: {key} must be {bounds}, got {value}")
+        return value
+
     try:
         grid = TraitGrid.from_payload(need("grid"))
         g = ingest_gmatrix(need("g"), grid=grid, clip_tolerance=0.0)
         e = SymMatrix.from_payload(need("e"))
+        seed = checked("seed", lambda n: 0 <= n < 2**64, "in [0, 2**64)")
+        reps = checked("reps", lambda n: n >= 1, "at least 1")
+        null_dim = checked("null_dim", lambda n: 1 <= n < grid.size, f"in [1, {grid.size - 1}]")
         params = SimulationParams(
             mu=json_numbers(cfg.get("mu", np.zeros(grid.size)), "field 'mu'"),
             g=g,
@@ -216,21 +239,16 @@ def _study_config(args) -> tuple[SimulationParams, int, int, str, SimplicityMeas
             n_families=need_int("families"),
             family_size=need_int("siblings"),
             design=str(need("design")),
-            seed=args.seed if args.seed is not None else need_int("seed"),
+            seed=seed,
         )
-        reps = args.reps if args.reps is not None else need_int("reps")
-        null_dim = args.null_dim if args.null_dim is not None else need_int("null_dim")
     except (GeneconError, ValueError) as exc:
         raise UsageError(f"--config: {path}: {exc}") from exc
 
     measure_kind = str(cfg.get("measure", "d1"))
-    if reps < 1:
-        raise UsageError(f"--reps must be at least 1, got {reps}")
-    if not 1 <= null_dim <= grid.size - 1:
-        raise UsageError(f"--null-dim must be in [1, {grid.size - 1}], got {null_dim}")
     if measure_kind not in MEASURE_ALIASES:
         raise UsageError(
-            f"--config: measure must be one of {tuple(MEASURE_ALIASES)}, got {measure_kind!r}"
+            f"--config: {path}: field 'measure' must be one of {tuple(MEASURE_ALIASES)}, "
+            f"got {measure_kind!r}"
         )
     try:
         measure = measure_from_kind(measure_kind, grid, grid.size)

@@ -199,28 +199,41 @@ def load_family_csv(path: str | Path, grid: TraitGrid, design: str) -> FamilyDat
     families: dict[str, dict[str, list[float]]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != expected:
-            raise InvalidMatrix(
-                f"{path}: expected header {','.join(expected)}, got "
-                f"{','.join(header) if header else '<empty>'}"
-            )
-        for row_num, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != k + 2:
-                raise InvalidMatrix(f"{path}:{row_num}: expected {k + 2} fields, got {len(row)}")
-            try:
-                traits = [float(x) for x in row[2:]]
-            except ValueError as exc:
-                raise InvalidMatrix(f"{path}:{row_num}: {exc}") from exc
-            members = families.setdefault(row[0], {})
-            if row[1] in members:
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != expected:
                 raise InvalidMatrix(
-                    f"{path}:{row_num}: duplicate record for family {row[0]!r}, "
-                    f"individual {row[1]!r}"
+                    f"{path}: expected header {','.join(expected)}, got "
+                    f"{','.join(header) if header else '<empty>'}"
                 )
-            members[row[1]] = traits
+            for row_num, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != k + 2:
+                    raise InvalidMatrix(
+                        f"{path}:{row_num}: expected {k + 2} fields, got {len(row)}"
+                    )
+                try:
+                    traits = [float(x) for x in row[2:]]
+                except ValueError as exc:
+                    raise InvalidMatrix(f"{path}:{row_num}: {exc}") from exc
+                members = families.setdefault(row[0], {})
+                if row[1] in members:
+                    raise InvalidMatrix(
+                        f"{path}:{row_num}: duplicate record for family {row[0]!r}, "
+                        f"individual {row[1]!r}"
+                    )
+                members[row[1]] = traits
+        except csv.Error as exc:
+            raise InvalidMatrix(f"{path}:{reader.line_num}: {exc}") from exc
+        except UnicodeDecodeError:
+            with open(path, "rb") as raw:  # a newline byte never sits inside a UTF-8 sequence
+                for line_num, line in enumerate(raw, start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        raise InvalidMatrix(f"{path}:{line_num}: {exc}") from exc
+            raise
     if not families:
         raise InsufficientData(f"{path}: no records")
     return FamilyDataset.from_records(

@@ -29,7 +29,6 @@ import math
 import os
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from xml.sax import saxutils
 
 import numpy as np
 
@@ -105,7 +104,8 @@ def _x_pixels(t: np.ndarray) -> np.ndarray:
 
 def _y_pixels(values: np.ndarray, span: float) -> np.ndarray:
     """Pixel heights of values on the vertical range [-span, span]."""
-    return _BOTTOM - (values + span) / (2 * span) * _INNER_HEIGHT
+    # halving is exact and keeps the sum finite for spans up to the largest float
+    return _BOTTOM - (0.5 * values + 0.5 * span) / span * _INNER_HEIGHT
 
 
 def _title(text: str) -> str:
@@ -131,7 +131,8 @@ def _page(cols: int, provenance: dict | None, panels: list[str]) -> str:
         f"<style>{_STYLE}</style>",
     ]
     if provenance is not None:
-        blob = saxutils.escape(json.dumps(provenance, sort_keys=True))
+        blob = json.dumps(provenance, sort_keys=True)
+        blob = blob.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         lines.append(f'<metadata id="provenance">{blob}</metadata>')
     return "\n".join([*lines, *panels, "</svg>"]) + "\n"
 

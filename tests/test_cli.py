@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -314,17 +315,56 @@ class TestSweep:
         (tmp_path / "grid.json").write_text(json.dumps({"points": list(range(k))}))
         env = dict(os.environ, PYTHONPATH=str(Path(genecon.__file__).parents[1]))
         outputs = []
-        for threads in ("1", "2"):
-            env["OPENBLAS_NUM_THREADS"] = threads
+        # unset is the CLI's own default of one thread
+        for run, threads in enumerate(("1", "2", None)):
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
             subprocess.run(
                 [sys.executable, "-m", "genecon.cli", "sweep", "--g", "g.json",
-                 "--grid", "grid.json", "--out-dir", f"out{threads}"],
+                 "--grid", "grid.json", "--out-dir", f"out{run}"],
                 cwd=tmp_path, env=env, check=True, timeout=120,
             )
-            out_dir = tmp_path / f"out{threads}"
+            out_dir = tmp_path / f"out{run}"
             outputs.append({p.name: p.read_bytes() for p in sorted(out_dir.iterdir())})
         assert len(outputs[0]) == 2 * (k + 1)
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+IMPORT_PROBE = """
+import json, os, sys
+import genecon
+numpy_after_package = "numpy" in sys.modules
+import genecon.cli
+print(json.dumps({"numpy_after_package": numpy_after_package,
+                  "environ": dict(os.environ), "modules": sorted(sys.modules)}))
+"""
+
+
+class TestImport:
+    @pytest.mark.parametrize("user_value", [None, "3"], ids=["unset", "user-set"])
+    def test_cli_import_defaults_blas_to_one_thread(self, user_value):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+        env["PYTHONPATH"] = str(Path(genecon.__file__).parents[1])
+        if user_value is not None:
+            env["OPENBLAS_NUM_THREADS"] = user_value
+        probe = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env, check=True,
+                               capture_output=True, text=True, timeout=120)
+        seen = json.loads(probe.stdout)
+        assert seen["numpy_after_package"] is False
+        assert {v: seen["environ"].get(v) for v in BLAS_VARS} == {
+            **dict.fromkeys(BLAS_VARS, "1"), "OPENBLAS_NUM_THREADS": user_value or "1"}
+        # what xml.sax.saxutils pulled in, which the CLI does not need
+        unused = {"xml.sax", "urllib.request", "http.client", "ssl", "email"}
+        assert unused.isdisjoint(seen["modules"])
+
+    def test_every_export_is_its_submodule_object(self):
+        assert len(set(genecon.__all__)) == len(genecon.__all__) == 48
+        for name in genecon.__all__:
+            value = getattr(genecon, name)
+            assert value.__module__.startswith("genecon.")
+            assert getattr(importlib.import_module(value.__module__), name) is value
 
 
 class TestSimulate:
@@ -444,6 +484,27 @@ class TestSimulate:
         assert len(err) == 1 and f"seed must be in [0, 2**64), got {seed}" in err[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [("seed", -1), ("reps", 0), ("null_dim", 9)])
+    @pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config"])
+    def test_bad_value_names_its_source(self, study_config, tmp_path, capsys, field, value,
+                                        by_flag):
+        out = tmp_path / "o.json"
+        argv = ["simulate", "--config", str(study_config), "--out", str(out)]
+        if by_flag:
+            source = "--" + field.replace("_", "-")
+            argv += [source, str(value)]
+        else:
+            source = f"--config: {study_config}: field {field!r}"
+            cfg = json.loads(study_config.read_text())
+            cfg[field] = value
+            study_config.write_text(json.dumps(cfg))
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"genecon simulate: {source}: {field} must be ")
+        assert err[0].endswith(f"got {value}")
+        assert not out.exists()
+
     def test_measure_failure_is_usage_error(self, study_config, tmp_path, capsys):
         cfg = json.loads(study_config.read_text())
         cfg["grid"] = {"points": [i * 1e-200 for i in range(6)]}
@@ -502,6 +563,39 @@ class TestNonFiniteReports:
         assert "which is not a JSON number" in err[0]
         assert captured.out == ""
         assert not out.exists() and not svg.exists()
+
+
+@pytest.mark.parametrize("flag, corrupt, where", [
+    pytest.param("--data", lambda b: b.replace(b"F1,I2", b"F1,I\xff", 1), ":3: ",
+                 id="data-not-utf8"),
+    pytest.param("--data", lambda b: b.replace(b"F1,I2", b"F1,I" + b"2" * 200_000, 1), ":3: ",
+                 id="data-field-too-long"),
+    pytest.param("--grid", lambda b: b[:1] + b"\xff" + b[1:], ": ", id="grid-not-utf8"),
+    pytest.param("--g", lambda b: b[:1] + b"\xff" + b[1:], ": ", id="g-not-utf8"),
+    pytest.param("--config", lambda b: b[:1] + b"\xff" + b[1:], ": ", id="config-not-utf8"),
+])
+def test_bad_input_bytes_name_flag_and_path(inputs, study_config, tmp_path, capsys, flag,
+                                            corrupt, where):
+    data = tmp_path / "families.csv"
+    save_family_csv(generate_dataset(study_params(n_families=4, family_size=3)), data)
+    good = {"--data": data, "--grid": inputs["grid"], "--g": inputs["g"],
+            "--config": study_config}
+    bad = tmp_path / "bad.input"
+    bad.write_bytes(corrupt(good[flag].read_bytes()))
+    paths = {**good, flag: bad}
+    out = tmp_path / "o.json"
+    if flag == "--config":
+        argv = ["simulate", "--config", str(bad)]
+    elif flag == "--data":
+        argv = ["analyze", "--data", str(bad), "--design", "halfsib",
+                "--grid", str(paths["--grid"]), "--J", "2"]
+    else:
+        argv = ["analyze", "--g", str(paths["--g"]), "--grid", str(paths["--grid"]), "--J", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{flag}: {bad}: " in err[0]
+    assert f"{bad}{where}" in err[0]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, prefix, reason", [

@@ -5,6 +5,7 @@ import os
 import re
 import stat
 import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
@@ -166,17 +167,20 @@ class TestLayout:
         for j in (0, 3, 6):
             self.assert_framed_with_mid_axis(render_partition_figure(make_partition(j)[1], GRID))
 
-    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12])
+    @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12, 1e308])
     def test_study_figure_at_any_response_scale(self, scale):
         summary = run_study(study_params(n_families=12, family_size=4),
                             reps=2, null_dim=2, measure=MEASURE)
+        names = ("simplest_responses", "null_pc_responses",
+                 "true_simplest_response", "true_pc_responses")
+        # the largest response magnitude, which sets the plotted span, becomes scale
+        peak = max(float(np.abs(getattr(summary, name)).max()) for name in names)
         scaled = dataclasses.replace(summary, **{
-            name: getattr(summary, name) * scale
-            for name in ("simplest_responses", "null_pc_responses",
-                         "true_simplest_response", "true_pc_responses")
+            name: getattr(summary, name) / peak * scale for name in names
         })
         svg = render_study_figure(scaled)
         assert len(panels(svg, "response")) == 3
+        assert "nan" not in svg
         self.assert_framed_with_mid_axis(svg)
 
 
@@ -203,6 +207,15 @@ class TestJsonReports:
         svg = render_partition_figure(part, GRID, prov)
         assert '<metadata id="provenance">' in svg
         assert render_partition_figure(part, GRID, prov) == svg
+
+    def test_provenance_metadata_escaped_as_saxutils_does(self):
+        g, part = make_partition(4)
+        prov = make_provenance({"g": "a&b<c>d\"e'f.json"}, seed=3)
+        svg = render_partition_figure(part, GRID, prov)
+        blob = re.search(r'<metadata id="provenance">(.*)</metadata>', svg).group(1)
+        assert blob == saxutils.escape(json.dumps(prov, sort_keys=True))
+        metadata = svg_elements(svg, "metadata")[0]
+        assert json.loads(metadata.text) == prov
 
     def test_clipped_indices_recorded(self):
         rng = np.random.default_rng(1)
