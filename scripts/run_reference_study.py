@@ -7,7 +7,8 @@ nearly-null-space geometry and selection responses:
     python scripts/run_reference_study.py --out-dir results/study
     python scripts/run_reference_study.py --reps 50 --dump-replicate 0
 
-The optional --dump-replicate writes one replicate's raw data set as CSV.
+The optional --dump-replicate N writes, as CSV, records whose MANOVA
+reproduces replicate N of the study up to roundoff.
 """
 
 import argparse

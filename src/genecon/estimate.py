@@ -133,14 +133,17 @@ class VarianceComponents:
         return float(self.raw_eigenvalues.min())
 
 
+def _between_ms(family_means: np.ndarray, n: int) -> np.ndarray:
+    """MSB of (N_f, K) family means of n members each, before symmetrizing and checking."""
+    dev_b = family_means - family_means.mean(axis=0)
+    return n * (dev_b.T @ dev_b) / (family_means.shape[0] - 1)
+
+
 def _mean_squares(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """MSB and MSW of (N_f, n, K) balanced records, before symmetrizing and checking."""
     n_f, n, _ = values.shape
     family_means = values.mean(axis=1)
-    grand_mean = family_means.mean(axis=0)
-
-    dev_b = family_means - grand_mean
-    msb = n * (dev_b.T @ dev_b) / (n_f - 1)
+    msb = _between_ms(family_means, n)
 
     dev_w = (values - family_means[:, None, :]).reshape(n_f * n, -1)
     msw = (dev_w.T @ dev_w) / (n_f * (n - 1))
@@ -197,7 +200,8 @@ def load_family_csv(path: str | Path, grid: TraitGrid, design: str) -> FamilyDat
     k = grid.size
     expected = ["family", "individual"] + [f"t{i + 1}" for i in range(k)]
     families: dict[str, dict[str, list[float]]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark spreadsheet programs put first
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

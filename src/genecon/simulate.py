@@ -7,10 +7,23 @@ effect carries G/4 and the remainder 3G/4 (c = 4); full siblings share G/2
 (c = 2). Environmental deviations are N(0, E) and measurement noise is
 isotropic N(0, sigma2 I), all independent.
 
+A replicate is drawn through its sufficient statistics. With n members per
+family, Sigma_w = (1 - 1/c) G + E + sigma2 I and df = N_f (n - 1), the family
+means are independent N(mu, G/c + Sigma_w/n), and the pooled within-family
+SSCP matrix W is Wishart(df, Sigma_w), independent of the means. By
+Bartlett's decomposition W = B B' with B = L_w A, where L_w L_w' = Sigma_w, A
+is lower triangular, A_ii^2 ~ chi2(df - i + 1) and the entries below the
+diagonal are N(0, 1) (Anderson, An Introduction to Multivariate Statistical
+Analysis, 3rd ed., section 7.2). When df < K, A is instead the transpose of
+a df x K block of normals. The study needs only the means and B; records,
+when asked for, add within-family deviations U B', U a Haar orthonormal frame
+in the within-family contrast space, so their MANOVA reproduces the
+replicate up to roundoff.
+
 Randomness is counter-based (Philox): each replicate has its own generator,
 keyed by (seed, replicate), so a replicate's draws are reproducible and do
-not depend on the order replicates run in. Normal variates use numpy's
-ziggurat sampler.
+not depend on the order replicates run in. It draws the family-mean normals,
+then A row by row, then (for records only) the frame's normals.
 """
 
 from __future__ import annotations
@@ -19,33 +32,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GMatrix, SymMatrix, _eigh, _readonly, symmetric_eigen
-from .errors import DimensionMismatch, GeneconError, InvalidCovariance
-from .estimate import RELATEDNESS, FamilyDataset, _mean_squares, _raw_estimates, normalize_design
+from .core import GMatrix, SymMatrix, _eigh, _readonly
+from .errors import DimensionMismatch, InvalidCovariance
+from .estimate import RELATEDNESS, FamilyDataset, _between_ms, _raw_estimates, normalize_design
 from .simplicity import SimplicityMeasure, _simplicity_vectors, simplicity_basis
 from .spaces import _canonical_distances, _require_orthonormal
 
-RNG_DESCRIPTION = "philox4x64 keyed by (seed, replicate); ziggurat normals (numpy Generator)"
+RNG_DESCRIPTION = (
+    "philox4x64 keyed by (seed, replicate); per replicate, ziggurat normals for the family "
+    "means, then Bartlett's factor of the within-family Wishart (numpy Generator)"
+)
 
 
-def _psd_factor(matrix: SymMatrix, name: str) -> np.ndarray:
+def _psd_factor(matrix: np.ndarray, name: str) -> np.ndarray:
     """Factor A with A A' = matrix; tolerates (and zeroes) roundoff negatives."""
-    eig = symmetric_eigen(matrix)
-    lam = eig.eigenvalues
+    lam, vectors, _ = _eigh(matrix)
     scale = max(1.0, float(np.abs(lam).max()))
     if lam.min() < -1e-9 * scale:
         raise InvalidCovariance(
             f"{name} is not positive semidefinite: min eigenvalue {lam.min():.3e}"
         )
-    return eig.eigenvectors * np.sqrt(np.clip(lam, 0.0, None))
+    return vectors * np.sqrt(np.clip(lam, 0.0, None))
 
 
 @dataclass(frozen=True, eq=False)
 class SimulationParams:
     """Generative model: mean, covariances, design shape, and the seed.
 
-    E is factored once, here, into ``e_factor`` (A with A A' = E); an E that
-    is not positive semidefinite raises :class:`InvalidCovariance`.
+    The two factors a replicate needs are computed once, here: ``within_factor``
+    L_w with L_w L_w' = Sigma_w, and ``means_factor`` L_b with
+    L_b L_b' = G/c + Sigma_w/n. An E that is not positive semidefinite raises
+    :class:`InvalidCovariance`.
     """
 
     mu: np.ndarray
@@ -56,7 +73,8 @@ class SimulationParams:
     family_size: int
     design: str
     seed: int
-    e_factor: np.ndarray = field(init=False, repr=False)
+    within_factor: np.ndarray = field(init=False, repr=False)
+    means_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).reshape(-1)
@@ -77,7 +95,12 @@ class SimulationParams:
         object.__setattr__(self, "seed", int(self.seed))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        object.__setattr__(self, "e_factor", _readonly(_psd_factor(self.e, "E")))
+        _psd_factor(self.e.entries, "E")
+        g = self.g.matrix.entries
+        within = (1.0 - 1.0 / self.relatedness) * g + self.e.entries + self.sigma2 * np.eye(k)
+        means = g / self.relatedness + within / self.family_size
+        object.__setattr__(self, "within_factor", _readonly(_psd_factor(within, "Sigma_w")))
+        object.__setattr__(self, "means_factor", _readonly(_psd_factor(means, "Sigma_b")))
 
     @property
     def dim(self) -> int:
@@ -87,40 +110,49 @@ class SimulationParams:
     def relatedness(self) -> float:
         return RELATEDNESS[self.design]
 
+    @property
+    def within_df(self) -> int:
+        return self.n_families * (self.family_size - 1)
+
+
+def _draw(params: SimulationParams, replicate: int):
+    """Replicate r's generator, its family means (N_f, K) and B (K, min(df, K)), W = B B'."""
+    key = np.array([params.seed, replicate], dtype=np.uint64)
+    gen = np.random.Generator(np.random.Philox(key=key))
+    k, df = params.dim, params.within_df
+    means = params.mu + gen.standard_normal((params.n_families, k)) @ params.means_factor.T
+    if df >= k:
+        # row i of A: i normals, then sqrt(chi2(df - i)); scalar chisquare
+        # calls, as numpy's array-argument path adds about 0.3 MB to peak RSS
+        a = np.zeros((k, k))
+        for i in range(k):
+            a[i, :i] = gen.standard_normal(i)
+            a[i, i] = gen.chisquare(df - i) ** 0.5
+    else:  # singular Wishart: W = L_w Z'Z L_w' with Z a df x K block of normals
+        a = gen.standard_normal((df, k)).T
+    return gen, means, params.within_factor @ a
+
 
 def generate_dataset(params: SimulationParams, replicate: int = 0) -> FamilyDataset:
-    """Draw one balanced family data set; bit-identical for identical inputs.
+    """Draw the records of study replicate r; bit-identical for identical inputs.
 
-    All normals come from one generator keyed by (seed, replicate), in one
-    draw of one row per family: K normals for the family effect, then 3K per
-    member (genetic remainder, then environment, then measurement noise).
-    Row j depends only on j, so a data set of N families is the first N
-    families of any larger one with the same seed, replicate and family size.
-    No matrix is factored here: G's factor comes from the checked PSD
-    decomposition ``params.g`` carries (clipping only zeroes roundoff
-    negatives), E's from ``params.e_factor``.
+    The family means and B are those ``run_study`` draws for replicate r;
+    the within-family deviations are U B', with U the Q factor (signs fixed
+    by diag(R) > 0) of family-centred normals drawn next from the same
+    generator. So the records' MANOVA gives replicate r's mean squares up to
+    roundoff. The drawn family means depend only on the family index, so
+    those of N families are the first N of any larger data set with the same
+    seed, replicate and family size, and the records' family means match
+    them up to roundoff; the within-family deviations are not a prefix.
     """
     if replicate < 0:
         raise ValueError(f"replicate index must be nonnegative, got {replicate}")
-    k = params.dim
-    share = 1.0 / params.relatedness  # fraction of G carried by the shared family effect
-    factor_g = params.g.eig.eigenvectors * np.sqrt(np.clip(params.g.eigenvalues, 0.0, None))
-    factor_family = np.sqrt(share) * factor_g
-    factor_resid = np.sqrt(1.0 - share) * factor_g
-    noise_sd = float(np.sqrt(params.sigma2))
-
-    key = np.array([params.seed, replicate], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    n, m = params.n_families, params.family_size
-    z = gen.standard_normal((n, k + m * 3 * k))
-    members = z[:, k:].reshape(n, m, 3, k)
-    base = params.mu + z[:, :k] @ factor_family.T
-    values = (
-        base[:, None, :]
-        + members[:, :, 0] @ factor_resid.T
-        + members[:, :, 1] @ params.e_factor.T
-        + noise_sd * members[:, :, 2]
-    )
+    gen, means, b = _draw(params, replicate)
+    n_f, n = params.n_families, params.family_size
+    z = gen.standard_normal((n_f, n, b.shape[1]))
+    q, r = np.linalg.qr((z - z.mean(axis=1, keepdims=True)).reshape(n_f * n, -1))
+    frame = q * np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    values = means[:, None, :] + (frame @ b.T).reshape(n_f, n, -1)
     return FamilyDataset(values, params.g.grid, params.design)
 
 
@@ -129,8 +161,9 @@ class StudySummary:
     """The replicated study as columns, with the true-parameter references and aggregates.
 
     Row r of each ``(reps, ...)`` array is replicate r. Responses use the
-    estimated directions as selection gradients on the generating G. Vectors
-    and responses are sign-aligned against replicate 0.
+    estimated directions as selection gradients on the generating G. Each
+    replicate's simplest vector is sign-aligned against ``true_simplest``, and
+    its null PC i against true null PC i, responses with them.
     """
 
     params: SimulationParams
@@ -168,6 +201,16 @@ def _signs(vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return np.where(np.einsum("...k,...k->...", vectors, reference) < 0.0, -1.0, 1.0)
 
 
+def _study_mean_squares(params: SimulationParams, reps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked MSB and MSW of replicates 0..reps-1, (reps, K, K) each, from one draw apiece."""
+    k, n = params.dim, params.family_size
+    between, within = np.empty((reps, k, k)), np.empty((reps, k, k))
+    for r in range(reps):
+        _, means, b = _draw(params, r)
+        between[r], within[r] = _between_ms(means, n), b @ b.T / params.within_df
+    return between, within
+
+
 def run_study(
     params: SimulationParams,
     reps: int,
@@ -176,13 +219,14 @@ def run_study(
 ) -> StudySummary:
     """Replicate the pipeline: generate, estimate, decompose, find the simplest vector, respond.
 
-    Replicates are drawn one at a time, each from its own generator keyed by
-    (seed, r), keeping only its mean squares. Each later stage is one call on
-    (reps, ...) arrays: G_hat_raw = c (MSB - MSW) / n, its eigendecomposition
-    (not clipped: clipping leaves the eigenvectors as they are), the
-    simplicity bases, responses, norms and canonical distances. An error
-    names the first failing replicate. Vectors are sign-aligned against the
-    first replicate, since they are only defined up to sign.
+    Each replicate draws only its sufficient statistics, from its own
+    generator keyed by (seed, r), and keeps its mean squares; no records are
+    drawn. Each later stage is one call on (reps, ...) arrays:
+    G_hat_raw = c (MSB - MSW) / n, its eigendecomposition (not clipped:
+    clipping leaves the eigenvectors as they are), the simplicity bases,
+    responses, norms and canonical distances. An error names the first
+    failing replicate. Vectors are only defined up to sign, so each is
+    sign-aligned against its true counterpart.
     """
     if reps < 1:
         raise ValueError(f"need at least 1 replicate, got {reps}")
@@ -197,15 +241,8 @@ def run_study(
     true_null_span = params.g.eig.eigenvectors.T[j:]
     true_simplest = simplicity_basis(true_null_span, measure).vectors[0]
 
-    between = np.empty((reps, k, k))
-    within = np.empty((reps, k, k))
-    for r in range(reps):
-        try:
-            between[r], within[r] = _mean_squares(generate_dataset(params, r).values)
-        except GeneconError as exc:
-            exc.args = (f"replicate {r}: {exc}",)
-            raise
-    g_raw = _raw_estimates(between, within, params.family_size, params.relatedness)[3]
+    g_raw = _raw_estimates(*_study_mean_squares(params, reps), params.family_size,
+                           params.relatedness)[3]
 
     eigenvalues, eigenvectors, _ = _eigh(g_raw)
     raw_minima = eigenvalues.min(axis=-1)
@@ -223,11 +260,8 @@ def run_study(
     _require_orthonormal(true_null_span, "true nearly-null basis")
     distances = _canonical_distances(null_pcs, true_null_span)
 
-    s0 = _signs(simplest, simplest[0])[:, None]
-    flips = _signs(null_pcs, null_pcs[0])[:, :, None]
-    # align true references to the same conventions as the displayed replicates
-    true_simplest = _signs(true_simplest, simplest[0]) * true_simplest
-    true_pcs = _signs(true_null_span, null_pcs[0])[:, None] * true_null_span
+    s0 = _signs(simplest, true_simplest)[:, None]
+    flips = _signs(null_pcs, true_null_span)[:, :, None]
 
     ddof = 1 if reps > 1 else 0
     return StudySummary(
@@ -243,10 +277,10 @@ def run_study(
         simplest_response_norms=simplest_norms,
         null_pc_response_norms=pc_norms,
         canonical_distances_sq=distances,
-        true_null_pcs=true_pcs,
+        true_null_pcs=true_null_span,
         true_simplest=true_simplest,
         true_simplest_response=g_true @ true_simplest,
-        true_pc_responses=true_pcs @ g_true.T,
+        true_pc_responses=true_null_span @ g_true.T,
         simplest_norm_mean=float(simplest_norms.mean()),
         simplest_norm_sd=float(simplest_norms.std(ddof=ddof)),
         pc_norm_means=pc_norms.mean(axis=0),

@@ -156,6 +156,17 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.values, data.values)
         assert back.design == "half-sib"
 
+    def test_byte_order_mark_ignored(self, tmp_path):
+        # spreadsheet programs start UTF-8 CSV files with a byte-order mark
+        rng = np.random.default_rng(6)
+        data = FamilyDataset(rng.standard_normal((4, 3, 2)), GRID1, "half-sib")
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        save_family_csv(data, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        back = load_family_csv(marked, GRID1, "half-sib")
+        np.testing.assert_array_equal(back.values, load_family_csv(plain, GRID1, "half-sib").values)
+        np.testing.assert_array_equal(back.values, data.values)
+
     def test_header_validated(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("family,ind,t1,t2\nF1,I1,0,1\n")

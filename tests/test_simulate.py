@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from genecon.core import SymMatrix, clip_negative_eigenvalues
+from genecon.core import SymMatrix, clip_negative_eigenvalues, symmetric_eigen
 from genecon.errors import DimensionMismatch, InvalidCovariance, InvalidMatrix
-from genecon.estimate import anova_estimate
+from genecon.estimate import _raw_estimates, anova_estimate, load_family_csv, save_family_csv
 from genecon.reference import study_params, surrogate_g, temperature_grid
 from genecon.simplicity import first_difference_measure, simplicity_basis
-from genecon.simulate import SimulationParams, generate_dataset, run_study
+from genecon.simulate import SimulationParams, _study_mean_squares, generate_dataset, run_study
 from genecon.spaces import canonical_angle_distance
 
 MEASURE = first_difference_measure(temperature_grid())
@@ -49,25 +49,29 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="seed must be in"):
             small_params(seed=seed)
 
-    def test_family_count_keeps_prefix(self):
-        # each family's records depend only on its own index, so a smaller data
-        # set is the first families of a larger one with the same seed
+    def test_family_count_keeps_mean_prefix(self):
+        # the family-mean normals come first and row j depends only on j, so a
+        # smaller data set's family means are the first of a larger one's; the
+        # within-family deviations depend on the whole design and differ
         small = generate_dataset(small_params(n_families=5), replicate=2)
         large = generate_dataset(small_params(n_families=12), replicate=2)
-        np.testing.assert_array_equal(small.values, large.values[:5])
+        np.testing.assert_allclose(small.values.mean(axis=1), large.values.mean(axis=1)[:5],
+                                   rtol=0.0, atol=1e-14)
+        assert not np.allclose(small.values, large.values[:5])
 
     def test_stream_layout_pinned(self):
-        # one row of normals per family: K for the family effect, then 3K per
-        # member; changing that layout changes these records and every study
+        # per replicate: N_f x K family-mean normals, then Bartlett's factor
+        # row by row (i normals, then one chi-square), then the frame's
+        # normals; changing that layout changes these records and every study
         expected = [
-            [0.011018328292530098, 0.016744745878550765, 0.11356720286251354,
-             -0.23210068716472856, 0.7445127581042392, 0.030769416086412815],
-            [1.4197489008213189, 0.13657130335747925, -0.47186655577238035,
-             0.7842512925883833, 0.3076687681507383, 0.2717751314775016],
-            [0.6648969875243751, -0.19434722299606258, 0.3815029846582128,
-             -0.079408227505808, 0.03221833783102299, 0.13531631469605765],
-            [0.9448256887190831, 0.26747875834923523, -0.6037768614347795,
-             1.041510409645176, 0.29668053426516827, -0.3923455989395883],
+            [1.377015903861659, -0.19200650736585695, 0.2975930746394714,
+             -0.5049413108993674, 0.2956497216546313, -0.2359887290970036],
+            [-0.08405718244439875, 0.45999943596177933, 0.1068246687950361,
+             0.08546836560148455, 0.20946016289135175, -0.34492193766477763],
+            [0.5148483539677546, 0.6591215374010014, 0.27733341781722226,
+             -0.08882028109255163, -0.0582601865033443, -0.3340902737725975],
+            [0.19806378219260223, 0.7105156328779396, -0.24104956348996281,
+             -0.45563194254167627, 0.30112216619066123, 0.28176282060281277],
         ]
         values = generate_dataset(small_params(), 3).values[0]
         np.testing.assert_allclose(values, expected, rtol=1e-12)
@@ -186,12 +190,16 @@ class TestRunStudy:
         assert seq.min_eigenvalue_observed == par.min_eigenvalue_observed
 
     def test_sign_alignment(self):
-        summary = run_study(small_params(n_families=40, family_size=8),
-                            reps=8, null_dim=3, measure=MEASURE)
-        assert np.all(summary.simplest_vectors @ summary.simplest_vectors[0] >= 0.0)
-        pcs = summary.null_pc_vectors
-        assert np.all(np.einsum("rik,ik->ri", pcs, pcs[0]) >= 0.0)
-        assert summary.true_simplest @ summary.simplest_vectors[0] >= 0.0
+        # each replicate is aligned against the truth, which is left as the
+        # generating G's conventions give it, not against replicate 0
+        p = small_params(n_families=40, family_size=8)
+        summary = run_study(p, reps=8, null_dim=3, measure=MEASURE)
+        true_span = p.g.eig.eigenvectors.T[3:]
+        np.testing.assert_array_equal(summary.true_null_pcs, true_span)
+        np.testing.assert_array_equal(summary.true_simplest,
+                                      simplicity_basis(true_span, MEASURE).vectors[0])
+        assert np.all(summary.simplest_vectors @ summary.true_simplest >= 0.0)
+        assert np.all(np.einsum("rik,ik->ri", summary.null_pc_vectors, true_span) >= 0.0)
 
     def test_simplest_response_bounded_by_estimated_null(self):
         # within the estimated matrix, a nearly-null direction can never
@@ -215,23 +223,26 @@ class TestRunStudy:
         assert summary.negative_fraction == pytest.approx(np.mean(flags), abs=1e-15)
 
     def test_equals_per_replicate_public_path(self):
-        # the stacked stages give, bit for bit, what the public single-matrix
-        # functions give one replicate at a time
+        # from each replicate's mean squares on, the stacked stages give, bit
+        # for bit, what the public single-matrix functions give one replicate
+        # at a time
         p = small_params(n_families=30, family_size=6)
         reps, null_dim = 5, 3
         summary = run_study(p, reps=reps, null_dim=null_dim, measure=MEASURE)
         g_true = p.g.matrix.entries
         true_span = p.g.eig.eigenvectors.T[6 - null_dim:]
+        true_simplest = simplicity_basis(true_span, MEASURE).vectors[0]
         rows = []
-        for r in range(reps):
-            components = anova_estimate(generate_dataset(p, r))
-            pcs = components.g_hat.eig.eigenvectors.T[6 - null_dim:]
+        for msb, msw in zip(*_study_mean_squares(p, reps)):
+            g_raw = SymMatrix(_raw_estimates(msb, msw, p.family_size, p.relatedness)[3])
+            eig = symmetric_eigen(g_raw)
+            pcs = eig.eigenvectors.T[6 - null_dim:]
             simplest = simplicity_basis(pcs, MEASURE).vectors[0]
-            rows.append((components.min_raw_eigenvalue, simplest, pcs,
+            rows.append((eig.eigenvalues.min(), simplest, pcs,
                          canonical_angle_distance(pcs, true_span)))
         minima, simplest, pcs, distances = (np.array(c) for c in zip(*rows))
-        s0 = np.where(simplest @ simplest[0] < 0.0, -1.0, 1.0)
-        flips = np.where(np.einsum("rik,ik->ri", pcs, pcs[0]) < 0.0, -1.0, 1.0)
+        s0 = np.where(simplest @ true_simplest < 0.0, -1.0, 1.0)
+        flips = np.where(np.einsum("rik,ik->ri", pcs, true_span) < 0.0, -1.0, 1.0)
         simplest = s0[:, None] * simplest
         pcs = flips[:, :, None] * pcs
         responses = np.array([g_true @ v for v in simplest])
@@ -248,10 +259,10 @@ class TestRunStudy:
                                       [np.linalg.norm(v, axis=1) for v in pc_responses])
         np.testing.assert_array_equal(summary.canonical_distances_sq, distances)
 
-    @pytest.mark.parametrize("scale, first", [(1e307, 0), (5.5e306, 1)])
+    @pytest.mark.parametrize("scale, first", [(1e307, 0), (6e306, 1)])
     def test_overflowing_mean_squares_name_the_replicate(self, scale, first):
         # finite records whose cross products overflow: the stacked check
-        # reports the first replicate that fails (at 5.5e306 replicate 0 passes)
+        # reports the first replicate that fails (at 6e306 replicate 0 passes)
         grid = temperature_grid()
         g = clip_negative_eigenvalues(SymMatrix(scale * np.eye(6)), 0.0, grid=grid)
         p = SimulationParams(
@@ -262,3 +273,82 @@ class TestRunStudy:
             with pytest.raises(InvalidMatrix,
                                match=rf"^replicate {first}: matrix entries must be finite$"):
                 run_study(p, reps=6, null_dim=3, measure=MEASURE)
+
+
+def _psd_root(m):
+    vals, vecs = np.linalg.eigh(m)
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+
+def _record_level_mean_squares(p, reps, rng, chunk=50):
+    """MSB and MSW of `reps` data sets drawn record by record, with numpy alone."""
+    n_f, n, k = p.n_families, p.family_size, p.dim
+    c = p.relatedness
+    g = p.g.matrix.entries
+    family = _psd_root(g / c)
+    within = _psd_root((1.0 - 1.0 / c) * g + p.e.entries + p.sigma2 * np.eye(k))
+    msb, msw = [], []
+    for start in range(0, reps, chunk):
+        size = min(chunk, reps - start)
+        values = (rng.standard_normal((size, n_f, 1, k)) @ family.T
+                  + rng.standard_normal((size, n_f, n, k)) @ within.T)
+        means = values.mean(axis=2)
+        dev_b = means - means.mean(axis=1, keepdims=True)
+        msb.append(n * np.einsum("rfi,rfj->rij", dev_b, dev_b) / (n_f - 1))
+        dev_w = values - means[:, :, None, :]
+        msw.append(np.einsum("rfmi,rfmj->rij", dev_w, dev_w) / (n_f * (n - 1)))
+    return np.concatenate(msb), np.concatenate(msw)
+
+
+class TestSufficientStatistics:
+    @pytest.mark.parametrize("n_families, family_size", [(100, 20), (12, 2)],
+                             ids=["reference", "df-near-K"])
+    def test_moments_match_a_record_level_draw(self, n_families, family_size):
+        # 1,000 replicates from each sampler, at the reference scale and at
+        # df = 12, where an error of order K/df in Bartlett's factor shows.
+        # The surrogate G is turned by a fixed rotation, so every entry of G
+        # and of the within-family covariance is nonzero. For G_hat_raw and
+        # for MSW (the Bartlett-drawn part), every entry's mean agrees within
+        # 4 pooled standard errors and every entry's SD ratio lies in
+        # [0.85, 1.15] (about 4.5 standard errors of a ratio of two sample
+        # SDs). The fractions of negative minimum eigenvalues of G_hat_raw
+        # agree within 4 binomial standard errors of a difference.
+        reps = 1000
+        ref = study_params(seed=31)
+        q, r = np.linalg.qr(np.random.default_rng(30).standard_normal((6, 6)))
+        q = q * np.sign(np.diag(r))
+        g = clip_negative_eigenvalues(SymMatrix(q @ ref.g.matrix.entries @ q.T), 0.0,
+                                      grid=ref.g.grid)
+        p = SimulationParams(mu=ref.mu, g=g, e=ref.e, sigma2=ref.sigma2,
+                             n_families=n_families, family_size=family_size,
+                             design=ref.design, seed=ref.seed)
+        samples = []
+        for msb, msw in (_study_mean_squares(p, reps),
+                         _record_level_mean_squares(p, reps, np.random.default_rng(32))):
+            samples.append((p.relatedness * (msb - msw) / p.family_size, msw))
+        for ours, theirs in zip(*samples):
+            se = np.sqrt((ours.var(axis=0, ddof=1) + theirs.var(axis=0, ddof=1)) / reps)
+            assert np.all(np.abs(ours.mean(axis=0) - theirs.mean(axis=0)) <= 4.0 * se)
+            ratio = ours.std(axis=0, ddof=1) / theirs.std(axis=0, ddof=1)
+            assert np.all((0.85 <= ratio) & (ratio <= 1.15))
+        neg = [np.mean(np.linalg.eigvalsh(g_raw)[:, 0] < 0.0) for g_raw, _ in samples]
+        pooled = np.mean(neg)
+        assert abs(neg[0] - neg[1]) <= 4.0 * np.sqrt(pooled * (1.0 - pooled) * 2.0 / reps)
+
+    @pytest.mark.parametrize("n_families, family_size", [(30, 6), (3, 2)],
+                             ids=["bartlett", "df-below-K"])
+    def test_records_reproduce_the_replicate(self, tmp_path, n_families, family_size):
+        # the dumped records of replicate r, read back, give the study's raw
+        # minimum eigenvalue within 1e-12 of the largest |raw eigenvalue|; at
+        # 3 families of 2, df = 3 < K = 6 and the within SSCP has rank 3
+        p = small_params(n_families=n_families, family_size=family_size)
+        summary = run_study(p, reps=4, null_dim=3, measure=MEASURE)
+        for r in range(4):
+            path = tmp_path / f"replicate_{r}.csv"
+            save_family_csv(generate_dataset(p, r), path)
+            components = anova_estimate(load_family_csv(path, p.g.grid, p.design))
+            scale = np.abs(components.raw_eigenvalues).max()
+            assert abs(components.min_raw_eigenvalue - summary.min_raw_eigenvalues[r]) \
+                <= 1e-12 * scale
+            rank = np.linalg.matrix_rank(components.within_ms.entries)
+            assert rank == min(p.within_df, 6)
