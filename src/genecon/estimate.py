@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,12 +89,18 @@ class FamilyDataset:
         object.__setattr__(self, "values", _readonly(v))
 
     @classmethod
-    def from_records(cls, families, grid: TraitGrid, design: str) -> "FamilyDataset":
-        """Build from a list of per-family record lists, enforcing balance."""
-        sizes = {len(fam) for fam in families}
-        if len(sizes) > 1:
-            raise UnbalancedDesign(f"family sizes differ: {sorted(sizes)}")
-        return cls(np.asarray(families, dtype=float), grid, design)
+    def from_records(
+        cls, families: dict[str, list], grid: TraitGrid, design: str
+    ) -> "FamilyDataset":
+        """Build from a mapping of family name to member records, enforcing balance."""
+        (first, first_members), *rest = families.items()
+        for name, members in rest:
+            if len(members) != len(first_members):
+                raise UnbalancedDesign(
+                    f"family {name!r} has {len(members)} members, "
+                    f"family {first!r} has {len(first_members)}"
+                )
+        return cls(np.asarray(list(families.values()), dtype=float), grid, design)
 
     @property
     def n_families(self) -> int:
@@ -196,9 +203,79 @@ def ingest_gmatrix(
 
 
 def load_family_csv(path: str | Path, grid: TraitGrid, design: str) -> FamilyDataset:
-    """Read `family,individual,t1,...,tK` records, validating balance."""
+    """Read `family,individual,t1,...,tK` records, validating balance.
+
+    The file is parsed in bulk. Whatever the bulk parse cannot vouch for, a
+    malformed file included, is read again by `_load_family_csv_rows`, which
+    alone decides which files are accepted and words every error.
+    """
+    values = _bulk_records(path, grid.size)
+    if values is None:
+        return _load_family_csv_rows(path, grid, design)
+    return FamilyDataset(values, grid, design)
+
+
+# "\x00": numpy drops trailing NULs from strings; "\x1c"-"\x1f": np.loadtxt
+# strips them around a number where float() does not
+_BULK_HAZARDS = ('"', "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _bulk_records(path: str | Path, k: int) -> np.ndarray | None:
+    """(N_f, n, K) records grouped by family in order of first appearance, or
+    None where `_load_family_csv_rows` might read the file differently or
+    reject it.
+
+    On nonblank lines free of quotes, CRs and `_BULK_HAZARDS`, np.loadtxt
+    splits fields as the csv module does and reads a number to the same bits
+    as float(); a number only float() accepts (``1_0``, other scripts' digits)
+    fails np.loadtxt and so goes to the row reader.
+    """
+    with open(path, "rb") as fh:
+        try:
+            text = fh.read().decode("utf-8-sig")
+        except UnicodeDecodeError:
+            return None
+    if any(c in text for c in _BULK_HAZARDS):
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    commas = text.count(",")
+    lines = text.split("\n")  # not splitlines: csv ends rows only at CR and LF
+    del text  # the lines hold a second copy; dropping this one lowers the peak memory
+    if [h.strip() for h in lines[0].split(",")] != _csv_header(k):
+        return None
+    rows = [line for line in lines[1:] if line]
+    # every row holds at least K + 1 commas or the trait parse fails, so this
+    # count leaves exactly K + 1 in each
+    if (not rows or commas != (k + 1) * (len(rows) + 1)
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        values = np.loadtxt(rows, delimiter=",", comments=None, usecols=range(2, k + 2), ndmin=2)
+        ids = np.loadtxt(rows, dtype=str, delimiter=",", comments=None, usecols=(0, 1), ndmin=2)
+    except ValueError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    _, first, family = np.unique(ids[:, 0], return_index=True, return_inverse=True)
+    family = np.argsort(np.argsort(first))[family]  # codes in order of first appearance
+    _, member = np.unique(ids[:, 1], return_inverse=True)
+    sizes = np.bincount(family)
+    if (sizes != sizes[0]).any() or np.unique(family * len(rows) + member).size != len(rows):
+        return None
+    return values[np.argsort(family, kind="stable")].reshape(sizes.size, sizes[0], k)
+
+
+def _csv_header(k: int) -> list[str]:
+    return ["family", "individual"] + [f"t{i + 1}" for i in range(k)]
+
+
+def _load_family_csv_rows(path: str | Path, grid: TraitGrid, design: str) -> FamilyDataset:
+    """Row-by-row `load_family_csv`: every file it accepts and every error it raises."""
     k = grid.size
-    expected = ["family", "individual"] + [f"t{i + 1}" for i in range(k)]
+    expected = _csv_header(k)
     families: dict[str, dict[str, list[float]]] = {}
     # utf-8-sig drops the byte-order mark spreadsheet programs put first
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -221,6 +298,11 @@ def load_family_csv(path: str | Path, grid: TraitGrid, design: str) -> FamilyDat
                     traits = [float(x) for x in row[2:]]
                 except ValueError as exc:
                     raise InvalidMatrix(f"{path}:{row_num}: {exc}") from exc
+                for col, x in enumerate(traits, start=1):
+                    if not math.isfinite(x):
+                        raise InvalidMatrix(
+                            f"{path}:{row_num}: t{col} must be finite, got {row[col + 1]!r}"
+                        )
                 members = families.setdefault(row[0], {})
                 if row[1] in members:
                     raise InvalidMatrix(
@@ -241,7 +323,7 @@ def load_family_csv(path: str | Path, grid: TraitGrid, design: str) -> FamilyDat
     if not families:
         raise InsufficientData(f"{path}: no records")
     return FamilyDataset.from_records(
-        [list(members.values()) for members in families.values()], grid, design
+        {name: list(members.values()) for name, members in families.items()}, grid, design
     )
 
 
@@ -249,7 +331,7 @@ def save_family_csv(data: FamilyDataset, path: str | Path) -> None:
     """Write a dataset in the same CSV layout `load_family_csv` reads."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["family", "individual"] + [f"t{i + 1}" for i in range(data.n_traits)])
+        writer.writerow(_csv_header(data.n_traits))
         for j in range(data.n_families):
             for i in range(data.family_size):
                 writer.writerow(

@@ -217,6 +217,21 @@ class TestAnalyze:
             reports.append(json.loads(out.read_text()))
         assert reports[0]["eigenvalues"] == reports[1]["eigenvalues"]
 
+    def test_data_with_blank_lines_and_crlf_prints_nothing(self, inputs, tmp_path):
+        # np.loadtxt warns on stderr about each blank line it is given
+        plain, data = tmp_path / "plain.csv", tmp_path / "families.csv"
+        save_family_csv(generate_dataset(study_params(n_families=10, family_size=4)), plain)
+        lines = plain.read_text().splitlines()
+        data.write_bytes("\r\n".join(lines[:3] + ["", ""] + lines[3:] + ["", ""]).encode())
+        env = dict(os.environ, PYTHONPATH=str(Path(genecon.__file__).parents[1]))
+        run = subprocess.run(
+            [sys.executable, "-m", "genecon.cli", "analyze", "--data", str(data),
+             "--design", "halfsib", "--grid", str(inputs["grid"]), "--J", "2",
+             "--out", str(tmp_path / "x.json")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (run.returncode, run.stderr) == (0, "")
+
     def test_unbalanced_csv_is_usage_error(self, inputs, tmp_path, capsys):
         data = tmp_path / "unbalanced.csv"
         header = "family,individual," + ",".join(f"t{i+1}" for i in range(6))
@@ -229,7 +244,9 @@ class TestAnalyze:
             "--grid", str(inputs["grid"]), "--J", "2", "--out", str(tmp_path / "x.json"),
         ])
         assert code == 2
-        assert "unbalanced.csv" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"genecon analyze: --data: {data}: family 'F2' has 3 members, family 'F1' has 2\n"
+        )
 
     def test_clip_tol_applies_to_data(self, inputs, tmp_path):
         data = tmp_path / "families.csv"

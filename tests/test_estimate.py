@@ -1,6 +1,8 @@
+import csv
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from genecon.core import TraitGrid
@@ -10,8 +12,10 @@ from genecon.errors import (
     InvalidMatrix,
     UnbalancedDesign,
 )
+from genecon import estimate
 from genecon.estimate import (
     FamilyDataset,
+    _load_family_csv_rows,
     anova_estimate,
     ingest_gmatrix,
     load_family_csv,
@@ -51,8 +55,9 @@ class TestAnovaHandExample:
 
 class TestDatasetValidation:
     def test_unbalanced(self):
-        families = [[[1.0, 2.0]] * 3, [[1.0, 2.0]] * 2]
-        with pytest.raises(UnbalancedDesign):
+        families = {"A": [[1.0, 2.0]] * 3, "B": [[1.0, 2.0]] * 3, "C": [[1.0, 2.0]] * 2}
+        message = r"^family 'C' has 2 members, family 'A' has 3$"
+        with pytest.raises(UnbalancedDesign, match=message):
             FamilyDataset.from_records(families, GRID1, "half-sib")
 
     def test_insufficient(self):
@@ -180,13 +185,21 @@ class TestCsvRoundTrip:
             "F1,I1,0,1\nF1,I2,1,2\n"
             "F2,I1,0,1\nF2,I2,1,2\nF2,I3,2,3\n"
         )
-        with pytest.raises(UnbalancedDesign):
+        message = r"^family 'F2' has 3 members, family 'F1' has 2$"
+        with pytest.raises(UnbalancedDesign, match=message):
             load_family_csv(path, GRID1, "half-sib")
 
     def test_bad_float_rejected(self, tmp_path):
         path = tmp_path / "badval.csv"
         path.write_text("family,individual,t1,t2\nF1,I1,0,x\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
         with pytest.raises(InvalidMatrix):
+            load_family_csv(path, GRID1, "half-sib")
+
+    @pytest.mark.parametrize("value", ["nan", "-inf", "Infinity", "1e999"])
+    def test_non_finite_names_line_and_column(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"family,individual,t1,t2\nF1,I1,0,1\nF1,I2,1,{value}\n")
+        with pytest.raises(InvalidMatrix, match=rf"^{path}:3: t2 must be finite, got '{value}'$"):
             load_family_csv(path, GRID1, "half-sib")
 
     def test_duplicate_record_rejected(self, tmp_path):
@@ -204,3 +217,118 @@ class TestCsvRoundTrip:
         path.write_text("family,individual,t1,t2\n")
         with pytest.raises(InsufficientData):
             load_family_csv(path, GRID1, "half-sib")
+
+
+CSV_HEADER = "family,individual,t1,t2"
+LONG_FIELD = "1" * (csv.field_size_limit() + 1)
+# fields the csv module and float() read one way and np.loadtxt another, or not at all
+CSV_HAZARDS = ['"F1"', '"F,1"', '"0"', "F1\x0b", "\x0c1", "\x1c1", "1\x1f", "F\u20281", "1\u2028",
+               "#1", "1#", "1_0", "\u0661", "\xa01", "F1\xa0", " 1 ", "\t", "", "nan", "inf",
+               "-1e999", "F1\x00", "1\x00", "\ufeff1", "0x1p3", "1e", "I1,0", "F1,I1"]
+CSV_ENDINGS = ["\n", "\r\n", "\r", "\n\n", "\n \n", "\r\n\r\n", "\n\t\n", ""]
+
+
+@st.composite
+def family_csv_bytes(draw):
+    """A two-trait family CSV, mostly well formed, with a few hazards planted."""
+    n_f, n = draw(st.sampled_from([1, 2, 2, 3])), draw(st.sampled_from([1, 2, 2, 3]))
+    keys = [(f"F{j + 1}", f"I{i + 1}") for j in range(n_f) for i in range(n)]
+    keys = draw(st.permutations(keys))
+    # dropping a record unbalances its family; repeating one duplicates it
+    keys = keys[draw(st.integers(0, 1)):] + keys[:draw(st.integers(0, 1))]
+    number = st.builds(lambda x, fmt: fmt.format(x),
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       st.sampled_from(["{!r}", "{:.3g}", "{:+e}", " {} "]))
+    rows = [[fam, ind, draw(number), draw(number)] for fam, ind in keys]
+    hazards = st.sampled_from([0, 0, 0, 1, 2])
+    for _ in range(draw(hazards) if rows else 0):
+        row = draw(st.sampled_from(rows))
+        col = draw(st.integers(0, len(row)))  # len(row) appends an extra field
+        field = row[col] if col < len(row) else ""
+        row[col:col + 1] = [draw(st.sampled_from(
+            CSV_HAZARDS + [f'"{field}"', f"\xa0{field}", f"{field}\x0b", f"\x1c{field}"]))]
+    header = draw(st.sampled_from([CSV_HEADER] * 6 + [" family , individual,t1 ,t2",
+                                                      "family,individual,t1", CSV_HEADER + ","]))
+    lines = [header] + [",".join(row) for row in rows]
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    endings = [ending] * len(lines)
+    for _ in range(draw(hazards)):
+        endings[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(CSV_ENDINGS))
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return (bom + "".join(map(str.__add__, lines, endings))).encode("utf-8")
+
+
+def _outcome(load, path):
+    try:
+        values = load(path, GRID1, "half-sib").values
+    except Exception as exc:  # the two readers must fail alike, whatever the failure
+        return type(exc), str(exc)
+    return values.shape, values.tobytes()
+
+
+class TestBulkParse:
+    """`load_family_csv` parses in bulk and hands what it cannot vouch for to the
+    row reader; the two must give the same records or the same error."""
+
+    @settings(max_examples=300)
+    @given(raw=family_csv_bytes())
+    @example(raw=b'family,individual,t1,t2\n"F1",I1,0,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n')
+    @example(raw=b'family,individual,t1,t2\n"F,1",I1,0,1\n"F,1",I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n')
+    # split at its quoted commas, each row reads as two ids and two traits
+    @example(raw=b'family,individual,t1,t2\n"F,1",0,1\n"F,2",1,2\n"G,1",0,1\n"G,2",1,2\n')
+    @example(raw=b"family,individual,t1,t2\nF1,I1,0,1\rF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
+    @example(raw=b"family,individual,t1,t2\r\nF1,I1,0,1\r\nF1,I2,1,2\r\nF2,I1,0,1\r\n"
+                 b"F2,I2,1,2\r\n")
+    @example(raw=b"family,individual,t1,t2\nF1\x0b,I1,0,1\nF1\x0b,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
+    @example(raw=b"family,individual,t1,t2\nF1,I1,\x0c0,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
+    @example(raw=b"family,individual,t1,t2\nF1,I1,0,\x1c1\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
+    @example(raw="family,individual,t1,t2\nF\u20281,I1,0,1\nF\u20281,I2,1,2\nF2,I1,0,1\n"
+                 "F2,I2,1,2\n".encode())
+    # str.splitlines would read two good rows where csv reads one of seven fields
+    @example(raw="family,individual,t1,t2\nF1,I1,0,1\u2028F1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n"
+                 .encode())
+    @example(raw=b"family,individual,t1,t2\n\nF1,I1,0,1\n\n\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n\n")
+    @example(raw=b"family,individual,t1,t2\nF1,I1,0,1\n \nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
+    @example(raw=b"\nfamily,individual,t1,t2\nF1,I1,0,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
+    @example(raw=b"family,individual,t1,t2\nF1,I1,0,1,\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
+    @example(raw=b"family,individual,t1,t2\nF1,I1,0,1,5\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
+    # one field short and one extra leave the total comma count right
+    @example(raw=b"family,individual,t1,t2\nF1,I1,0\nF1,I2,1,2,3\nF2,I1,0,1\nF2,I2,1,2\n")
+    @example(raw=b"family,individual,t1,t2\nF#1,I1,0,1\nF#1,I2,1,2\nF2,I1,0,#1\nF2,I2,1,2\n")
+    @example(raw=b"family,individual,t1,t2\nF1,I1,1_0,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
+    @example(raw="family,individual,t1,t2\nF1,I1,\u0661,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n"
+                 .encode())
+    @example(raw="family,individual,t1,t2\nF1,I1,\xa00,1\xa0\nF1\xa0,I2,1,2\nF2,I1,0,1\n"
+                 "F2,I2,1,2\n".encode())
+    @example(raw=b"family,individual,t1,t2\nF2,I1,0,1\nF1,I1,0,1\nF2,I2,1,2\nF1,I2,1,2\n")
+    @example(raw=b"family,individual,t1,t2\nF1,I1,0,1\nF1,I1,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
+    @example(raw=b"family,individual,t1,t2\nF1,I1,0,1\nF1,I2,1,2\nF2,I1,0,1\n")
+    @example(raw=b"\xef\xbb\xbffamily,individual,t1,t2\nF1,I1,0,1\nF1,I2,1,2\nF2,I1,0,1\n"
+                 b"F2,I2,1,2\n")
+    @example(raw=b"family,individual,t1,t2\nF1,I1,0,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I"
+                 + LONG_FIELD.encode() + b",1,2\n")
+    @example(raw=b"family,individual,t1,t2\nF1,I1,0,1\nF1,I2,1,nan\nF2,I1,0,1\nF2,I2,1,2\n")
+    @example(raw=b"family,individual,t1,t2\nF1\x00,I1,0,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
+    @example(raw=b"family,individual,t1,t2\nF1,I1,0,1\nF1,I\xff,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
+    def test_matches_row_reader(self, tmp_path_factory, raw):
+        path = tmp_path_factory.mktemp("bulk") / "families.csv"
+        path.write_bytes(raw)
+        assert _outcome(load_family_csv, path) == _outcome(_load_family_csv_rows, path)
+
+    @pytest.mark.parametrize("text", [
+        CSV_HEADER + "\nF1,I1,0,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2",
+        CSV_HEADER + "\r\nF1,I1,0,1\r\nF1,I2,1,2\r\n\r\nF2,I1,0,1\r\nF2,I2,1,2\r\n\r\n",
+        "\ufeff" + CSV_HEADER + "\n\nF1,I1,0,1\n\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n\n\n",
+        " family , individual,t1 ,t2\nF1,I1, 0 ,\xa01\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n",
+        CSV_HEADER + "\nF1,I1,0,1\nF2,I1,0,1\nF1,I2,1,2\nF2,I2,1,2\n",
+    ], ids=["no-final-newline", "crlf-blank-lines", "bom-blank-lines", "padded", "interleaved"])
+    def test_clean_files_stay_bulk(self, tmp_path, monkeypatch, text):
+        path = tmp_path / "families.csv"
+        path.write_bytes(text.encode())
+
+        def row_reader(*args):
+            raise AssertionError("fell back to the row reader")
+
+        monkeypatch.setattr(estimate, "_load_family_csv_rows", row_reader)
+        np.testing.assert_array_equal(load_family_csv(path, GRID1, "half-sib").values,
+                                      [[[0, 1], [1, 2]], [[0, 1], [1, 2]]])
