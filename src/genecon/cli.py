@@ -49,7 +49,7 @@ from .report import (
 )
 from .simplicity import MEASURE_ALIASES, SimplicityMeasure, measure_from_kind
 from .simulate import RNG_DESCRIPTION, SimulationParams, run_study
-from .spaces import partition
+from .spaces import partition, sweep_partitions
 
 class UsageError(Exception):
     """Invalid flags or inputs; maps to exit code 2."""
@@ -163,8 +163,7 @@ def _analysis_provenance(args, j: int, design: str | None) -> dict:
     )
 
 
-def _emit_partition(g, grid, measure, j, provenance, out_path, svg_path):
-    part = partition(g, j, measure)
+def _emit_partition(g, grid, measure, part, provenance, out_path, svg_path):
     write_json(partition_report(g, part, grid, measure, provenance), out_path)
     if svg_path:
         write_svg(render_partition_figure(part, grid, provenance), svg_path)
@@ -176,8 +175,8 @@ def _cmd_analyze(args) -> int:
         raise UsageError(f"--J must be in [0, {g.dim}], got {args.J}")
     if args.dry_run:
         return 0
-    _emit_partition(g, grid, measure, args.J, _analysis_provenance(args, args.J, design),
-                    args.out, args.svg)
+    _emit_partition(g, grid, measure, partition(g, args.J, measure),
+                    _analysis_provenance(args, args.J, design), args.out, args.svg)
     return 0
 
 
@@ -187,11 +186,11 @@ def _cmd_sweep(args) -> int:
         return 0
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for j in range(g.dim + 1):
+    for part in sweep_partitions(g, measure):
         _emit_partition(
-            g, grid, measure, j, _analysis_provenance(args, j, design),
-            out_dir / f"report_J{j:02d}.json",
-            out_dir / f"figure_J{j:02d}.svg",
+            g, grid, measure, part, _analysis_provenance(args, part.j, design),
+            out_dir / f"report_J{part.j:02d}.json",
+            out_dir / f"figure_J{part.j:02d}.svg",
         )
     return 0
 

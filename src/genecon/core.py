@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidGrid, InvalidMatrix
 
 SYMMETRY_RTOL = 1e-10          # allowed asymmetry relative to max |entry|
-DEGENERACY_RTOL = 1e-9         # eigenvalue gap below this fraction of the largest flags degeneracy
+DEGENERACY_RTOL = 1e-9         # adjacent gap below this times max(1, |largest|) is a tie
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -90,8 +90,17 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
     return (m + mt) / 2.0
 
 
-def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`symmetric_eigen`'s values, vectors and degeneracy flags over a (..., K, K) stack."""
+def _ties(values: np.ndarray) -> np.ndarray:
+    """(..., L-1) flags of the adjacent pairs of a descending (..., L) array that tie.
+
+    Pair i ties when its gap is below ``DEGENERACY_RTOL`` times max(1, |values[..., 0]|).
+    """
+    scale = np.maximum(1.0, np.abs(values[..., :1]))
+    return -np.diff(values, axis=-1) < DEGENERACY_RTOL * scale
+
+
+def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`symmetric_eigen`'s values and vectors over a (..., K, K) stack."""
     lam, v = np.linalg.eigh(m)
     order = np.argsort(-lam, axis=-1, kind="stable")
     lam = np.take_along_axis(lam, order, axis=-1)
@@ -101,12 +110,7 @@ def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     big = np.abs(v) > 1e-8
     leading = np.where(big & (np.cumsum(big, axis=-2) == 1), v, 0.0).sum(axis=-2)
-    v = v * np.where(leading < 0.0, -1.0, 1.0)[..., None, :]
-
-    gaps = -np.diff(lam, axis=-1)
-    top = np.abs(lam[..., :1]).max(axis=-1, initial=0.0)
-    degenerate = gaps.min(axis=-1, initial=np.inf) < DEGENERACY_RTOL * top
-    return lam, v, degenerate
+    return lam, v * np.where(leading < 0.0, -1.0, 1.0)[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -213,7 +217,7 @@ class EigenDecomposition:
     """Eigenvalues in descending order with orthonormal eigenvector columns.
 
     ``degenerate`` is set when two adjacent eigenvalues are closer than
-    ``DEGENERACY_RTOL`` times the largest one, in which case the affected
+    ``DEGENERACY_RTOL`` times max(1, |largest|), in which case the affected
     eigenvectors are only defined up to rotation within their eigenspace.
     """
 
@@ -237,12 +241,12 @@ def symmetric_eigen(m: SymMatrix) -> EigenDecomposition:
     eigenvector is flipped so its first component of magnitude above 1e-8 is
     positive, so the result does not depend on LAPACK's sign choices.
     ``degenerate`` is set when two adjacent eigenvalues are closer than
-    ``DEGENERACY_RTOL`` times the magnitude of the largest.
+    ``DEGENERACY_RTOL`` times max(1, |largest|).
     """
     if not isinstance(m, SymMatrix):
         m = SymMatrix(np.asarray(m, dtype=float))
-    lam, v, degenerate = _eigh(m.entries)
-    return EigenDecomposition(lam, v, degenerate=bool(degenerate))
+    lam, v = _eigh(m.entries)
+    return EigenDecomposition(lam, v, degenerate=bool(_ties(lam).any()))
 
 
 @dataclass(frozen=True, eq=False)

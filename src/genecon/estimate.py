@@ -287,26 +287,29 @@ def _load_family_csv_rows(path: str | Path, grid: TraitGrid, design: str) -> Fam
                     f"{path}: expected header {','.join(expected)}, got "
                     f"{','.join(header) if header else '<empty>'}"
                 )
-            for row_num, row in enumerate(reader, start=2):
+            # a quoted field may span lines; an error names the line its record starts on
+            next_line = reader.line_num + 1
+            for row in reader:
+                line, next_line = next_line, reader.line_num + 1
                 if not row:
                     continue
                 if len(row) != k + 2:
                     raise InvalidMatrix(
-                        f"{path}:{row_num}: expected {k + 2} fields, got {len(row)}"
+                        f"{path}:{line}: expected {k + 2} fields, got {len(row)}"
                     )
                 try:
                     traits = [float(x) for x in row[2:]]
                 except ValueError as exc:
-                    raise InvalidMatrix(f"{path}:{row_num}: {exc}") from exc
+                    raise InvalidMatrix(f"{path}:{line}: {exc}") from exc
                 for col, x in enumerate(traits, start=1):
                     if not math.isfinite(x):
                         raise InvalidMatrix(
-                            f"{path}:{row_num}: t{col} must be finite, got {row[col + 1]!r}"
+                            f"{path}:{line}: t{col} must be finite, got {row[col + 1]!r}"
                         )
                 members = families.setdefault(row[0], {})
                 if row[1] in members:
                     raise InvalidMatrix(
-                        f"{path}:{row_num}: duplicate record for family {row[0]!r}, "
+                        f"{path}:{line}: duplicate record for family {row[0]!r}, "
                         f"individual {row[1]!r}"
                     )
                 members[row[1]] = traits

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SymMatrix, TraitGrid, _eigh, _first, _readonly, _symmetrized, symmetric_eigen
+from .core import (SymMatrix, TraitGrid, _eigh, _first, _readonly, _symmetrized, _ties,
+                   json_number, symmetric_eigen)
 from .errors import GridTooSmall, InvalidMatrix, NotUnitVector, RankDeficientSubspace
 
 FIRST_DIFFERENCE = "first-difference"
@@ -23,7 +24,6 @@ CUSTOM = "custom"
 
 _KINDS = (FIRST_DIFFERENCE, SECOND_DIFFERENCE, SPARSENESS, CUSTOM)
 MEASURE_ALIASES = {"d1": FIRST_DIFFERENCE, "d2": SECOND_DIFFERENCE, "sparse": SPARSENESS}
-DEGENERATE_SCORE_RTOL = 1e-9
 _ORTHO_TOL = 1e-12
 
 
@@ -64,11 +64,13 @@ class SimplicityMeasure:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SimplicityMeasure":
-        return cls(
-            SymMatrix.from_payload(payload),
-            float(payload["score_upper_bound"]),
-            str(payload["kind"]),
-        )
+        matrix = SymMatrix.from_payload(payload)
+        try:
+            bound = json_number(payload["score_upper_bound"], "score_upper_bound")
+            kind = str(payload["kind"])
+        except (KeyError, ValueError) as exc:
+            raise InvalidMatrix(f"malformed measure payload: {exc}") from exc
+        return cls(matrix, bound, kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,8 +78,9 @@ class SimplicityBasis:
     """Orthonormal vectors of a subspace ordered simplest first.
 
     ``vectors[i]`` is the i-th simplest direction, ``scores[i]`` its quadratic
-    score. ``degenerate`` warns that adjacent scores tie within tolerance, in
-    which case only the span of the tied vectors is well defined.
+    score. ``degenerate`` warns that two adjacent scores tie (their gap is
+    below ``DEGENERACY_RTOL`` times max(1, |largest score|)), in which case
+    only the span of the tied vectors is well defined.
     """
 
     vectors: np.ndarray  # shape (L, K), rows are unit vectors
@@ -204,7 +207,7 @@ def _orthonormalize(rows: np.ndarray) -> np.ndarray:
 def _simplicity_vectors(rows: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`simplicity_basis`'s vectors and scores for a (..., L, K) stack, under form ``lam``."""
     p = np.swapaxes(_orthonormalize(rows), -1, -2)  # columns span each subspace
-    scores, a, _ = _eigh(_symmetrized(np.swapaxes(p, -1, -2) @ lam @ p))
+    scores, a = _eigh(_symmetrized(np.swapaxes(p, -1, -2) @ lam @ p))
     vectors = np.swapaxes(p @ a, -1, -2)
     # renormalize against accumulated roundoff; directions are unchanged
     vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
@@ -238,11 +241,7 @@ def simplicity_basis(subspace_basis: np.ndarray, measure: SimplicityMeasure) -> 
         return SimplicityBasis(np.empty((0, k)), np.empty(0), degenerate=False)
 
     vectors, scores = _simplicity_vectors(basis, measure.lambda_matrix.entries)
-    gaps = -np.diff(scores)
-    degenerate = bool(
-        gaps.size and gaps.min() < DEGENERATE_SCORE_RTOL * max(1.0, abs(scores[0]))
-    )
-    return SimplicityBasis(vectors, scores, degenerate=degenerate)
+    return SimplicityBasis(vectors, scores, degenerate=bool(_ties(scores).any()))
 
 
 def measure_from_kind(kind: str, grid: TraitGrid | None, dim: int) -> SimplicityMeasure:

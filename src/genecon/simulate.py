@@ -46,7 +46,7 @@ RNG_DESCRIPTION = (
 
 def _psd_factor(matrix: np.ndarray, name: str) -> np.ndarray:
     """Factor A with A A' = matrix; tolerates (and zeroes) roundoff negatives."""
-    lam, vectors, _ = _eigh(matrix)
+    lam, vectors = _eigh(matrix)
     scale = max(1.0, float(np.abs(lam).max()))
     if lam.min() < -1e-9 * scale:
         raise InvalidCovariance(
@@ -83,8 +83,8 @@ class SimulationParams:
             raise DimensionMismatch(f"mu has length {mu.size}, G is {k}-dimensional")
         if self.e.dim != k:
             raise DimensionMismatch(f"E is {self.e.dim}-dimensional, G is {k}-dimensional")
-        if self.sigma2 < 0.0:
-            raise InvalidCovariance(f"sigma2 must be nonnegative, got {self.sigma2}")
+        if not (np.isfinite(self.sigma2) and self.sigma2 >= 0.0):
+            raise InvalidCovariance(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
         if self.n_families < 2 or self.family_size < 2:
             raise ValueError(
                 f"need at least 2 families of 2 members, got "
@@ -244,7 +244,7 @@ def run_study(
     g_raw = _raw_estimates(*_study_mean_squares(params, reps), params.family_size,
                            params.relatedness)[3]
 
-    eigenvalues, eigenvectors, _ = _eigh(g_raw)
+    eigenvalues, eigenvectors = _eigh(g_raw)
     raw_minima = eigenvalues.min(axis=-1)
     null_pcs = np.swapaxes(eigenvectors[..., j:], -1, -2)
     simplest = _simplicity_vectors(null_pcs, measure.lambda_matrix.entries)[0][:, 0]

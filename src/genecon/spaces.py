@@ -14,13 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GMatrix, SymMatrix, _first, _readonly, symmetric_eigen
+from .core import GMatrix, SymMatrix, _first, _readonly, _ties, symmetric_eigen
 from .errors import DimensionMismatch, InvalidMatrix, SingularPhenotypicCovariance
 from .parallel import ordered_map
 from .simplicity import SimplicityBasis, SimplicityMeasure, simplicity_basis
 
 CONDITION_LIMIT = 1e12
-BOUNDARY_TIE_RTOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,9 +197,6 @@ def partition(g: GMatrix, j: int, measure: SimplicityMeasure) -> SubspacePartiti
         null_frac = float(lam[j:].sum() / total)
         zero = False
 
-    boundary_tie = bool(
-        0 < j < k and lam[j - 1] - lam[j] < BOUNDARY_TIE_RTOL * max(1.0, abs(lam[0]))
-    )
     return SubspacePartition(
         j=j,
         model_vectors=model_vectors,
@@ -212,7 +208,7 @@ def partition(g: GMatrix, j: int, measure: SimplicityMeasure) -> SubspacePartiti
         model_variance_fraction=model_frac,
         null_variance_fraction=null_frac,
         zero_variance=zero,
-        boundary_tie=boundary_tie,
+        boundary_tie=bool(0 < j < k and _ties(lam)[j - 1]),
     )
 
 

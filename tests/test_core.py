@@ -124,6 +124,10 @@ class TestSymmetricEigen:
         np.testing.assert_array_equal(a.eigenvalues, b.eigenvalues)
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
+    def test_zero_matrix_degenerate(self):
+        # the tie scale is max(1, |largest|), so a zero spectrum ties throughout
+        assert symmetric_eigen(SymMatrix(np.zeros((3, 3)))).degenerate
+
     def test_empty_matrix(self):
         eig = symmetric_eigen(SymMatrix(np.zeros((0, 0))))
         assert eig.eigenvalues.shape == (0,)

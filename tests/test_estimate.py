@@ -202,6 +202,17 @@ class TestCsvRoundTrip:
         with pytest.raises(InvalidMatrix, match=rf"^{path}:3: t2 must be finite, got '{value}'$"):
             load_family_csv(path, GRID1, "half-sib")
 
+    @pytest.mark.parametrize("records, line", [
+        ('F1,I1,0,1\n"F\n1",I1,0,1\nF2,I1,0,x\n', 5),
+        ('F1,I1,0,1\n"F\n1",I1,0,x\nF2,I1,0,1\n', 3),
+    ], ids=["after-the-record", "in-the-record"])
+    def test_error_names_the_line_a_record_starts_on(self, tmp_path, records, line):
+        path = tmp_path / "ml.csv"
+        path.write_text("family,individual,t1,t2\n" + records)
+        message = rf"^{path}:{line}: could not convert string to float: 'x'$"
+        with pytest.raises(InvalidMatrix, match=message):
+            load_family_csv(path, GRID1, "half-sib")
+
     def test_duplicate_record_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text(

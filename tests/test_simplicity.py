@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from genecon.core import SymMatrix, TraitGrid, _eigh, symmetric_eigen
+from genecon.core import SymMatrix, TraitGrid, _eigh, _ties, symmetric_eigen
 from genecon.errors import (
     GridTooSmall,
     InvalidMatrix,
@@ -331,7 +331,8 @@ class TestStackedHelpers:
 
     @given(symmetric_stacks())
     def test_eigen_slices_equal_symmetric_eigen(self, stack):
-        lam, v, degenerate = _eigh(stack)
+        lam, v = _eigh(stack)
+        degenerate = _ties(lam).any(axis=-1)
         for i, m in enumerate(stack):
             single = symmetric_eigen(m)
             np.testing.assert_array_equal(lam[i], single.eigenvalues)
@@ -381,6 +382,19 @@ class TestMeasureConstruction:
         assert back.kind == measure.kind
         assert back.score_upper_bound == measure.score_upper_bound
         assert back.lambda_matrix == measure.lambda_matrix
+
+    @pytest.mark.parametrize("field, value", [
+        ("score_upper_bound", None), ("score_upper_bound", "4"),
+        ("score_upper_bound", float("nan")), ("kind", None),
+    ])
+    def test_malformed_payload_rejected(self, field, value):
+        payload = first_difference_measure(temp_grid()).to_payload()
+        if value is None:
+            del payload[field]
+        else:
+            payload[field] = value
+        with pytest.raises(InvalidMatrix, match=r"^malformed measure payload: "):
+            SimplicityMeasure.from_payload(payload)
 
     def test_measure_from_kind(self):
         grid = temp_grid()

@@ -107,6 +107,16 @@ class TestGenerateDataset:
                 n_families=3, family_size=2, design="half-sib", seed=0,
             )
 
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf])
+    def test_non_finite_sigma2_rejected(self, sigma2):
+        p = small_params()
+        message = rf"^sigma2 must be finite and nonnegative, got {sigma2}$"
+        with pytest.raises(InvalidCovariance, match=message):
+            SimulationParams(
+                mu=np.zeros(6), g=p.g, e=p.e, sigma2=sigma2,
+                n_families=3, family_size=2, design="half-sib", seed=0,
+            )
+
     def test_mu_dimension_checked(self):
         p = small_params()
         with pytest.raises(DimensionMismatch):

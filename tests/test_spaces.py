@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from genecon.core import SymMatrix, TraitGrid, clip_negative_eigenvalues
+from genecon.core import SymMatrix, TraitGrid, clip_negative_eigenvalues, symmetric_eigen
 from genecon.errors import DimensionMismatch, InvalidMatrix, SingularPhenotypicCovariance
 from genecon.reference import surrogate_g, temperature_grid
 from genecon.simplicity import first_difference_measure, sparseness_measure
@@ -239,6 +239,12 @@ class TestPartition:
         measure = sparseness_measure(4)
         assert partition(g, 2, measure).boundary_tie
         assert not partition(g, 1, measure).boundary_tie
+
+    def test_boundary_tie_agrees_with_degenerate_below_unit_scale(self):
+        # gap 7e-10 lies between 1e-9 * |largest| and 1e-9: one tie rule flags it in both
+        g = psd(np.diag([0.5, 0.3, 0.3 - 7e-10, 0.1]))
+        assert symmetric_eigen(g.matrix).degenerate
+        assert partition(g, 2, sparseness_measure(4)).boundary_tie
 
     def test_zero_variance_flagged(self):
         part = partition(psd(np.zeros((6, 6)), TEMP_GRID), 3, self.measure())
