@@ -27,7 +27,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from .core import (SymMatrix, TraitGrid, clip_negative_eigenvalues, json_int, json_number,
-                   json_numbers, load_grid_json)
+                   json_numbers)
 from .errors import GeneconError
 from .estimate import (
     DESIGN_ALIASES,
@@ -106,45 +106,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _require_file(path: str | None, flag: str) -> Path:
+def _read_json(path: str):
+    """The decoded JSON of a UTF-8 file; undecodable bytes or text raise ``invalid JSON``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
+            raise ValueError(f"invalid JSON: {exc}") from exc
+
+
+def _load(flag: str, path: str | None, read):
+    """``read(path)``; a GeneconError or ValueError from it reads ``<flag>: <path>: <reason>``."""
     if not path:
         raise UsageError(f"missing required input {flag}")
-    p = Path(path)
-    if not p.is_file():
-        raise UsageError(f"{flag}: no such file: {p}")
-    return p
+    if not Path(path).is_file():
+        raise UsageError(f"{flag}: no such file: {Path(path)}")
+    try:
+        return read(path)
+    except (GeneconError, ValueError) as exc:
+        raise UsageError(f"{flag}: {path}: {exc}") from exc
 
 
 def _load_analysis_inputs(args):
+    """(G, simplicity measure, design or None) from the analysis flags."""
     if bool(args.g) == bool(args.data):
         raise UsageError("provide exactly one of --g or --data")
     if not (math.isfinite(args.clip_tol) and args.clip_tol >= 0.0):
         raise UsageError(f"--clip-tol must be finite and nonnegative, got {args.clip_tol}")
-    try:
-        grid = load_grid_json(_require_file(args.grid, "--grid"))
-    except (GeneconError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise UsageError(f"--grid: {args.grid}: {exc}") from exc
+    grid = _load("--grid", args.grid, lambda path: TraitGrid.from_payload(_read_json(path)))
     if args.g:
-        try:
-            g = ingest_gmatrix(_require_file(args.g, "--g"), grid=grid,
-                               clip_tolerance=args.clip_tol)
-        except (GeneconError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise UsageError(f"--g: {args.g}: {exc}") from exc
+        g = _load("--g", args.g,
+                  lambda path: ingest_gmatrix(_read_json(path), grid, args.clip_tol))
         design = None
     else:
         if not args.design:
             raise UsageError("--design is required with --data")
         design = normalize_design(args.design)
-        try:
-            data = load_family_csv(_require_file(args.data, "--data"), grid, design)
-        except GeneconError as exc:
-            raise UsageError(f"--data: {args.data}: {exc}") from exc
+        data = _load("--data", args.data, lambda path: load_family_csv(path, grid, design))
         g = clip_negative_eigenvalues(anova_estimate(data).g_hat, args.clip_tol)
     try:
-        measure = measure_from_kind(args.measure, grid, grid.size)
+        measure = measure_from_kind(args.measure, grid)
     except GeneconError as exc:
         raise UsageError(f"--measure {args.measure}: {exc}") from exc
-    return g, grid, measure, design
+    return g, measure, design
 
 
 def _analysis_provenance(args, j: int, design: str | None) -> dict:
@@ -163,51 +167,46 @@ def _analysis_provenance(args, j: int, design: str | None) -> dict:
     )
 
 
-def _emit_partition(g, grid, measure, part, provenance, out_path, svg_path):
-    write_json(partition_report(g, part, grid, measure, provenance), out_path)
+def _emit_partition(part, provenance, out_path, svg_path):
+    write_json(partition_report(part, provenance), out_path)
     if svg_path:
-        write_svg(render_partition_figure(part, grid, provenance), svg_path)
+        write_svg(render_partition_figure(part, provenance), svg_path)
 
 
 def _cmd_analyze(args) -> int:
-    g, grid, measure, design = _load_analysis_inputs(args)
+    g, measure, design = _load_analysis_inputs(args)
     if not 0 <= args.J <= g.dim:
         raise UsageError(f"--J must be in [0, {g.dim}], got {args.J}")
     if args.dry_run:
         return 0
-    _emit_partition(g, grid, measure, partition(g, args.J, measure),
+    _emit_partition(partition(g, args.J, measure),
                     _analysis_provenance(args, args.J, design), args.out, args.svg)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    g, grid, measure, design = _load_analysis_inputs(args)
+    g, measure, design = _load_analysis_inputs(args)
     if args.dry_run:
         return 0
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for part in sweep_partitions(g, measure):
         _emit_partition(
-            g, grid, measure, part, _analysis_provenance(args, part.j, design),
+            part, _analysis_provenance(args, part.j, design),
             out_dir / f"report_J{part.j:02d}.json",
             out_dir / f"figure_J{part.j:02d}.svg",
         )
     return 0
 
 
-def _study_config(args) -> tuple[SimulationParams, int, int, str, SimplicityMeasure]:
-    path = _require_file(args.config, "--config")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise UsageError(f"--config: {path}: invalid JSON: {exc}") from exc
+def _study_config(cfg, args) -> tuple[SimulationParams, int, int, str, SimplicityMeasure]:
+    """The study a decoded config describes; bad fields raise ValueError, bad flags UsageError."""
     if not isinstance(cfg, dict):
-        raise UsageError(f"--config: {path}: expected a JSON object, got {type(cfg).__name__}")
+        raise ValueError(f"expected a JSON object, got {type(cfg).__name__}")
 
     def need(key):
         if key not in cfg:
-            raise UsageError(f"--config: {path}: missing field {key!r}")
+            raise ValueError(f"missing field {key!r}")
         return cfg[key]
 
     def need_int(key):
@@ -217,47 +216,43 @@ def _study_config(args) -> tuple[SimulationParams, int, int, str, SimplicityMeas
         """A flag's value if given, else the config field's; named by its source if bad."""
         flag = getattr(args, key)
         value = need_int(key) if flag is None else flag
-        if not ok(value):
-            at = (f"--config: {path}: field {key!r}" if flag is None
-                  else "--" + key.replace("_", "-"))
-            raise UsageError(f"{at}: {key} must be {bounds}, got {value}")
-        return value
+        if ok(value):
+            return value
+        if flag is None:
+            raise ValueError(f"field {key!r}: {key} must be {bounds}, got {value}")
+        raise UsageError(f"--{key.replace('_', '-')}: {key} must be {bounds}, got {value}")
 
-    try:
-        grid = TraitGrid.from_payload(need("grid"))
-        g = ingest_gmatrix(need("g"), grid=grid, clip_tolerance=0.0)
-        e = SymMatrix.from_payload(need("e"))
-        seed = checked("seed", lambda n: 0 <= n < 2**64, "in [0, 2**64)")
-        reps = checked("reps", lambda n: n >= 1, "at least 1")
-        null_dim = checked("null_dim", lambda n: 1 <= n < grid.size, f"in [1, {grid.size - 1}]")
-        params = SimulationParams(
-            mu=json_numbers(cfg.get("mu", np.zeros(grid.size)), "field 'mu'"),
-            g=g,
-            e=e,
-            sigma2=json_number(need("sigma2"), "field 'sigma2'"),
-            n_families=need_int("families"),
-            family_size=need_int("siblings"),
-            design=str(need("design")),
-            seed=seed,
-        )
-    except (GeneconError, ValueError) as exc:
-        raise UsageError(f"--config: {path}: {exc}") from exc
-
+    grid = TraitGrid.from_payload(need("grid"))
+    g = ingest_gmatrix(need("g"), grid=grid, clip_tolerance=0.0)
+    e = SymMatrix.from_payload(need("e"))
+    seed = checked("seed", lambda n: 0 <= n < 2**64, "in [0, 2**64)")
+    reps = checked("reps", lambda n: n >= 1, "at least 1")
+    null_dim = checked("null_dim", lambda n: 1 <= n < grid.size, f"in [1, {grid.size - 1}]")
+    params = SimulationParams(
+        mu=json_numbers(cfg.get("mu", np.zeros(grid.size)), "field 'mu'"),
+        g=g,
+        e=e,
+        sigma2=json_number(need("sigma2"), "field 'sigma2'"),
+        n_families=need_int("families"),
+        family_size=need_int("siblings"),
+        design=str(need("design")),
+        seed=seed,
+    )
     measure_kind = str(cfg.get("measure", "d1"))
     if measure_kind not in MEASURE_ALIASES:
-        raise UsageError(
-            f"--config: {path}: field 'measure' must be one of {tuple(MEASURE_ALIASES)}, "
-            f"got {measure_kind!r}"
+        raise ValueError(
+            f"field 'measure' must be one of {tuple(MEASURE_ALIASES)}, got {measure_kind!r}"
         )
     try:
-        measure = measure_from_kind(measure_kind, grid, grid.size)
+        measure = measure_from_kind(measure_kind, grid)
     except GeneconError as exc:
-        raise UsageError(f"--config: {path}: measure {measure_kind}: {exc}") from exc
+        raise ValueError(f"measure {measure_kind}: {exc}") from exc
     return params, reps, null_dim, measure_kind, measure
 
 
 def _cmd_simulate(args) -> int:
-    params, reps, null_dim, measure_kind, measure = _study_config(args)
+    params, reps, null_dim, measure_kind, measure = _load(
+        "--config", args.config, lambda path: _study_config(_read_json(path), args))
     if args.dry_run:
         return 0
     summary = run_study(params, reps, measure, null_dim=null_dim)

@@ -11,11 +11,9 @@ The symmetry check and these conventions run on (K, K) matrices and on
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -303,7 +301,7 @@ def _clip_decomposition(
 
     clipped = np.where(below, 0.0, eig.eigenvalues)
     v = eig.eigenvectors
-    new_eig = EigenDecomposition(clipped, v, degenerate=eig.degenerate)
+    new_eig = EigenDecomposition(clipped, v, degenerate=bool(_ties(clipped).any()))
     return GMatrix(
         SymMatrix((v * clipped) @ v.T),
         new_eig,
@@ -334,8 +332,3 @@ def clip_negative_eigenvalues(
         return _clip_decomposition(m.matrix, m.eig, tol, grid)
     source = m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m, dtype=float))
     return _clip_decomposition(source, symmetric_eigen(source), tol, grid)
-
-
-def load_grid_json(path: str | Path) -> TraitGrid:
-    with open(path, encoding="utf-8") as fh:
-        return TraitGrid.from_payload(json.load(fh))

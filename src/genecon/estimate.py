@@ -19,7 +19,6 @@ eigenvalue is itself a useful diagnostic.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,23 +182,13 @@ def anova_estimate(data: FamilyDataset) -> VarianceComponents:
     )
 
 
-def ingest_gmatrix(
-    source: str | Path | dict,
-    grid: TraitGrid | None = None,
-    clip_tolerance: float = 0.0,
-) -> GMatrix:
-    """Load an externally estimated G (JSON path or payload), clip, decompose."""
-    if isinstance(source, (str, Path)):
-        with open(source, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    else:
-        payload = source
-    matrix = SymMatrix.from_payload(payload)
-    if grid is not None and grid.size != matrix.dim:
-        raise DimensionMismatch(
-            f"matrix is {matrix.dim}-dimensional but grid has {grid.size} points"
-        )
-    return clip_negative_eigenvalues(matrix, clip_tolerance, grid=grid)
+def ingest_gmatrix(payload: dict, grid: TraitGrid | None = None,
+                   clip_tolerance: float = 0.0) -> GMatrix:
+    """An externally estimated G from its decoded JSON payload, clipped and decomposed.
+
+    A grid whose size is not the matrix dimension raises ``DimensionMismatch``.
+    """
+    return clip_negative_eigenvalues(SymMatrix.from_payload(payload), clip_tolerance, grid=grid)
 
 
 def load_family_csv(path: str | Path, grid: TraitGrid, design: str) -> FamilyDataset:

@@ -33,9 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import DEGENERACY_RTOL, SYMMETRY_RTOL, GMatrix, TraitGrid
-from .errors import DimensionMismatch
-from .simplicity import SimplicityMeasure
+from .core import DEGENERACY_RTOL, SYMMETRY_RTOL, GMatrix
 from .simulate import StudySummary
 from .spaces import SubspacePartition
 
@@ -95,6 +93,11 @@ def _x_text(xs: np.ndarray) -> list[str]:
 def _polyline(x_text: list[str], ys: list[float], classes: str) -> str:
     pts = " ".join(map("{}{:.6g}".format, x_text, ys))
     return f'<polyline class="{classes}" points="{pts}"/>'
+
+
+def _abscissa(g: GMatrix) -> np.ndarray:
+    """The x of each trait: its grid point, or its index 0..K-1 when G has no grid."""
+    return np.asarray(g.grid.points) if g.grid is not None else np.arange(g.dim, dtype=float)
 
 
 def _x_pixels(t: np.ndarray) -> np.ndarray:
@@ -178,21 +181,16 @@ def _overlay(x_text, curves, truth, span, caption) -> list[str]:
     ]
 
 
-def render_partition_figure(
-    part: SubspacePartition, grid: TraitGrid, provenance: dict | None = None
-) -> str:
+def render_partition_figure(part: SubspacePartition, provenance: dict | None = None) -> str:
     """K vector panels in one top row, scatter and variance bars below.
 
     The top row runs model vectors first (leading eigenvector leftmost), then
     nearly-null simplicity vectors simplest-first, so it always shows the
     leading eigenvector and, when the nearly null space is nonempty, the
-    simplest nearly-null vector.
+    simplest nearly-null vector. Curves run over the grid of the partition's G
+    (over trait indices if it has none).
     """
-    if grid.size != part.dim:
-        raise DimensionMismatch(
-            f"grid has {grid.size} points, partition is {part.dim}-dimensional"
-        )
-    x_text = _x_text(_x_pixels(np.asarray(grid.points)))
+    x_text = _x_text(_x_pixels(_abscissa(part.g)))
     ys = _y_pixels(part.combined_basis(), 1.0).tolist()
     label_at = f'x="{_PAD + 3}" y="{_PAD - 3}"'
     title_at = f'x="{_PANEL_WIDTH // 2 - 12}" y="{_PANEL_HEIGHT - 3}"'
@@ -218,10 +216,7 @@ def render_study_figure(summary: StudySummary, provenance: dict | None = None) -
     responses under the generating G. Each panel draws one faint curve per
     replicate and the true-parameter curve as a heavy line on top.
     """
-    k = summary.params.dim
-    j = k - summary.null_dim
-    grid = summary.params.g.grid
-    t = np.asarray(grid.points) if grid is not None else np.arange(k, dtype=float)
+    j = summary.params.dim - summary.null_dim
     # one column per direction: the simplest vector, then each nearly-null PC by rank
     columns = zip(
         [summary.simplest_vectors, *np.swapaxes(summary.null_pc_vectors, 0, 1)],
@@ -230,7 +225,7 @@ def render_study_figure(summary: StudySummary, provenance: dict | None = None) -
         [summary.true_simplest_response, *summary.true_pc_responses],
         ["simplest"] + [f"PC{j + r + 1}" for r in range(summary.null_dim)],
     )
-    x_text = _x_text(_x_pixels(t))
+    x_text = _x_text(_x_pixels(_abscissa(summary.params.g)))
     panels = []
     for col, (vectors, responses, true_vector, true_response, caption) in enumerate(columns):
         span = max(float(np.abs(responses).max()), float(np.abs(true_response).max()), 1e-12)
@@ -270,14 +265,9 @@ def make_provenance(
     }
 
 
-def partition_report(
-    g: GMatrix,
-    part: SubspacePartition,
-    grid: TraitGrid,
-    measure: SimplicityMeasure,
-    provenance: dict,
-) -> dict:
-    """Lossless JSON document for one partition."""
+def partition_report(part: SubspacePartition, provenance: dict) -> dict:
+    """Lossless JSON document for one partition; ``grid`` is null if its G has no grid."""
+    g, measure = part.g, part.measure
     combined = part.combined_basis()
     vectors = []
     for i, (role, number) in enumerate(_labels(part)):
@@ -294,7 +284,7 @@ def partition_report(
         vectors.append(entry)
     return {
         "provenance": provenance,
-        "grid": grid.points.tolist(),
+        "grid": g.grid.points.tolist() if g.grid is not None else None,
         "dim": part.dim,
         "J": part.j,
         "eigenvalues": g.eig.eigenvalues.tolist(),
@@ -463,18 +453,22 @@ def write_bytes_atomic(data: bytes, path: str | Path) -> None:
     """Write via a temporary file in the target directory, then rename.
 
     The temporary file is created like any other (mode 0o666 less the umask),
-    and the rename keeps its mode.
+    and the rename keeps its mode. A failure is raised as an ``OSError`` that
+    names ``path``, not the temporary file.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
-    fh = open(tmp, "xb")
     try:
-        with fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fh = open(tmp, "xb")
+        try:
+            with fh:
+                fh.write(data)
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def write_json(doc: dict, path: str | Path) -> None:

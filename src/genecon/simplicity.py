@@ -244,17 +244,13 @@ def simplicity_basis(subspace_basis: np.ndarray, measure: SimplicityMeasure) -> 
     return SimplicityBasis(vectors, scores, degenerate=bool(_ties(scores).any()))
 
 
-def measure_from_kind(kind: str, grid: TraitGrid | None, dim: int) -> SimplicityMeasure:
-    """Build one of the named measures; d1/d2 need a grid, sparseness only a dimension."""
+def measure_from_kind(kind: str, grid: TraitGrid) -> SimplicityMeasure:
+    """Build one of the named measures on ``grid``; sparseness uses only its size."""
     kind = MEASURE_ALIASES.get(kind, kind)
     if kind == FIRST_DIFFERENCE:
-        if grid is None:
-            raise InvalidMatrix("first-difference measure needs a trait grid")
         return first_difference_measure(grid)
     if kind == SECOND_DIFFERENCE:
-        if grid is None:
-            raise InvalidMatrix("second-difference measure needs a trait grid")
         return second_difference_measure(grid)
     if kind == SPARSENESS:
-        return sparseness_measure(dim)
+        return sparseness_measure(grid.size)
     raise ValueError(f"unknown measure kind {kind!r}")

@@ -61,13 +61,16 @@ class VarianceShares:
 class SubspacePartition:
     """J-dimensional model space plus simplicity basis of the complement.
 
-    The combined basis (model eigenvectors followed by nearly-null simplicity
+    ``g`` and ``measure`` are what the partition was computed from. The
+    combined basis (model eigenvectors followed by nearly-null simplicity
     vectors) is orthonormal in R^K. Per-vector ``scores``, ``response_norms``
     and ``proportions`` run over that combined basis. The model/null variance
     fractions split the total response-norm mass of the eigenbasis at J,
     which does not depend on the basis chosen for either subspace.
     """
 
+    g: GMatrix
+    measure: SimplicityMeasure
     j: int
     model_vectors: np.ndarray       # (J, K) rows, eigenvectors of G
     model_eigenvalues: np.ndarray   # (J,)
@@ -87,7 +90,7 @@ class SubspacePartition:
 
     @property
     def dim(self) -> int:
-        return int(self.model_vectors.shape[1])
+        return self.g.dim
 
     @property
     def null_dim(self) -> int:
@@ -198,6 +201,8 @@ def partition(g: GMatrix, j: int, measure: SimplicityMeasure) -> SubspacePartiti
         zero = False
 
     return SubspacePartition(
+        g=g,
+        measure=measure,
         j=j,
         model_vectors=model_vectors,
         model_eigenvalues=lam[:j],

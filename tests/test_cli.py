@@ -641,6 +641,37 @@ def test_bad_input_bytes_name_flag_and_path(inputs, study_config, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--grid", "--g", "--config"])
+def test_invalid_json_is_worded_alike(inputs, study_config, tmp_path, capsys, flag):
+    (tmp_path / "bad.json").write_text("{bad")
+    bad = f"{tmp_path}/./bad.json"  # the message names the path as typed
+    out = tmp_path / "o.json"
+    if flag == "--config":
+        command, argv = "simulate", ["simulate", "--config", bad]
+    else:
+        paths = {"--g": str(inputs["g"]), "--grid": str(inputs["grid"]), flag: bad}
+        command, argv = "analyze", ["analyze", "--g", paths["--g"], "--grid", paths["--grid"],
+                                    "--J", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"genecon {command}: {flag}: {bad}: invalid JSON: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/r.json", "taken"], ids=["no-parent", "directory"])
+def test_failed_write_names_its_target(inputs, tmp_path, capsys, target):
+    (tmp_path / "taken").mkdir()
+    out = tmp_path / target
+    before = sorted(tmp_path.iterdir())
+    code = main(["analyze", "--g", str(inputs["g"]), "--grid", str(inputs["grid"]),
+                 "--J", "2", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and repr(str(out)) in err[0] and ".tmp" not in err[0]
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("argv, prefix, reason", [
     (["analyze", "--g", "g.json", "--grid", "grid.json", "--J", "2", "--clip-tol", "-inf",
       "--out", "x.json"], "genecon analyze: ", "--clip-tol"),

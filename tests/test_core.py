@@ -191,6 +191,12 @@ class TestClipping:
         assert g.clipped_indices == (1,)
         assert g.rank == 1
 
+    def test_eigenvalues_clipped_to_a_common_zero_are_degenerate(self):
+        g = clip_negative_eigenvalues(SymMatrix(np.diag([2.0, 1.0, -0.3, -0.5])))
+        np.testing.assert_array_equal(g.eigenvalues, [2.0, 1.0, 0.0, 0.0])
+        assert g.eig.degenerate
+        assert symmetric_eigen(g.matrix).degenerate
+
     def test_identity_untouched(self):
         m = SymMatrix(np.eye(4))
         g = clip_negative_eigenvalues(m, 0.0)

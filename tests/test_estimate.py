@@ -132,14 +132,6 @@ class TestIngest:
         assert g.clipped_indices == (4, 5)
         assert g.rank == 4
 
-    def test_path_input(self, tmp_path):
-        import json
-
-        path = tmp_path / "g.json"
-        path.write_text(json.dumps({"dim": 2, "entries": [1.0, 0.0, 0.0, 2.0]}))
-        g = ingest_gmatrix(path)
-        np.testing.assert_array_equal(g.eigenvalues, [2.0, 1.0])
-
     def test_grid_mismatch(self):
         payload = {"dim": 3, "entries": list(np.eye(3).ravel())}
         with pytest.raises(DimensionMismatch):

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from genecon.core import SymMatrix, TraitGrid, clip_negative_eigenvalues
-from genecon.errors import DimensionMismatch
+from genecon.core import SymMatrix, clip_negative_eigenvalues
 from genecon.reference import study_params, surrogate_g, temperature_grid
 from genecon.report import (
     _polyline,
@@ -27,7 +26,7 @@ from genecon.report import (
     write_json,
     write_svg,
 )
-from genecon.simplicity import first_difference_measure
+from genecon.simplicity import first_difference_measure, sparseness_measure
 from genecon.simulate import run_study
 from genecon.spaces import partition
 
@@ -59,7 +58,7 @@ def make_partition(j=4):
 class TestPartitionFigure:
     def test_panel_structure(self):
         g, part = make_partition(4)
-        svg = render_partition_figure(part, GRID)
+        svg = render_partition_figure(part)
         vector_panels = panels(svg, "vector")
         assert len(vector_panels) == 6
         model = [p for p in vector_panels if "model" in p.get("class").split()]
@@ -79,7 +78,7 @@ class TestPartitionFigure:
 
     def test_full_model_space_layout(self):
         g, part = make_partition(6)
-        svg = render_partition_figure(part, GRID)
+        svg = render_partition_figure(part)
         vector_panels = panels(svg, "vector")
         assert all("model" in p.get("class").split() for p in vector_panels)
         bars = panels(svg, "bars")[0]
@@ -89,22 +88,17 @@ class TestPartitionFigure:
 
     def test_deterministic(self):
         g, part = make_partition(3)
-        assert render_partition_figure(part, GRID) == render_partition_figure(part, GRID)
+        assert render_partition_figure(part) == render_partition_figure(part)
 
     def test_scatter_matches_report_formatting(self):
         g, part = make_partition(4)
-        svg = render_partition_figure(part, GRID)
-        doc = partition_report(g, part, GRID, MEASURE, make_provenance({}))
+        svg = render_partition_figure(part)
+        doc = partition_report(part, make_provenance({}))
         ns = "{http://www.w3.org/2000/svg}"
         circles = panels(svg, "scatter")[0].findall(f"{ns}circle")
         for circle, entry in zip(circles, doc["vectors"]):
             assert circle.get("data-proportion") == format(entry["proportion"], ".6g")
             assert circle.get("data-score") == format(entry["simplicity_score"], ".6g")
-
-    def test_grid_mismatch_rejected(self):
-        g, part = make_partition(4)
-        with pytest.raises(DimensionMismatch):
-            render_partition_figure(part, TraitGrid(np.array([0.0, 1.0])))
 
     def test_polyline_matches_per_point_format(self):
         xs = np.array([-0.0, 1e-7, 1e21, np.nan, 16.0, 1 / 3])
@@ -165,7 +159,7 @@ class TestLayout:
 
     def test_partition_figure(self):
         for j in (0, 3, 6):
-            self.assert_framed_with_mid_axis(render_partition_figure(make_partition(j)[1], GRID))
+            self.assert_framed_with_mid_axis(render_partition_figure(make_partition(j)[1]))
 
     @pytest.mark.parametrize("scale", [1.0, 1e-12, 1e12, 1e308])
     def test_study_figure_at_any_response_scale(self, scale):
@@ -187,8 +181,7 @@ class TestLayout:
 class TestJsonReports:
     def test_round_trip_bit_exact(self):
         g, part = make_partition(4)
-        doc = partition_report(g, part, GRID, MEASURE,
-                               make_provenance({"g": "g.json"}, clip_tolerance=0.0))
+        doc = partition_report(part, make_provenance({"g": "g.json"}, clip_tolerance=0.0))
         data = report_json_bytes(doc)
         assert json.loads(data) == doc
         # numerics preserved exactly
@@ -198,20 +191,20 @@ class TestJsonReports:
 
     def test_leading_share_of_reference_spectrum(self):
         g, part = make_partition(6)
-        doc = partition_report(g, part, GRID, MEASURE, make_provenance({}))
+        doc = partition_report(part, make_provenance({}))
         assert doc["vectors"][0]["proportion"] == pytest.approx(0.595, abs=0.001)
 
     def test_figure_provenance_metadata(self):
         g, part = make_partition(4)
         prov = make_provenance({"g": "g.json"}, seed=3)
-        svg = render_partition_figure(part, GRID, prov)
+        svg = render_partition_figure(part, prov)
         assert '<metadata id="provenance">' in svg
-        assert render_partition_figure(part, GRID, prov) == svg
+        assert render_partition_figure(part, prov) == svg
 
     def test_provenance_metadata_escaped_as_saxutils_does(self):
         g, part = make_partition(4)
         prov = make_provenance({"g": "a&b<c>d\"e'f.json"}, seed=3)
-        svg = render_partition_figure(part, GRID, prov)
+        svg = render_partition_figure(part, prov)
         blob = re.search(r'<metadata id="provenance">(.*)</metadata>', svg).group(1)
         assert blob == saxutils.escape(json.dumps(prov, sort_keys=True))
         metadata = svg_elements(svg, "metadata")[0]
@@ -223,8 +216,18 @@ class TestJsonReports:
         m = SymMatrix((q * np.array([5.0, 2.0, 1.0, 0.5, -0.1, -0.2])) @ q.T)
         g = clip_negative_eigenvalues(m, 0.0, grid=GRID)
         part = partition(g, 4, MEASURE)
-        doc = partition_report(g, part, GRID, MEASURE, make_provenance({}))
+        doc = partition_report(part, make_provenance({}))
         assert doc["clipped_indices"] == [4, 5]
+
+    def test_partition_of_a_gridless_g(self):
+        g = clip_negative_eigenvalues(SymMatrix(np.diag([3.0, 2.0, 1.0, 0.5])))
+        part = partition(g, 1, sparseness_measure(g.dim))
+        doc = partition_report(part, make_provenance({}))
+        assert doc["grid"] is None
+        assert json.loads(report_json_bytes(doc))["grid"] is None
+        svg = render_partition_figure(part)
+        assert len(panels(svg, "vector")) == g.dim
+        assert "nan" not in svg
 
     def test_provenance_fields(self):
         prov = make_provenance({"config": "s.json"}, seed=7, measure_kind="d1",

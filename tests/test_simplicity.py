@@ -398,10 +398,8 @@ class TestMeasureConstruction:
 
     def test_measure_from_kind(self):
         grid = temp_grid()
-        assert measure_from_kind("d1", grid, 6).kind == "first-difference"
-        assert measure_from_kind("d2", grid, 6).kind == "second-difference"
-        assert measure_from_kind("sparse", None, 6).kind == "sparseness"
+        assert measure_from_kind("d1", grid).kind == "first-difference"
+        assert measure_from_kind("d2", grid).kind == "second-difference"
+        assert measure_from_kind("sparse", grid).kind == "sparseness"
         with pytest.raises(ValueError):
-            measure_from_kind("bogus", grid, 6)
-        with pytest.raises(InvalidMatrix):
-            measure_from_kind("d1", None, 6)
+            measure_from_kind("bogus", grid)
