@@ -120,11 +120,12 @@ def _load(flag: str, path: str | None, read):
     if not path:
         raise UsageError(f"missing required input {flag}")
     if not Path(path).is_file():
-        raise UsageError(f"{flag}: no such file: {Path(path)}")
+        raise UsageError(f"{flag}: no such file: {path}")
     try:
         return read(path)
     except (GeneconError, ValueError) as exc:
-        raise UsageError(f"{flag}: {path}: {exc}") from exc
+        where = "" if flag == "--data" else f"{path}: "  # a family CSV's reason names its path
+        raise UsageError(f"{flag}: {where}{exc}") from exc
 
 
 def _load_analysis_inputs(args):
@@ -160,7 +161,6 @@ def _analysis_provenance(args, j: int, design: str | None) -> dict:
             "J": j,
             "design": design,
         },
-        seed=None,
         measure_kind=args.measure,
         clip_tolerance=args.clip_tol,
         relatedness=RELATEDNESS[design] if design else None,

@@ -37,6 +37,7 @@ from .core import (
 )
 from .errors import (
     DimensionMismatch,
+    GeneconError,
     InsufficientData,
     InvalidMatrix,
     UnbalancedDesign,
@@ -196,7 +197,9 @@ def load_family_csv(path: str | Path, grid: TraitGrid, design: str) -> FamilyDat
 
     The file is parsed in bulk. Whatever the bulk parse cannot vouch for, a
     malformed file included, is read again by `_load_family_csv_rows`, which
-    alone decides which files are accepted and words every error.
+    alone decides which files are accepted and words every error. Each error
+    names ``path`` as given, then the line at fault where there is one:
+    ``<path>:<line>: <reason>`` or ``<path>: <reason>``.
     """
     values = _bulk_records(path, grid.size)
     if values is None:
@@ -252,7 +255,8 @@ def _bulk_records(path: str | Path, k: int) -> np.ndarray | None:
     family = np.argsort(np.argsort(first))[family]  # codes in order of first appearance
     _, member = np.unique(ids[:, 1], return_inverse=True)
     sizes = np.bincount(family)
-    if (sizes != sizes[0]).any() or np.unique(family * len(rows) + member).size != len(rows):
+    if (sizes.size < 2 or sizes[0] < 2 or (sizes != sizes[0]).any()
+            or np.unique(family * len(rows) + member).size != len(rows)):
         return None
     return values[np.argsort(family, kind="stable")].reshape(sizes.size, sizes[0], k)
 
@@ -314,9 +318,12 @@ def _load_family_csv_rows(path: str | Path, grid: TraitGrid, design: str) -> Fam
             raise
     if not families:
         raise InsufficientData(f"{path}: no records")
-    return FamilyDataset.from_records(
-        {name: list(members.values()) for name, members in families.items()}, grid, design
-    )
+    try:
+        return FamilyDataset.from_records(
+            {name: list(members.values()) for name, members in families.items()}, grid, design
+        )
+    except GeneconError as exc:  # unbalanced, or too few families or members
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def save_family_csv(data: FamilyDataset, path: str | Path) -> None:

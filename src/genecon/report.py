@@ -20,14 +20,24 @@ since JSON has no spelling for either. It formats a list of floats in one join
 instead of going through the pure-Python encoder that ``indent`` selects.
 Figure coordinates are formatted in bulk the same way, with the same ``.6g``
 text as formatting each point on its own.
+
+Every partition of one G repeats G's leading eigenvectors as its model PCs,
+so each eigenvector's report coordinates and figure panel are formatted once
+per G and reused at every J. The coordinates travel in the report as a
+fragment: a ``list`` subclass holding the floats and their JSON text. The
+text is written only where it is exact, at the indentation it was made for
+and while the list holds the floats it was made from; anywhere else the list
+is encoded like any other. The bytes are the same either way, and
+``json.loads`` of them equals the document.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
+from operator import is_
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +191,71 @@ def _overlay(x_text, curves, truth, span, caption) -> list[str]:
     ]
 
 
+def _vector_panel(col: int, role: str, number: int, x_text: list[str], ys: list[float]) -> str:
+    """The panel at (column, 0) drawing one basis vector, as one block of lines."""
+    caption = f"{'PC' if role == 'model' else 'S'}{number}"
+    return "\n".join(_panel(col, 0, f"panel vector {role}", [
+        _ZERO_AXIS,
+        _polyline(x_text, ys, f"curve {role}"),
+        f'<text class="label {role}" x="{_PAD + 3}" y="{_PAD - 3}">{number}</text>',
+        f'<text class="title" x="{_PANEL_WIDTH // 2 - 12}" y="{_PANEL_HEIGHT - 3}">'
+        f'{caption}</text>',
+    ]))
+
+
+# doc > "vectors" > entry > "coordinates": the pad of every vector's coordinates
+_COORDINATES_PAD = " " * 6
+
+
+class _ModelRows:
+    """Each model PC's report coordinates and figure panel, formatted at most once.
+
+    Model PC i of every partition of G is row i of G's read-only eigenvector
+    matrix and sits in column i-1 of the figure, so its text is the same at
+    every J. Rows are formatted on first use; nearly-null rows are not kept,
+    since each J has its own null basis. A longer list replaces a shorter one
+    whole, so item i is row i's text even if two threads extend it at once.
+    """
+
+    def __init__(self, vectors: np.ndarray, x_text: list[str]):
+        self.vectors = vectors
+        self.x_text = x_text
+        self._coordinates: list[_Fragment] = []
+        self._panels: list[str] = []
+
+    def coordinates(self, j: int) -> list[_Fragment]:
+        """New lists of model PCs 1..j's coordinates, each carrying its JSON text."""
+        done = self._coordinates
+        if len(done) < j:
+            rows = self.vectors[len(done):j].tolist()
+            self._coordinates = done = done + [_Fragment(r, _COORDINATES_PAD) for r in rows]
+        return [fragment.twin() for fragment in done[:j]]
+
+    def panels(self, j: int) -> list[str]:
+        """Model PCs 1..j's vector panels, in columns 0..j-1."""
+        done = self._panels
+        if len(done) < j:
+            ys = _y_pixels(self.vectors[len(done):j], 1.0).tolist()
+            self._panels = done = done + [_vector_panel(col, "model", col + 1, self.x_text, y)
+                                          for col, y in enumerate(ys, len(done))]
+        return done[:j]
+
+
+@lru_cache(maxsize=1)
+def _rows_of(g: GMatrix) -> _ModelRows:
+    """The memo of G's eigenvectors; GMatrix hashes by identity and is immutable."""
+    return _ModelRows(g.eig.eigenvectors.T, _x_text(_x_pixels(_abscissa(g))))
+
+
+def _model_rows(part: SubspacePartition) -> _ModelRows:
+    """The memo of the partition's G, or a private one if its model rows are not G's leading
+    eigenvectors (a partition built by hand)."""
+    rows = _rows_of(part.g)
+    if part.model_vectors.tobytes() != rows.vectors[:part.j].tobytes():
+        return _ModelRows(part.model_vectors, rows.x_text)
+    return rows
+
+
 def render_partition_figure(part: SubspacePartition, provenance: dict | None = None) -> str:
     """K vector panels in one top row, scatter and variance bars below.
 
@@ -190,19 +265,11 @@ def render_partition_figure(part: SubspacePartition, provenance: dict | None = N
     simplest nearly-null vector. Curves run over the grid of the partition's G
     (over trait indices if it has none).
     """
-    x_text = _x_text(_x_pixels(_abscissa(part.g)))
-    ys = _y_pixels(part.combined_basis(), 1.0).tolist()
-    label_at = f'x="{_PAD + 3}" y="{_PAD - 3}"'
-    title_at = f'x="{_PANEL_WIDTH // 2 - 12}" y="{_PANEL_HEIGHT - 3}"'
-    panels = []
-    for col, ((role, number), y) in enumerate(zip(_labels(part), ys)):
-        caption = f"{'PC' if role == 'model' else 'S'}{number}"
-        panels += _panel(col, 0, f"panel vector {role}", [
-            _ZERO_AXIS,
-            _polyline(x_text, y, f"curve {role}"),
-            f'<text class="label {role}" {label_at}>{number}</text>',
-            f'<text class="title" {title_at}>{caption}</text>',
-        ])
+    rows = _model_rows(part)
+    ys = _y_pixels(part.null_basis.vectors, 1.0).tolist()
+    panels = rows.panels(part.j) + [
+        _vector_panel(part.j + i, "null", i + 1, rows.x_text, y) for i, y in enumerate(ys)
+    ]
     panels += _panel(0, 1, "panel scatter", _scatter(part))
     panels += _panel(1, 1, "panel bars", _bars(part))
     return _page(part.dim, provenance, panels)
@@ -268,13 +335,13 @@ def make_provenance(
 def partition_report(part: SubspacePartition, provenance: dict) -> dict:
     """Lossless JSON document for one partition; ``grid`` is null if its G has no grid."""
     g, measure = part.g, part.measure
-    combined = part.combined_basis()
+    coordinates = _model_rows(part).coordinates(part.j) + part.null_basis.vectors.tolist()
     vectors = []
     for i, (role, number) in enumerate(_labels(part)):
         entry = {
             "role": role,
             "number": number,
-            "coordinates": combined[i].tolist(),
+            "coordinates": coordinates[i],
             "simplicity_score": float(part.scores[i]),
             "response_norm": float(part.response_norms[i]),
             "proportion": float(part.proportions[i]),
@@ -383,11 +450,57 @@ def _key_text(key) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
 
 
+def _floats_text(items, pad: str) -> str | None:
+    """The JSON text of a list of finite floats at ``pad``; None for any other list."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    try:
+        # float.__repr__ raises TypeError on the first item that is not a float
+        text = (",\n" + inner).join(map(float.__repr__, items))
+    except TypeError:
+        return None
+    if "n" in text:  # only nan, inf and -inf contain an n
+        return None
+    return "[\n" + inner + text + "\n" + pad + "]"
+
+
+class _Fragment(list):
+    """A list of floats carrying its JSON text at one pad, formatted once and shared by copies.
+
+    ``_encode`` writes the text verbatim only at that pad and only while the
+    list still holds the very float objects the text was formatted from;
+    otherwise it encodes the list like any other, so the text is never stale.
+    """
+
+    __slots__ = ("_source", "_pad", "_text")
+
+    def __init__(self, items, pad: str):
+        super().__init__(items)
+        self._source = tuple(self)
+        self._pad = pad
+        self._text = _floats_text(self._source, pad)
+
+    def twin(self) -> _Fragment:
+        """A new fragment of the items this one was made from, sharing its text."""
+        twin = _Fragment.__new__(_Fragment)
+        twin.extend(self._source)
+        twin._source, twin._pad, twin._text = self._source, self._pad, self._text
+        return twin
+
+    def text_at(self, pad: str) -> str | None:
+        """The stored text if it is still this list's JSON text at ``pad``, else None."""
+        if pad != self._pad or len(self) != len(self._source):
+            return None
+        return self._text if all(map(is_, self, self._source)) else None
+
+
 def _encode(o, pad: str, out: list[str]) -> None:
     """Append the JSON text of ``o`` to ``out``; ``pad`` indents the line it starts on.
 
     The type tests run in ``json``'s order, so bools are written before ints
-    and float or int subclasses are written as their base type.
+    and float or int subclasses are written as their base type. A list of
+    floats is formatted in one join; a :class:`_Fragment` brings its own text.
     """
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
@@ -402,24 +515,19 @@ def _encode(o, pad: str, out: list[str]) -> None:
     elif isinstance(o, float):
         out.append(_float_text(o))
     elif isinstance(o, (list, tuple)):
-        if not o:
-            out.append("[]")
+        text = o.text_at(pad) if type(o) is _Fragment else None
+        if text is None:
+            text = _floats_text(o, pad)
+        if text is not None:
+            out.append(text)
             return
+        # items of other types, or a NaN or infinity to be named by its field
         inner = pad + "  "
-        sep = ",\n" + inner
-        try:
-            # float.__repr__ raises TypeError on the first item that is not a float
-            text = sep.join(map(float.__repr__, o))
-        except TypeError:
-            out.append("[\n" + inner)
-            for i, item in enumerate(o):
-                if i:
-                    out.append(sep)
-                _encode(item, inner, out)
-        else:
-            if "n" in text:  # only nan, inf and -inf contain an n
-                raise _NonFinite(next(x for x in o if not math.isfinite(x)))
-            out.append("[\n" + inner + text)
+        out.append("[\n" + inner)
+        for i, item in enumerate(o):
+            if i:
+                out.append(",\n" + inner)
+            _encode(item, inner, out)
         out.append("\n" + pad + "]")
     elif isinstance(o, dict):
         if not o:

@@ -311,17 +311,27 @@ class TestSweep:
         assert reports == [f"report_J{j:02d}.json" for j in range(7)]
         assert figures == [f"figure_J{j:02d}.svg" for j in range(7)]
 
-    def test_matches_single_analyze(self, inputs, tmp_path):
-        out_dir = tmp_path / "sweep"
-        main(["sweep", "--g", str(inputs["g"]), "--grid", str(inputs["grid"]),
-              "--out-dir", str(out_dir)])
-        for j in (0, 6):
-            single_out = tmp_path / f"single{j}.json"
-            single_svg = tmp_path / f"single{j}.svg"
-            main(["analyze", "--g", str(inputs["g"]), "--grid", str(inputs["grid"]),
-                  "--J", str(j), "--out", str(single_out), "--svg", str(single_svg)])
-            assert (out_dir / f"report_J{j:02d}.json").read_bytes() == single_out.read_bytes()
-            assert (out_dir / f"figure_J{j:02d}.svg").read_bytes() == single_svg.read_bytes()
+    def test_matches_single_analyze(self, tmp_path):
+        # eigenvectors are formatted once per G and reused across J; nothing of
+        # one J, measure or matrix may show in another's report or figure
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"points": list(TEMPERATURE_POINTS)}))
+        g, data = tmp_path / "g.json", tmp_path / "families.csv"
+        q, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((6, 6)))
+        entries = ((q * 0.6 ** np.arange(6)) @ q.T).ravel()
+        g.write_text(json.dumps({"dim": 6, "entries": entries.tolist()}))
+        save_family_csv(generate_dataset(study_params(n_families=12, family_size=5)), data)
+        for source, measure in (("g", "d1"), ("g", "d2"), ("g", "sparse"), ("data", "d1")):
+            common = [f"--{source}", str(g if source == "g" else data), "--grid", str(grid),
+                      "--measure", measure, *(["--design", "halfsib"] if source == "data" else [])]
+            out_dir = tmp_path / f"sweep-{source}-{measure}"
+            assert main(["sweep", *common, "--out-dir", str(out_dir)]) == 0
+            for j in range(7):
+                out, svg = tmp_path / f"single{j}.json", tmp_path / f"single{j}.svg"
+                assert main(["analyze", *common, "--J", str(j), "--out", str(out),
+                             "--svg", str(svg)]) == 0
+                assert (out_dir / f"report_J{j:02d}.json").read_bytes() == out.read_bytes()
+                assert (out_dir / f"figure_J{j:02d}.svg").read_bytes() == svg.read_bytes()
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
     def test_non_finite_clip_tol_rejected(self, inputs, tmp_path, capsys, tol):
@@ -636,9 +646,39 @@ def test_bad_input_bytes_name_flag_and_path(inputs, study_config, tmp_path, caps
         argv = ["analyze", "--g", str(paths["--g"]), "--grid", str(paths["--grid"]), "--J", "2"]
     assert main([*argv, "--out", str(out)]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and f"{flag}: {bad}: " in err[0]
-    assert f"{bad}{where}" in err[0]
+    assert len(err) == 1 and f"{flag}: {bad}{where}" in err[0]
+    assert err[0].count(str(bad)) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--grid", "--g", "--data", "--config"])
+def test_missing_input_is_named_as_typed(inputs, tmp_path, capsys, flag):
+    absent = "./absent.input"
+    if flag == "--config":
+        command, argv = "simulate", ["simulate", "--config", absent]
+    else:
+        paths = {"--g": str(inputs["g"]), "--grid": str(inputs["grid"]), flag: absent}
+        source = ["--data", paths["--data"], "--design", "halfsib"] if flag == "--data" else [
+            "--g", paths["--g"]]
+        command, argv = "analyze", ["analyze", *source, "--grid", paths["--grid"], "--J", "2"]
+    assert main([*argv, "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == f"genecon {command}: {flag}: no such file: {absent}\n"
+
+
+@pytest.mark.parametrize("body, reason", [
+    ("family,ind,t1,t2,t3,t4,t5,t6\n",
+     ": expected header family,individual,t1,t2,t3,t4,t5,t6, got family,ind,t1,t2,t3,t4,t5,t6"),
+    ("family,individual,t1,t2,t3,t4,t5,t6\nF1,I1,0,0,0,0,0,0\nF1,I2,0,nan,0,0,0,0\n",
+     ":3: t2 must be finite, got 'nan'"),
+    ("family,individual,t1,t2,t3,t4,t5,t6\nF1,I1,0,0,0,0,0,0\nF1,I2,0,0,0,0,0,0\n",
+     ": need at least 2 families of 2 members, got 1 x 2"),
+], ids=["header", "non-finite", "one-family"])
+def test_data_errors_name_the_path_once(inputs, tmp_path, capsys, body, reason):
+    data = f"{tmp_path}/./bad.csv"  # named as typed
+    (tmp_path / "bad.csv").write_text(body)
+    assert main(["analyze", "--data", data, "--design", "halfsib", "--grid", str(inputs["grid"]),
+                 "--J", "2", "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == f"genecon analyze: --data: {data}{reason}\n"
 
 
 @pytest.mark.parametrize("flag", ["--grid", "--g", "--config"])

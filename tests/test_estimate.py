@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -177,9 +178,18 @@ class TestCsvRoundTrip:
             "F1,I1,0,1\nF1,I2,1,2\n"
             "F2,I1,0,1\nF2,I2,1,2\nF2,I3,2,3\n"
         )
-        message = r"^family 'F2' has 3 members, family 'F1' has 2$"
+        message = rf"^{re.escape(str(path))}: family 'F2' has 3 members, family 'F1' has 2$"
         with pytest.raises(UnbalancedDesign, match=message):
             load_family_csv(path, GRID1, "half-sib")
+
+    def test_too_few_families_names_the_path(self, tmp_path):
+        # the bulk parse reads this file, but the row reader words its error
+        path = tmp_path / "one.csv"
+        path.write_text("family,individual,t1,t2\nF1,I1,0,1\nF1,I2,1,2\n")
+        message = rf"^{re.escape(str(path))}: need at least 2 families of 2 members, got 1 x 2$"
+        for load in (load_family_csv, _load_family_csv_rows):
+            with pytest.raises(InsufficientData, match=message):
+                load(path, GRID1, "half-sib")
 
     def test_bad_float_rejected(self, tmp_path):
         path = tmp_path / "badval.csv"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from genecon.core import SymMatrix, clip_negative_eigenvalues
 from genecon.reference import study_params, surrogate_g, temperature_grid
 from genecon.report import (
+    _Fragment,
     _polyline,
     _x_text,
     make_provenance,
@@ -189,6 +190,30 @@ class TestJsonReports:
         assert back["vectors"][0]["proportion"] == part.proportions[0]
         assert back["eigenvalues"] == [float(x) for x in g.eig.eigenvalues]
 
+    def test_report_and_figure_follow_a_hand_built_partition(self):
+        # eigenvectors are formatted once per G; a partition whose model rows
+        # are not G's eigenvectors must still be drawn and reported as it is
+        g, part = make_partition(3)
+        flipped = dataclasses.replace(part, model_vectors=-part.model_vectors)
+        prov = make_provenance({})
+        for p in (part, flipped, part):
+            doc = partition_report(p, prov)
+            assert [v["coordinates"] for v in doc["vectors"]] == p.combined_basis().tolist()
+            assert report_json_bytes(doc) == reference_json_bytes(doc)
+        svg, flipped_svg = render_partition_figure(part), render_partition_figure(flipped)
+        assert svg != flipped_svg
+        fresh = dataclasses.replace(part, g=dataclasses.replace(g))  # the same G, not yet seen
+        assert render_partition_figure(fresh) == svg
+        assert render_partition_figure(dataclasses.replace(flipped, g=fresh.g)) == flipped_svg
+
+    def test_reports_of_one_g_share_no_lists(self):
+        g, part = make_partition(3)
+        first = partition_report(part, make_provenance({}))
+        first["vectors"][0]["coordinates"][0] = 5.0
+        second = partition_report(part, make_provenance({}))
+        assert second["vectors"][0]["coordinates"] == part.model_vectors[0].tolist()
+        assert report_json_bytes(second) == reference_json_bytes(second)
+
     def test_leading_share_of_reference_spectrum(self):
         g, part = make_partition(6)
         doc = partition_report(part, make_provenance({}))
@@ -335,6 +360,68 @@ class TestJsonEmitter:
             reference_json_bytes(doc)
         with pytest.raises(TypeError):
             report_json_bytes(doc)
+
+
+FLOAT_ROWS = st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8)
+
+
+def nest(value, containers):
+    """``value`` inside the given containers, innermost last."""
+    for kind in reversed(containers):
+        value = {"k": value, "z": 0.5} if kind == "dict" else [1.0, value, "x"]
+    return value
+
+
+class TestFragments:
+    """A `_Fragment` brings its own JSON text; the bytes must be json.dumps's regardless."""
+
+    @given(st.lists(FLOAT_ROWS, min_size=1, max_size=4),
+           st.lists(st.sampled_from(["dict", "list"]), max_size=4))
+    def test_bytes_match_json_dumps(self, rows, containers):
+        pad = "  " * len(containers)
+        fragments = [_Fragment(row, pad + "  ") for row in rows]
+        doc = nest([*fragments, 2.0], containers)
+        assert report_json_bytes(doc) == reference_json_bytes(doc)
+        assert json.loads(report_json_bytes(doc)) == doc
+        for f in fragments:
+            f._text = "FRAGMENT"
+        assert report_json_bytes(doc).count(b"FRAGMENT") == len(fragments)  # its text is used
+
+    @pytest.mark.parametrize("mutate", [
+        lambda f: f.__setitem__(0, -0.0),   # equal to 0.0, not the same text
+        lambda f: f.__setitem__(1, 1),      # equal to 1.0, not the same text
+        lambda f: list.__setitem__(f, 2, 2.5),
+        lambda f: f.append(3.0),
+        lambda f: f.pop(),
+        lambda f: f.reverse(),
+        lambda f: f.clear(),
+    ], ids=["negative-zero", "int", "base-setitem", "append", "pop", "reverse", "clear"])
+    def test_mutated_fragment(self, mutate):
+        fragment = _Fragment([0.0, 1.0, 2.0], "    ")
+        doc = {"a": fragment}
+        assert report_json_bytes(doc) == reference_json_bytes(doc)
+        twin = fragment.twin()
+        mutate(fragment)
+        assert report_json_bytes(doc) == reference_json_bytes(doc)
+        assert twin == [0.0, 1.0, 2.0]
+        assert report_json_bytes({"a": twin}) == reference_json_bytes({"a": twin})
+
+    @pytest.mark.parametrize("pad", ["", "  ", "      "])
+    def test_fragment_at_another_pad(self, pad):
+        fragment = _Fragment([0.25, -1e300], "    ")
+        for doc in (fragment, {"a": fragment}, {"a": {"b": [fragment]}}, [[fragment]]):
+            assert report_json_bytes(doc) == reference_json_bytes(doc)
+
+    @pytest.mark.parametrize("made, mutate", [
+        ([0.5, math.nan], None),
+        ([0.5, 1.0], lambda f: f.__setitem__(1, math.inf)),
+    ], ids=["made-with-nan", "mutated-to-inf"])
+    def test_non_finite_names_the_field(self, made, mutate):
+        fragment = _Fragment(made, "    ")
+        if mutate:
+            mutate(fragment)
+        with pytest.raises(ValueError, match=r"^report field a\.b holds (nan|inf), "):
+            report_json_bytes({"a": {"b": fragment}})
 
 
 class TestAtomicWrites:
