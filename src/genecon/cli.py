@@ -111,7 +111,8 @@ def _read_json(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError alike
+        # JSONDecodeError and UnicodeDecodeError alike, and nesting too deep to decode
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"invalid JSON: {exc}") from exc
 
 

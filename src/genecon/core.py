@@ -55,7 +55,8 @@ def json_numbers(value, what: str) -> np.ndarray:
     """A number or (nested) list of numbers read from JSON, as a float array."""
     items = np.asarray(value, dtype=object)
     entry = f"each entry of {what}"
-    return np.array([json_number(x, entry) for x in items.flat], dtype=float).reshape(items.shape)
+    flat = items.reshape(-1)  # not items.flat, which numpy iterates to 32 dimensions only
+    return np.array([json_number(x, entry) for x in flat], dtype=float).reshape(items.shape)
 
 
 def _first(bad: np.ndarray) -> tuple[tuple[int, ...], str]:

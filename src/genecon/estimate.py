@@ -19,7 +19,7 @@ eigenvalue is itself a useful diagnostic.
 from __future__ import annotations
 
 import csv
-import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,20 +87,6 @@ class FamilyDataset:
             )
         object.__setattr__(self, "design", normalize_design(self.design))
         object.__setattr__(self, "values", _readonly(v))
-
-    @classmethod
-    def from_records(
-        cls, families: dict[str, list], grid: TraitGrid, design: str
-    ) -> "FamilyDataset":
-        """Build from a mapping of family name to member records, enforcing balance."""
-        (first, first_members), *rest = families.items()
-        for name, members in rest:
-            if len(members) != len(first_members):
-                raise UnbalancedDesign(
-                    f"family {name!r} has {len(members)} members, "
-                    f"family {first!r} has {len(first_members)}"
-                )
-        return cls(np.asarray(list(families.values()), dtype=float), grid, design)
 
     @property
     def n_families(self) -> int:
@@ -195,27 +181,60 @@ def ingest_gmatrix(payload: dict, grid: TraitGrid | None = None,
 def load_family_csv(path: str | Path, grid: TraitGrid, design: str) -> FamilyDataset:
     """Read `family,individual,t1,...,tK` records, validating balance.
 
-    The file is parsed in bulk. Whatever the bulk parse cannot vouch for, a
-    malformed file included, is read again by `_load_family_csv_rows`, which
-    alone decides which files are accepted and words every error. Each error
-    names ``path`` as given, then the line at fault where there is one:
-    ``<path>:<line>: <reason>`` or ``<path>: <reason>``.
+    The file is split into fields in bulk where `_bulk_fields` can vouch for
+    the split, and row by row by `_row_fields` otherwise, which alone words
+    an error in the fields. The records are then checked here, once for both:
+    the earliest record in file order that is non-finite or a duplicate, then
+    the first family whose size differs, then too few families or members.
+    Each error names ``path`` as given, then the line at fault where there is
+    one: ``<path>:<line>: <reason>`` or ``<path>: <reason>``.
     """
-    values = _bulk_records(path, grid.size)
-    if values is None:
-        return _load_family_csv_rows(path, grid, design)
-    return FamilyDataset(values, grid, design)
+    k = grid.size
+    ids, values, text, line = _bulk_fields(path, k) or _row_fields(path, k)
+    n = len(values)
+    if n == 0:
+        raise InsufficientData(f"{path}: no records")
+    finite = np.isfinite(values)
+    _, first, family = np.unique(ids[:, 0], return_index=True, return_inverse=True)
+    family = np.argsort(np.argsort(first))[family]  # codes in order of first appearance
+    _, member = np.unique(ids[:, 1], return_inverse=True)
+    repeated = np.ones(n, dtype=bool)
+    repeated[np.unique(family * n + member, return_index=True)[1]] = False
+    bad = np.flatnonzero(repeated | ~finite.all(axis=1))
+    if bad.size:
+        r = bad[0]
+        if finite[r].all():
+            reason = f"duplicate record for family {text(r, 0)!r}, individual {text(r, 1)!r}"
+        else:
+            c = int(np.argmin(finite[r]))  # the first non-finite trait
+            reason = f"t{c + 1} must be finite, got {text(r, c + 2)!r}"
+        raise InvalidMatrix(f"{path}:{line(r)}: {reason}")
+    sizes = np.bincount(family)
+    odd = np.flatnonzero(sizes != sizes[0])
+    if odd.size:
+        j = odd[0]
+        r = np.sort(first)[j]  # the record on which family j first appears
+        raise UnbalancedDesign(f"{path}: family {text(r, 0)!r} has {sizes[j]} members, "
+                               f"family {text(0, 0)!r} has {sizes[0]}")
+    grouped = values[np.argsort(family, kind="stable")].reshape(sizes.size, sizes[0], k)
+    try:
+        return FamilyDataset(grouped, grid, design)
+    except GeneconError as exc:  # too few families or members
+        raise type(exc)(f"{path}: {exc}") from exc
 
+
+# What both field readers return: the ids (N, 2), the traits (N, K), the text
+# of field c of record r, and the file line on which record r starts.
+_Fields = tuple[np.ndarray, np.ndarray, Callable[[int, int], str], Callable[[int], int]]
 
 # "\x00": numpy drops trailing NULs from strings; "\x1c"-"\x1f": np.loadtxt
 # strips them around a number where float() does not
 _BULK_HAZARDS = ('"', "\x00", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
-def _bulk_records(path: str | Path, k: int) -> np.ndarray | None:
-    """(N_f, n, K) records grouped by family in order of first appearance, or
-    None where `_load_family_csv_rows` might read the file differently or
-    reject it.
+def _bulk_fields(path: str | Path, k: int) -> _Fields | None:
+    """The fields of ``path`` parsed in bulk, or None where `_row_fields`
+    might split or convert them differently, or reject one.
 
     On nonblank lines free of quotes, CRs and `_BULK_HAZARDS`, np.loadtxt
     splits fields as the csv module does and reads a number to the same bits
@@ -249,37 +268,31 @@ def _bulk_records(path: str | Path, k: int) -> np.ndarray | None:
         ids = np.loadtxt(rows, dtype=str, delimiter=",", comments=None, usecols=(0, 1), ndmin=2)
     except ValueError:
         return None
-    if not np.isfinite(values).all():
-        return None
-    _, first, family = np.unique(ids[:, 0], return_index=True, return_inverse=True)
-    family = np.argsort(np.argsort(first))[family]  # codes in order of first appearance
-    _, member = np.unique(ids[:, 1], return_inverse=True)
-    sizes = np.bincount(family)
-    if (sizes.size < 2 or sizes[0] < 2 or (sizes != sizes[0]).any()
-            or np.unique(family * len(rows) + member).size != len(rows)):
-        return None
-    return values[np.argsort(family, kind="stable")].reshape(sizes.size, sizes[0], k)
+
+    def line(r: int) -> int:  # nonblank lines are the header, then the records
+        return [i for i, text in enumerate(lines) if text][r + 1] + 1
+
+    return ids, values, lambda r, c: rows[r].split(",")[c], line
 
 
 def _csv_header(k: int) -> list[str]:
     return ["family", "individual"] + [f"t{i + 1}" for i in range(k)]
 
 
-def _load_family_csv_rows(path: str | Path, grid: TraitGrid, design: str) -> FamilyDataset:
-    """Row-by-row `load_family_csv`: every file it accepts and every error it raises."""
-    k = grid.size
+def _row_fields(path: str | Path, k: int) -> _Fields:
+    """The fields of ``path`` as the csv module splits them and float() reads
+    them, or the error that names the first field at fault."""
     expected = _csv_header(k)
-    families: dict[str, dict[str, list[float]]] = {}
+    records, traits, lines = [], [], []
     # utf-8-sig drops the byte-order mark spreadsheet programs put first
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None or [h.strip() for h in header] != expected:
-                raise InvalidMatrix(
-                    f"{path}: expected header {','.join(expected)}, got "
-                    f"{','.join(header) if header else '<empty>'}"
-                )
+                got = ",".join(header) if header else "<empty>"  # on one line, as errors are
+                raise InvalidMatrix(f"{path}: expected header {','.join(expected)}, got "
+                                    + got.replace("\r", "\\r").replace("\n", "\\n"))
             # a quoted field may span lines; an error names the line its record starts on
             next_line = reader.line_num + 1
             for row in reader:
@@ -287,25 +300,13 @@ def _load_family_csv_rows(path: str | Path, grid: TraitGrid, design: str) -> Fam
                 if not row:
                     continue
                 if len(row) != k + 2:
-                    raise InvalidMatrix(
-                        f"{path}:{line}: expected {k + 2} fields, got {len(row)}"
-                    )
+                    raise InvalidMatrix(f"{path}:{line}: expected {k + 2} fields, got {len(row)}")
                 try:
-                    traits = [float(x) for x in row[2:]]
+                    traits.append([float(x) for x in row[2:]])
                 except ValueError as exc:
                     raise InvalidMatrix(f"{path}:{line}: {exc}") from exc
-                for col, x in enumerate(traits, start=1):
-                    if not math.isfinite(x):
-                        raise InvalidMatrix(
-                            f"{path}:{line}: t{col} must be finite, got {row[col + 1]!r}"
-                        )
-                members = families.setdefault(row[0], {})
-                if row[1] in members:
-                    raise InvalidMatrix(
-                        f"{path}:{line}: duplicate record for family {row[0]!r}, "
-                        f"individual {row[1]!r}"
-                    )
-                members[row[1]] = traits
+                records.append(row)
+                lines.append(line)
         except csv.Error as exc:
             raise InvalidMatrix(f"{path}:{reader.line_num}: {exc}") from exc
         except UnicodeDecodeError:
@@ -316,14 +317,9 @@ def _load_family_csv_rows(path: str | Path, grid: TraitGrid, design: str) -> Fam
                     except UnicodeDecodeError as exc:
                         raise InvalidMatrix(f"{path}:{line_num}: {exc}") from exc
             raise
-    if not families:
-        raise InsufficientData(f"{path}: no records")
-    try:
-        return FamilyDataset.from_records(
-            {name: list(members.values()) for name, members in families.items()}, grid, design
-        )
-    except GeneconError as exc:  # unbalanced, or too few families or members
-        raise type(exc)(f"{path}: {exc}") from exc
+    ids = np.array([row[:2] for row in records], dtype=object).reshape(-1, 2)
+    values = np.array(traits, dtype=float).reshape(-1, k)
+    return ids, values, lambda r, c: records[r][c], lines.__getitem__
 
 
 def save_family_csv(data: FamilyDataset, path: str | Path) -> None:

@@ -150,19 +150,17 @@ def _page(cols: int, provenance: dict | None, panels: list[str]) -> str:
     return "\n".join([*lines, *panels, "</svg>"]) + "\n"
 
 
+_POINT = '<circle class="pt {}" cx="{}" cy="{}" r="3" data-proportion="{}" data-score="{}"/>'
+
+
 def _scatter(part: SubspacePartition) -> list[str]:
     top = max(1.0, float(part.scores.max()))
-    body = [_title("simplicity vs variance share")]
-    for (role, _), prop, score in zip(
-        _labels(part), part.proportions.tolist(), part.scores.tolist()
-    ):
-        cx = _PAD + _clamp01(prop) * _INNER_WIDTH
-        cy = _BOTTOM - _clamp01(score / top) * _INNER_HEIGHT
-        body.append(
-            f'<circle class="pt {role}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="3" '
-            f'data-proportion="{_fmt(prop)}" data-score="{_fmt(score)}"/>'
-        )
-    return body
+    cx = _PAD + np.clip(part.proportions, 0.0, 1.0) * _INNER_WIDTH
+    cy = _BOTTOM - np.clip(part.scores / top, 0.0, 1.0) * _INNER_HEIGHT
+    # each column formatted in one pass, as _fmt would format each point
+    columns = (map("{:.6g}".format, c.tolist()) for c in (cx, cy, part.proportions, part.scores))
+    roles = (role for role, _ in _labels(part))
+    return [_title("simplicity vs variance share"), *map(_POINT.format, roles, *columns)]
 
 
 def _bars(part: SubspacePartition) -> list[str]:

@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import json
 import os
 import re
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genecon
 
@@ -23,36 +27,37 @@ from genecon.reference import (
 from genecon.simulate import generate_dataset
 
 IDENTITY6 = np.eye(6).ravel().tolist()
+GRID_PAYLOAD = {"points": list(TEMPERATURE_POINTS)}
+G_PAYLOAD = {"dim": 6, "entries": list(np.diag(GROWTH_EIGENVALUES).ravel())}
+STUDY_CONFIG = {
+    "grid": GRID_PAYLOAD,
+    "g": G_PAYLOAD,
+    "e": {"dim": 6, "entries": list((SURROGATE_ENV_VARIANCE * np.eye(6)).ravel())},
+    "sigma2": SURROGATE_NOISE_VARIANCE,
+    "mu": [0.0] * 6,
+    "families": 10,
+    "siblings": 4,
+    "design": "half-sib",
+    "seed": 11,
+    "reps": 3,
+    "null_dim": 3,
+    "measure": "d1",
+}
 
 
 @pytest.fixture
 def inputs(tmp_path):
     grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"points": list(TEMPERATURE_POINTS)}))
+    grid.write_text(json.dumps(GRID_PAYLOAD))
     g = tmp_path / "g.json"
-    entries = np.diag(GROWTH_EIGENVALUES).ravel()
-    g.write_text(json.dumps({"dim": 6, "entries": list(entries)}))
+    g.write_text(json.dumps(G_PAYLOAD))
     return {"grid": grid, "g": g, "dir": tmp_path}
 
 
 @pytest.fixture
 def study_config(tmp_path, inputs):
-    cfg = {
-        "grid": {"points": list(TEMPERATURE_POINTS)},
-        "g": {"dim": 6, "entries": list(np.diag(GROWTH_EIGENVALUES).ravel())},
-        "e": {"dim": 6, "entries": list((SURROGATE_ENV_VARIANCE * np.eye(6)).ravel())},
-        "sigma2": SURROGATE_NOISE_VARIANCE,
-        "mu": [0.0] * 6,
-        "families": 10,
-        "siblings": 4,
-        "design": "half-sib",
-        "seed": 11,
-        "reps": 3,
-        "null_dim": 3,
-        "measure": "d1",
-    }
     path = tmp_path / "study.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(STUDY_CONFIG))
     return path
 
 
@@ -672,7 +677,11 @@ def test_missing_input_is_named_as_typed(inputs, tmp_path, capsys, flag):
      ":3: t2 must be finite, got 'nan'"),
     ("family,individual,t1,t2,t3,t4,t5,t6\nF1,I1,0,0,0,0,0,0\nF1,I2,0,0,0,0,0,0\n",
      ": need at least 2 families of 2 members, got 1 x 2"),
-], ids=["header", "non-finite", "one-family"])
+    # a quoted line break in the header is echoed escaped, so the message stays one line
+    ('"fam\nily",individual,t1,t2,t3,t4,t5,t6\n',
+     ": expected header family,individual,t1,t2,t3,t4,t5,t6, got fam\\nily,individual,t1,t2,t3,"
+     "t4,t5,t6"),
+], ids=["header", "non-finite", "one-family", "quoted-newline-header"])
 def test_data_errors_name_the_path_once(inputs, tmp_path, capsys, body, reason):
     data = f"{tmp_path}/./bad.csv"  # named as typed
     (tmp_path / "bad.csv").write_text(body)
@@ -726,3 +735,123 @@ def test_usage_error_is_one_line(argv, prefix, reason, capsys):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith(prefix) and reason in err[0]
     assert captured.out == ""
+
+
+# values that are wrong wherever they stand in a grid, matrix or study config:
+# a 2-point grid fits no 6-trait input, and no field takes a string or a list of lists
+BAD_VALUES = [None, True, "x", "a\nb", {}, [[]], [0.0, 1.0], float("nan"), float("inf"),
+              json.loads("[" * 40 + "0" + "]" * 40)]
+OPTIONAL_FIELDS = {("mu",), ("measure",)}
+GOOD_CSV = "family,individual,t1,t2,t3,t4,t5,t6\n" + "".join(
+    f"F{j},I{i},{i},{j},0.5,-1,{i * j},2e-3\n" for j in (1, 2, 3) for i in (1, 2, 3))
+
+
+def _key_paths(doc, prefix=()):
+    """The path of every field of a JSON object, nested objects included."""
+    for key, value in doc.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+def _replaced(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` set to ``value``, or dropped if ``...``."""
+    copy = dict(doc)
+    if len(path) > 1:
+        copy[path[0]] = _replaced(doc[path[0]], path[1:], value)
+    elif value is ...:
+        del copy[path[0]]
+    else:
+        copy[path[0]] = value
+    return copy
+
+
+@st.composite
+def malformed_json(draw, doc):
+    """A grid, matrix or config file that every reader must reject."""
+    raw = json.dumps(doc).encode()
+    kind = draw(st.sampled_from(["field", "missing", "truncated", "not-utf8", "not-an-object",
+                                 "too-deep"]))
+    if kind == "field":
+        path = draw(st.sampled_from(list(_key_paths(doc))))
+        return json.dumps(_replaced(doc, path, draw(st.sampled_from(BAD_VALUES)))).encode()
+    if kind == "missing":
+        path = draw(st.sampled_from([p for p in _key_paths(doc) if p not in OPTIONAL_FIELDS]))
+        return json.dumps(_replaced(doc, path, ...)).encode()
+    if kind == "truncated":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "not-utf8":
+        at = draw(st.integers(0, len(raw)))
+        return raw[:at] + b"\xff" + raw[at:]
+    if kind == "not-an-object":
+        return json.dumps(draw(st.sampled_from([None, [], 1, "x", [doc]]))).encode()
+    return b"[" * 100_000
+
+
+@st.composite
+def malformed_csv(draw):
+    """A family CSV of 3 families of 3 members that the reader must reject."""
+    rows = [line.split(",") for line in GOOD_CSV.splitlines()]
+    kind = draw(st.sampled_from(["header", "value", "duplicate-id", "field-dropped",
+                                 "field-added", "record-dropped", "record-repeated",
+                                 "one-family", "no-records", "empty", "not-utf8"]))
+    r = draw(st.integers(1, len(rows) - 1))
+    if kind == "header":
+        rows[0][draw(st.integers(0, 7))] = draw(st.sampled_from(["x", "", "T1", '"fam\nily"']))
+    elif kind == "value":
+        rows[r][draw(st.integers(2, 7))] = draw(st.sampled_from(
+            ["x", "", "nan", "-inf", "1e999", "1 2", "--1", "0x10", "1,5e3"]))
+    elif kind == "duplicate-id":  # a member named as another member of its family
+        rows[r][1] = f"I{(int(rows[r][1][1:]) % 3) + 1}"
+    elif kind == "field-dropped":
+        del rows[r][draw(st.integers(0, 7))]
+    elif kind == "field-added":
+        rows[r].insert(draw(st.integers(0, 8)), "0")
+    elif kind == "record-dropped":
+        del rows[r]
+    elif kind == "record-repeated":
+        rows.append(rows[r])
+    elif kind == "one-family":
+        rows = rows[:4]
+    elif kind == "no-records":
+        rows = rows[:1]
+    raw = "".join(",".join(row) + "\n" for row in rows).encode()
+    if kind == "empty":
+        return b""
+    if kind == "not-utf8":
+        at = draw(st.integers(0, len(raw)))
+        return raw[:at] + b"\xff" + raw[at:]
+    return raw
+
+
+@pytest.mark.parametrize("flag, files", [
+    ("--grid", malformed_json(GRID_PAYLOAD)),
+    ("--g", malformed_json(G_PAYLOAD)),
+    ("--config", malformed_json(STUDY_CONFIG)),
+    ("--data", malformed_csv()),
+], ids=["grid", "g", "config", "data"])
+@settings(max_examples=80)
+@given(data=st.data())
+def test_malformed_input_is_one_line_and_writes_nothing(tmp_path_factory, flag, files, data):
+    # exit 2, one line on stderr (no line break inside it) and no output file
+    folder = tmp_path_factory.mktemp("malformed")
+    bad = folder / "bad.input"
+    bad.write_bytes(data.draw(files, label="file"))
+    good = {"--grid": folder / "grid.json", "--g": folder / "g.json"}
+    good["--grid"].write_text(json.dumps(GRID_PAYLOAD))
+    good["--g"].write_text(json.dumps(G_PAYLOAD))
+    paths = {**good, flag: bad}
+    out, svg = folder / "out.json", folder / "out.svg"
+    if flag == "--config":
+        argv = ["simulate", "--config", str(bad)]
+    elif flag == "--data":
+        argv = ["analyze", "--data", str(bad), "--design", "halfsib",
+                "--grid", str(paths["--grid"]), "--J", "2"]
+    else:
+        argv = ["analyze", "--g", str(paths["--g"]), "--grid", str(paths["--grid"]), "--J", "2"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert main([*argv, "--out", str(out), "--svg", str(svg)]) == 2
+    message = err.getvalue()
+    assert message.endswith("\n") and message.count("\n") == 1 and "\r" not in message
+    assert not out.exists() and not svg.exists()

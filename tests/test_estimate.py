@@ -1,5 +1,7 @@
 import csv
+import io
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from genecon.errors import (
 from genecon import estimate
 from genecon.estimate import (
     FamilyDataset,
-    _load_family_csv_rows,
     anova_estimate,
     ingest_gmatrix,
     load_family_csv,
@@ -25,6 +26,12 @@ from genecon.estimate import (
 )
 
 GRID1 = TraitGrid(np.array([0.0, 1.0]))
+
+
+def _load_rows(path, grid, design):
+    """`load_family_csv` with the bulk parse turned off: the csv module splits every file."""
+    with mock.patch.object(estimate, "_bulk_fields", lambda path, k: None):
+        return load_family_csv(path, grid, design)
 
 
 class TestAnovaHandExample:
@@ -55,12 +62,6 @@ class TestAnovaHandExample:
 
 
 class TestDatasetValidation:
-    def test_unbalanced(self):
-        families = {"A": [[1.0, 2.0]] * 3, "B": [[1.0, 2.0]] * 3, "C": [[1.0, 2.0]] * 2}
-        message = r"^family 'C' has 2 members, family 'A' has 3$"
-        with pytest.raises(UnbalancedDesign, match=message):
-            FamilyDataset.from_records(families, GRID1, "half-sib")
-
     def test_insufficient(self):
         with pytest.raises(InsufficientData):
             FamilyDataset(np.zeros((1, 5, 2)), GRID1, "half-sib")
@@ -183,11 +184,10 @@ class TestCsvRoundTrip:
             load_family_csv(path, GRID1, "half-sib")
 
     def test_too_few_families_names_the_path(self, tmp_path):
-        # the bulk parse reads this file, but the row reader words its error
         path = tmp_path / "one.csv"
         path.write_text("family,individual,t1,t2\nF1,I1,0,1\nF1,I2,1,2\n")
         message = rf"^{re.escape(str(path))}: need at least 2 families of 2 members, got 1 x 2$"
-        for load in (load_family_csv, _load_family_csv_rows):
+        for load in (load_family_csv, _load_rows):
             with pytest.raises(InsufficientData, match=message):
                 load(path, GRID1, "half-sib")
 
@@ -224,6 +224,20 @@ class TestCsvRoundTrip:
         )
         with pytest.raises(InvalidMatrix, match=r"dup\.csv:5: duplicate"):
             load_family_csv(path, GRID1, "half-sib")
+
+    @pytest.mark.parametrize("records, message", [
+        ("F1,I1,0,1\nF1,I1,1,2\nF2,I1,0,1\nF2,I2,1,x\n",
+         ":5: could not convert string to float: 'x'"),
+        ("F1,I1,0,1\nF1,I1,1,2\nF2,I1,0,nan\nF2,I2,1,2\n",
+         ":3: duplicate record for family 'F1', individual 'I1'"),
+    ], ids=["field-error-first", "earliest-record-error"])
+    def test_error_precedence(self, tmp_path, records, message):
+        # every field is read before any record is checked; records are checked in file order
+        path = tmp_path / "faults.csv"
+        path.write_text("family,individual,t1,t2\n" + records)
+        for load in (load_family_csv, _load_rows):
+            with pytest.raises(InvalidMatrix, match=f"^{re.escape(str(path) + message)}$"):
+                load(path, GRID1, "half-sib")
 
     def test_empty_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -271,6 +285,10 @@ def family_csv_bytes(draw):
     return (bom + "".join(map(str.__add__, lines, endings))).encode("utf-8")
 
 
+def _no_row_reader(path, k):
+    raise AssertionError("fell back to the row reader")
+
+
 def _outcome(load, path):
     try:
         values = load(path, GRID1, "half-sib").values
@@ -280,8 +298,8 @@ def _outcome(load, path):
 
 
 class TestBulkParse:
-    """`load_family_csv` parses in bulk and hands what it cannot vouch for to the
-    row reader; the two must give the same records or the same error."""
+    """`load_family_csv` splits fields in bulk and hands what it cannot vouch for to
+    the row reader; the two must give the same records or the same error."""
 
     @settings(max_examples=300)
     @given(raw=family_csv_bytes())
@@ -321,12 +339,14 @@ class TestBulkParse:
     @example(raw=b"family,individual,t1,t2\nF1,I1,0,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I"
                  + LONG_FIELD.encode() + b",1,2\n")
     @example(raw=b"family,individual,t1,t2\nF1,I1,0,1\nF1,I2,1,nan\nF2,I1,0,1\nF2,I2,1,2\n")
+    # the error quotes the field as written, padding included
+    @example(raw=b"family,individual,t1,t2\nF1,I1,0,1\nF1,I2,1, nan \nF2,I1,0,1\nF2,I2,1,2\n")
     @example(raw=b"family,individual,t1,t2\nF1\x00,I1,0,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
     @example(raw=b"family,individual,t1,t2\nF1,I1,0,1\nF1,I\xff,1,2\nF2,I1,0,1\nF2,I2,1,2\n")
     def test_matches_row_reader(self, tmp_path_factory, raw):
         path = tmp_path_factory.mktemp("bulk") / "families.csv"
         path.write_bytes(raw)
-        assert _outcome(load_family_csv, path) == _outcome(_load_family_csv_rows, path)
+        assert _outcome(load_family_csv, path) == _outcome(_load_rows, path)
 
     @pytest.mark.parametrize("text", [
         CSV_HEADER + "\nF1,I1,0,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2",
@@ -339,9 +359,86 @@ class TestBulkParse:
         path = tmp_path / "families.csv"
         path.write_bytes(text.encode())
 
-        def row_reader(*args):
-            raise AssertionError("fell back to the row reader")
-
-        monkeypatch.setattr(estimate, "_load_family_csv_rows", row_reader)
+        monkeypatch.setattr(estimate, "_row_fields", _no_row_reader)
         np.testing.assert_array_equal(load_family_csv(path, GRID1, "half-sib").values,
                                       [[[0, 1], [1, 2]], [[0, 1], [1, 2]]])
+
+    @pytest.mark.parametrize("records, error, message", [
+        ("F1,I1,0,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I1,1,2\n", InvalidMatrix,
+         ":5: duplicate record for family 'F2', individual 'I1'"),
+        ("F1,I1,0,1\nF1,I2,1, -inf\nF2,I1,0,1\nF2,I2,1,2\n", InvalidMatrix,
+         ":3: t2 must be finite, got ' -inf'"),
+        ("F1,I1,0,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\nF2,I3,2,3\n", UnbalancedDesign,
+         ": family 'F2' has 3 members, family 'F1' has 2"),
+        ("F1,I1,0,1\nF1,I2,1,2\n\n", InsufficientData,
+         ": need at least 2 families of 2 members, got 1 x 2"),
+    ], ids=["duplicate", "non-finite", "unbalanced", "one-family"])
+    def test_record_errors_stay_bulk(self, tmp_path, monkeypatch, records, error, message):
+        # a file the bulk parse can split is worded from that parse, not read again
+        path = tmp_path / "families.csv"
+        path.write_text(CSV_HEADER + "\n" + records)
+        monkeypatch.setattr(estimate, "_row_fields", _no_row_reader)
+        with pytest.raises(error, match=f"^{re.escape(str(path) + message)}$"):
+            load_family_csv(path, GRID1, "half-sib")
+
+
+def _csv_text(records) -> bytes:
+    """A family CSV of ``(family, individual, traits)`` records, quoted as the csv module does."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerows([fam, ind, *map(repr, traits)] for fam, ind, traits in records)
+    return out.getvalue().encode()
+
+
+@st.composite
+def family_records(draw):
+    """The records of a balanced design, 2-4 families of 2-4 members, in file order."""
+    n_f, n = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    traits = draw(st.lists(st.floats(-1e3, 1e3), min_size=2 * n_f * n, max_size=2 * n_f * n))
+    return [(f"F{j + 1}", f"I{i + 1}", traits[2 * (j * n + i):2 * (j * n + i) + 2])
+            for j in range(n_f) for i in range(n)]
+
+
+class TestCsvInvariance:
+    """The estimate does not depend on the order or the labels of the records."""
+
+    @settings(max_examples=60)
+    @given(records=family_records(), order=st.randoms(use_true_random=False))
+    def test_record_order_changes_estimate_only_at_roundoff(self, tmp_path_factory, records,
+                                                            order):
+        # any order of the records: the families' order and each family's member order
+        shuffled = order.sample(records, len(records))
+        folder = tmp_path_factory.mktemp("order")
+        estimates = []
+        for name, rows in (("file.csv", records), ("shuffled.csv", shuffled)):
+            path = folder / name
+            path.write_bytes(_csv_text(rows))
+            bulk, row_only = (load(path, GRID1, "half-sib").values
+                              for load in (load_family_csv, _load_rows))
+            assert bulk.tobytes() == row_only.tobytes()
+            estimates.append(anova_estimate(FamilyDataset(bulk, GRID1, "half-sib")))
+        a, b = estimates
+        # reordered sums differ by a few ulps of the largest mean square; G_hat_raw is
+        # c/n <= 2 times a difference of two mean squares
+        scale = max(np.abs(a.between_ms.entries).max(), np.abs(a.within_ms.entries).max(), 1e-300)
+        for m in ("between_ms", "within_ms"):
+            assert np.abs(getattr(a, m).entries - getattr(b, m).entries).max() <= 1e-12 * scale
+        assert np.abs(a.g_hat_raw.entries - b.g_hat_raw.entries).max() <= 4e-12 * scale
+
+    @settings(max_examples=60)
+    @given(records=family_records(),
+           labels=st.lists(st.text(st.characters(exclude_categories=["Cs"])), min_size=8,
+                           max_size=8, unique=True))
+    def test_relabeling_changes_nothing(self, tmp_path_factory, records, labels):
+        # new family and individual names, each record kept where it is
+        families = dict(zip(dict.fromkeys(fam for fam, _, _ in records), labels[:4]))
+        members = dict(zip(dict.fromkeys(ind for _, ind, _ in records), labels[4:]))
+        renamed = [(families[fam], members[ind], traits) for fam, ind, traits in records]
+        folder = tmp_path_factory.mktemp("labels")
+        (folder / "file.csv").write_bytes(_csv_text(records))
+        (folder / "renamed.csv").write_bytes(_csv_text(renamed))
+        original = load_family_csv(folder / "file.csv", GRID1, "half-sib").values
+        for load in (load_family_csv, _load_rows):
+            values = load(folder / "renamed.csv", GRID1, "half-sib").values
+            assert values.shape == original.shape and values.tobytes() == original.tobytes()
