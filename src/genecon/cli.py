@@ -230,7 +230,7 @@ def _study_config(cfg, args) -> tuple[SimulationParams, int, int, str, Simplicit
     reps = checked("reps", lambda n: n >= 1, "at least 1")
     null_dim = checked("null_dim", lambda n: 1 <= n < grid.size, f"in [1, {grid.size - 1}]")
     params = SimulationParams(
-        mu=json_numbers(cfg.get("mu", np.zeros(grid.size)), "field 'mu'"),
+        mu=json_numbers(cfg.get("mu", [0.0] * grid.size), "field 'mu'"),
         g=g,
         e=e,
         sigma2=json_number(need("sigma2"), "field 'sigma2'"),

@@ -52,11 +52,11 @@ def json_number(value, what: str) -> float:
 
 
 def json_numbers(value, what: str) -> np.ndarray:
-    """A number or (nested) list of numbers read from JSON, as a float array."""
-    items = np.asarray(value, dtype=object)
+    """A flat list of numbers read from JSON, as a 1-D float array; nested lists are rejected."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
     entry = f"each entry of {what}"
-    flat = items.reshape(-1)  # not items.flat, which numpy iterates to 32 dimensions only
-    return np.array([json_number(x, entry) for x in flat], dtype=float).reshape(items.shape)
+    return np.array([json_number(x, entry) for x in value], dtype=float)
 
 
 def _first(bad: np.ndarray) -> tuple[tuple[int, ...], str]:

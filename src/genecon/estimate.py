@@ -115,7 +115,6 @@ class VarianceComponents:
     g_hat_raw: SymMatrix
     g_hat: GMatrix
     raw_eigenvalues: np.ndarray
-    clipped_indices: tuple[int, ...]
     relatedness: float
 
     def __post_init__(self):
@@ -164,7 +163,6 @@ def anova_estimate(data: FamilyDataset) -> VarianceComponents:
         g_hat_raw=g_raw,
         g_hat=g_hat,
         raw_eigenvalues=raw_eig.eigenvalues,
-        clipped_indices=g_hat.clipped_indices,
         relatedness=data.relatedness,
     )
 

@@ -21,14 +21,14 @@ instead of going through the pure-Python encoder that ``indent`` selects.
 Figure coordinates are formatted in bulk the same way, with the same ``.6g``
 text as formatting each point on its own.
 
-Every partition of one G repeats G's leading eigenvectors as its model PCs,
-so each eigenvector's report coordinates and figure panel are formatted once
-per G and reused at every J. The coordinates travel in the report as a
-fragment: a ``list`` subclass holding the floats and their JSON text. The
-text is written only where it is exact, at the indentation it was made for
-and while the list holds the floats it was made from; anywhere else the list
-is encoded like any other. The bytes are the same either way, and
-``json.loads`` of them equals the document.
+A partition reads its model PCs from its G, so every partition of one G
+repeats G's leading eigenvectors. One memo per G formats all K of them at
+once, as report coordinates and as figure panels, and every J takes its first
+J. The coordinates travel in the report as a fragment: a ``list`` subclass
+holding the floats and their JSON text. The text is written only where it is
+exact, at the indentation it was made for and while the list holds the floats
+it was made from; anywhere else the list is encoded like any other. The bytes
+are the same either way, and ``json.loads`` of them equals the document.
 """
 
 from __future__ import annotations
@@ -205,53 +205,20 @@ def _vector_panel(col: int, role: str, number: int, x_text: list[str], ys: list[
 _COORDINATES_PAD = " " * 6
 
 
-class _ModelRows:
-    """Each model PC's report coordinates and figure panel, formatted at most once.
-
-    Model PC i of every partition of G is row i of G's read-only eigenvector
-    matrix and sits in column i-1 of the figure, so its text is the same at
-    every J. Rows are formatted on first use; nearly-null rows are not kept,
-    since each J has its own null basis. A longer list replaces a shorter one
-    whole, so item i is row i's text even if two threads extend it at once.
-    """
-
-    def __init__(self, vectors: np.ndarray, x_text: list[str]):
-        self.vectors = vectors
-        self.x_text = x_text
-        self._coordinates: list[_Fragment] = []
-        self._panels: list[str] = []
-
-    def coordinates(self, j: int) -> list[_Fragment]:
-        """New lists of model PCs 1..j's coordinates, each carrying its JSON text."""
-        done = self._coordinates
-        if len(done) < j:
-            rows = self.vectors[len(done):j].tolist()
-            self._coordinates = done = done + [_Fragment(r, _COORDINATES_PAD) for r in rows]
-        return [fragment.twin() for fragment in done[:j]]
-
-    def panels(self, j: int) -> list[str]:
-        """Model PCs 1..j's vector panels, in columns 0..j-1."""
-        done = self._panels
-        if len(done) < j:
-            ys = _y_pixels(self.vectors[len(done):j], 1.0).tolist()
-            self._panels = done = done + [_vector_panel(col, "model", col + 1, self.x_text, y)
-                                          for col, y in enumerate(ys, len(done))]
-        return done[:j]
-
-
 @lru_cache(maxsize=1)
-def _rows_of(g: GMatrix) -> _ModelRows:
-    """The memo of G's eigenvectors; GMatrix hashes by identity and is immutable."""
-    return _ModelRows(g.eig.eigenvectors.T, _x_text(_x_pixels(_abscissa(g))))
+def _model_rows(g: GMatrix) -> tuple[list[_Fragment], list[str], list[str]]:
+    """Each of G's K eigenvectors as report coordinates and as a figure panel, and G's x text.
 
-
-def _model_rows(part: SubspacePartition) -> _ModelRows:
-    """The memo of the partition's G, or a private one if its model rows are not G's leading
-    eigenvectors (a partition built by hand)."""
-    rows = _rows_of(part.g)
-    if part.model_vectors.tobytes() != rows.vectors[:part.j].tobytes():
-        return _ModelRows(part.model_vectors, rows.x_text)
-    return rows
+    Model PC i of every partition of G is row i of G's eigenvector matrix and
+    sits in column i-1 of the figure, so its text is the same at every J.
+    GMatrix hashes by identity and is immutable, so one slot serves a sweep.
+    """
+    rows = g.eig.eigenvectors.T
+    x_text = _x_text(_x_pixels(_abscissa(g)))
+    fragments = [_Fragment(row, _COORDINATES_PAD) for row in rows.tolist()]
+    panels = [_vector_panel(col, "model", col + 1, x_text, ys)
+              for col, ys in enumerate(_y_pixels(rows, 1.0).tolist())]
+    return fragments, panels, x_text
 
 
 def render_partition_figure(part: SubspacePartition, provenance: dict | None = None) -> str:
@@ -263,10 +230,10 @@ def render_partition_figure(part: SubspacePartition, provenance: dict | None = N
     simplest nearly-null vector. Curves run over the grid of the partition's G
     (over trait indices if it has none).
     """
-    rows = _model_rows(part)
+    _, model_panels, x_text = _model_rows(part.g)
     ys = _y_pixels(part.null_basis.vectors, 1.0).tolist()
-    panels = rows.panels(part.j) + [
-        _vector_panel(part.j + i, "null", i + 1, rows.x_text, y) for i, y in enumerate(ys)
+    panels = model_panels[:part.j] + [
+        _vector_panel(part.j + i, "null", i + 1, x_text, y) for i, y in enumerate(ys)
     ]
     panels += _panel(0, 1, "panel scatter", _scatter(part))
     panels += _panel(1, 1, "panel bars", _bars(part))
@@ -333,7 +300,8 @@ def make_provenance(
 def partition_report(part: SubspacePartition, provenance: dict) -> dict:
     """Lossless JSON document for one partition; ``grid`` is null if its G has no grid."""
     g, measure = part.g, part.measure
-    coordinates = _model_rows(part).coordinates(part.j) + part.null_basis.vectors.tolist()
+    fragments = _model_rows(g)[0][:part.j]
+    coordinates = [f.twin() for f in fragments] + part.null_basis.vectors.tolist()
     vectors = []
     for i, (role, number) in enumerate(_labels(part)):
         entry = {

@@ -61,19 +61,20 @@ class VarianceShares:
 class SubspacePartition:
     """J-dimensional model space plus simplicity basis of the complement.
 
-    ``g`` and ``measure`` are what the partition was computed from. The
-    combined basis (model eigenvectors followed by nearly-null simplicity
-    vectors) is orthonormal in R^K. Per-vector ``scores``, ``response_norms``
-    and ``proportions`` run over that combined basis. The model/null variance
-    fractions split the total response-norm mass of the eigenbasis at J,
-    which does not depend on the basis chosen for either subspace.
+    ``g`` and ``measure`` are what the partition was computed from. The model
+    PCs are read from G: ``model_vectors`` and ``model_eigenvalues`` are
+    read-only views of its leading J eigenvectors and eigenvalues, so no
+    partition holds model rows that are not G's. The combined basis (model
+    eigenvectors followed by nearly-null simplicity vectors) is orthonormal
+    in R^K. Per-vector ``scores``, ``response_norms`` and ``proportions`` run
+    over that combined basis. The model/null variance fractions split the
+    total response-norm mass of the eigenbasis at J, which does not depend on
+    the basis chosen for either subspace.
     """
 
     g: GMatrix
     measure: SimplicityMeasure
     j: int
-    model_vectors: np.ndarray       # (J, K) rows, eigenvectors of G
-    model_eigenvalues: np.ndarray   # (J,)
     null_basis: SimplicityBasis     # K - J simplicity-ordered vectors
     scores: np.ndarray              # (K,) simplicity score of every basis vector
     response_norms: np.ndarray      # (K,) ||G b|| per basis vector
@@ -84,9 +85,18 @@ class SubspacePartition:
     boundary_tie: bool              # eigenvalue J ties eigenvalue J+1 within tolerance
 
     def __post_init__(self):
-        for name in ("model_vectors", "model_eigenvalues", "scores",
-                     "response_norms", "proportions"):
+        for name in ("scores", "response_norms", "proportions"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
+
+    @property
+    def model_vectors(self) -> np.ndarray:
+        """(J, K) rows: G's leading J eigenvectors."""
+        return self.g.eig.eigenvectors.T[:self.j]
+
+    @property
+    def model_eigenvalues(self) -> np.ndarray:
+        """(J,) G's leading J eigenvalues."""
+        return self.g.eig.eigenvalues[:self.j]
 
     @property
     def dim(self) -> int:
@@ -183,10 +193,9 @@ def partition(g: GMatrix, j: int, measure: SimplicityMeasure) -> SubspacePartiti
 
     lam = g.eig.eigenvalues
     vectors = g.eig.eigenvectors.T  # rows
-    model_vectors = vectors[:j]
     null_b = simplicity_basis(vectors[j:], measure)
 
-    combined = np.vstack([model_vectors, null_b.vectors])
+    combined = np.vstack([vectors[:j], null_b.vectors])
     shares = variance_proportions(g, combined)
     lam_mat = measure.lambda_matrix.entries
     scores = np.einsum("ij,jk,ik->i", combined, lam_mat, combined)
@@ -204,8 +213,6 @@ def partition(g: GMatrix, j: int, measure: SimplicityMeasure) -> SubspacePartiti
         g=g,
         measure=measure,
         j=j,
-        model_vectors=model_vectors,
-        model_eigenvalues=lam[:j],
         null_basis=null_b,
         scores=scores,
         response_norms=shares.norms,

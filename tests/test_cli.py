@@ -708,6 +708,31 @@ def test_invalid_json_is_worded_alike(inputs, study_config, tmp_path, capsys, fl
     assert not out.exists()
 
 
+NESTED = [[11.0, 17.0], [23.0, 29.0], [35.0, 40.0]]
+
+
+@pytest.mark.parametrize("flag, field, payload", [
+    ("--grid", "points", {"points": NESTED}),
+    ("--config", "points", {**STUDY_CONFIG, "grid": {"points": NESTED}}),
+    ("--config", "mu", {**STUDY_CONFIG, "mu": [[0.0] * 3, [0.0] * 3]}),
+    ("--g", "entries", {"dim": 6, "entries": np.diag(GROWTH_EIGENVALUES).tolist()}),
+], ids=["grid-points", "config-points", "config-mu", "g-entries"])
+def test_nested_lists_are_rejected(inputs, tmp_path, capsys, flag, field, payload):
+    # points, entries and mu are flat lists; a nested one is not read as its flattening
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    out, svg = tmp_path / "o.json", tmp_path / "o.svg"
+    if flag == "--config":
+        argv = ["simulate", "--config", str(bad)]
+    else:
+        paths = {"--g": str(inputs["g"]), "--grid": str(inputs["grid"]), flag: str(bad)}
+        argv = ["analyze", "--g", paths["--g"], "--grid", paths["--grid"], "--J", "2"]
+    assert main([*argv, "--out", str(out), "--svg", str(svg)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and f"{flag}: {bad}: " in err[0] and field in err[0]
+    assert not out.exists() and not svg.exists()
+
+
 @pytest.mark.parametrize("target", ["missing/r.json", "taken"], ids=["no-parent", "directory"])
 def test_failed_write_names_its_target(inputs, tmp_path, capsys, target):
     (tmp_path / "taken").mkdir()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from genecon.core import SymMatrix, clip_negative_eigenvalues
+from genecon.core import EigenDecomposition, GMatrix, SymMatrix, clip_negative_eigenvalues
 from genecon.reference import study_params, surrogate_g, temperature_grid
 from genecon.report import (
     _Fragment,
@@ -190,21 +190,23 @@ class TestJsonReports:
         assert back["vectors"][0]["proportion"] == part.proportions[0]
         assert back["eigenvalues"] == [float(x) for x in g.eig.eigenvalues]
 
-    def test_report_and_figure_follow_a_hand_built_partition(self):
-        # eigenvectors are formatted once per G; a partition whose model rows
-        # are not G's eigenvectors must still be drawn and reported as it is
+    def test_report_and_figure_follow_a_hand_built_g(self):
+        # eigenvectors are formatted once per G; a G whose decomposition was
+        # built by hand is drawn and reported from its own eigenvectors, also
+        # after another G has taken and given back the memo's one slot
         g, part = make_partition(3)
-        flipped = dataclasses.replace(part, model_vectors=-part.model_vectors)
+        flipped_g = GMatrix(g.matrix, EigenDecomposition(g.eig.eigenvalues, -g.eig.eigenvectors),
+                            grid=g.grid)
         prov = make_provenance({})
-        for p in (part, flipped, part):
+        parts = [partition(h, 3, MEASURE) for h in (g, flipped_g, g)]
+        for p in parts:
             doc = partition_report(p, prov)
             assert [v["coordinates"] for v in doc["vectors"]] == p.combined_basis().tolist()
             assert report_json_bytes(doc) == reference_json_bytes(doc)
-        svg, flipped_svg = render_partition_figure(part), render_partition_figure(flipped)
-        assert svg != flipped_svg
+        svg, flipped_svg, again = map(render_partition_figure, parts)
+        assert svg != flipped_svg and again == svg
         fresh = dataclasses.replace(part, g=dataclasses.replace(g))  # the same G, not yet seen
         assert render_partition_figure(fresh) == svg
-        assert render_partition_figure(dataclasses.replace(flipped, g=fresh.g)) == flipped_svg
 
     def test_reports_of_one_g_share_no_lists(self):
         g, part = make_partition(3)
