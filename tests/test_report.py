@@ -190,10 +190,11 @@ class TestJsonReports:
         assert back["vectors"][0]["proportion"] == part.proportions[0]
         assert back["eigenvalues"] == [float(x) for x in g.eig.eigenvalues]
 
-    def test_report_and_figure_follow_a_hand_built_g(self):
-        # eigenvectors are formatted once per G; a G whose decomposition was
-        # built by hand is drawn and reported from its own eigenvectors, also
-        # after another G has taken and given back the memo's one slot
+    def test_report_and_figure_follow_a_hand_built_partition(self):
+        # eigenvectors are formatted once per G; a partition of a G whose
+        # decomposition was built by hand is drawn and reported from that G's
+        # own eigenvectors, also after another G has taken and given back the
+        # memo's one slot
         g, part = make_partition(3)
         flipped_g = GMatrix(g.matrix, EigenDecomposition(g.eig.eigenvalues, -g.eig.eigenvectors),
                             grid=g.grid)
