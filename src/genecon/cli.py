@@ -26,8 +26,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from .core import (SymMatrix, TraitGrid, clip_negative_eigenvalues, json_int, json_number,
-                   json_numbers)
+from .core import (SymMatrix, TraitGrid, brief_repr, clip_negative_eigenvalues, json_int,
+                   json_number, json_numbers)
 from .errors import GeneconError
 from .estimate import (
     DESIGN_ALIASES,
@@ -241,9 +241,8 @@ def _study_config(cfg, args) -> tuple[SimulationParams, int, int, str, Simplicit
     )
     measure_kind = str(cfg.get("measure", "d1"))
     if measure_kind not in MEASURE_ALIASES:
-        raise ValueError(
-            f"field 'measure' must be one of {tuple(MEASURE_ALIASES)}, got {measure_kind!r}"
-        )
+        raise ValueError(f"field 'measure' must be one of {tuple(MEASURE_ALIASES)}, "
+                         f"got {brief_repr(measure_kind)}")
     try:
         measure = measure_from_kind(measure_kind, grid)
     except GeneconError as exc:
@@ -294,8 +293,8 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"genecon {args.command}: {exc}", file=sys.stderr)
         return 2
-    except (GeneconError, OSError) as exc:
-        print(f"genecon {args.command}: {exc}", file=sys.stderr)
+    except (GeneconError, OSError, MemoryError) as exc:
+        print(f"genecon {args.command}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

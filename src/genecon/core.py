@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,32 +30,38 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def brief_repr(value) -> str:
+    """A repr of a rejected input, shortened by ``reprlib`` and cut at 80 characters."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 80 else text[:77] + "..."
+
+
 def json_int(value, what: str) -> int:
     """An integer read from JSON; bools, strings and non-integral numbers are rejected."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {brief_repr(value)}")
     return value
 
 
 def json_number(value, what: str) -> float:
     """A finite number read from JSON; bools, strings, containers, NaN and ±inf are rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise ValueError(f"{what} must be a number, got {brief_repr(value)}")
     try:
         number = float(value)
     except OverflowError as exc:
         raise ValueError(f"{what} is out of range: {exc}") from exc
     if not math.isfinite(number):
-        raise ValueError(f"{what} must be finite, got {value!r}")
+        raise ValueError(f"{what} must be finite, got {brief_repr(value)}")
     return number
 
 
 def json_numbers(value, what: str) -> np.ndarray:
     """A flat list of numbers read from JSON, as a 1-D float array; nested lists are rejected."""
     if not isinstance(value, list):
-        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+        raise ValueError(f"{what} must be a list of numbers, got {brief_repr(value)}")
     entry = f"each entry of {what}"
     return np.array([json_number(x, entry) for x in value], dtype=float)
 
@@ -227,10 +234,6 @@ class EigenDecomposition:
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
         object.__setattr__(self, "eigenvectors", _readonly(self.eigenvectors))
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.T
 
 
 def symmetric_eigen(m: SymMatrix) -> EigenDecomposition:

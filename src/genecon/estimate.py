@@ -32,6 +32,7 @@ from .core import (
     _clip_decomposition,
     _readonly,
     _symmetrized,
+    brief_repr,
     clip_negative_eigenvalues,
     symmetric_eigen,
 )
@@ -52,7 +53,7 @@ DESIGN_ALIASES = {HALF_SIB: HALF_SIB, "halfsib": HALF_SIB, FULL_SIB: FULL_SIB, "
 def normalize_design(tag: str) -> str:
     cleaned = tag.strip().lower().replace("_", "-")
     if cleaned not in DESIGN_ALIASES:
-        raise ValueError(f"unknown family design {tag!r}; expected half-sib or full-sib")
+        raise ValueError(f"unknown family design {brief_repr(tag)}; expected half-sib or full-sib")
     return DESIGN_ALIASES[cleaned]
 
 

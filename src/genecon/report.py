@@ -12,12 +12,12 @@ JSON reports serialize every numeric result at full precision and carry a
 provenance block (inputs, tolerances, seed, measure kind, relatedness,
 software version, and the numpy version and LAPACK build that computed them).
 
-Byte contract: :func:`report_json_bytes` returns exactly the UTF-8 bytes of
-``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``. It
-rejects with ``TypeError`` every key or value type that ``json.dumps`` rejects,
-and with ``ValueError`` a NaN or infinity, naming the field that holds it,
-since JSON has no spelling for either. It formats a list of floats in one join
-instead of going through the pure-Python encoder that ``indent`` selects.
+Byte contract: for a document of ``str`` keys and ``list`` containers, as
+both report builders make, :func:`report_json_bytes` returns exactly the UTF-8
+bytes of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``.
+Any other key or container, or a value ``json.dumps`` rejects, raises
+``TypeError``; a NaN or infinity raises ``ValueError`` naming its field. A list
+of floats is formatted in one join, not by the encoder ``indent`` selects.
 Figure coordinates are formatted in bulk the same way, with the same ``.6g``
 text as formatting each point on its own.
 
@@ -89,10 +89,6 @@ def _labels(part: SubspacePartition) -> list[tuple[str, int]]:
     """(role, number) of each combined-basis vector: model 1..J, then null 1..K-J."""
     return ([("model", n) for n in range(1, part.j + 1)]
             + [("null", n) for n in range(1, part.null_dim + 1)])
-
-
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
 
 
 def _x_text(xs: np.ndarray) -> list[str]:
@@ -169,7 +165,7 @@ def _bars(part: SubspacePartition) -> list[str]:
     for idx, (role, frac) in enumerate(
         (("model", part.model_variance_fraction), ("null", part.null_variance_fraction))
     ):
-        bh = _clamp01(float(frac)) * _INNER_HEIGHT
+        bh = min(max(float(frac), 0.0), 1.0) * _INNER_HEIGHT
         bx = _PAD + bar_w * (0.5 + 1.5 * idx)
         body += [
             f'<rect class="bar {role}" x="{_fmt(bx)}" y="{_fmt(_BOTTOM - bh)}" '
@@ -399,23 +395,6 @@ def _float_text(x: float) -> str:
     return text
 
 
-def _key_text(key) -> str:
-    """A dict key as ``json`` writes it: the string itself or a scalar's JSON text."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, float):
-        return _float_text(key)
-    if key is True:
-        return "true"
-    if key is False:
-        return "false"
-    if key is None:
-        return "null"
-    if isinstance(key, int):
-        return int.__repr__(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-
-
 def _floats_text(items, pad: str) -> str | None:
     """The JSON text of a list of finite floats at ``pad``; None for any other list."""
     if not items:
@@ -465,8 +444,8 @@ def _encode(o, pad: str, out: list[str]) -> None:
     """Append the JSON text of ``o`` to ``out``; ``pad`` indents the line it starts on.
 
     The type tests run in ``json``'s order, so bools are written before ints
-    and float or int subclasses are written as their base type. A list of
-    floats is formatted in one join; a :class:`_Fragment` brings its own text.
+    and float or int subclasses as their base type; keys must be ``str``. A
+    list of floats is formatted in one join; a :class:`_Fragment` brings its own text.
     """
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
@@ -480,7 +459,7 @@ def _encode(o, pad: str, out: list[str]) -> None:
         out.append(int.__repr__(o))
     elif isinstance(o, float):
         out.append(_float_text(o))
-    elif isinstance(o, (list, tuple)):
+    elif isinstance(o, list):
         text = o.text_at(pad) if type(o) is _Fragment else None
         if text is None:
             text = _floats_text(o, pad)
@@ -502,12 +481,13 @@ def _encode(o, pad: str, out: list[str]) -> None:
         inner = pad + "  "
         lead = "{\n" + inner
         for key, value in sorted(o.items()):
-            text = _key_text(key)
-            out.append(lead + encode_basestring_ascii(text) + ": ")
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(lead + encode_basestring_ascii(key) + ": ")
             try:
                 _encode(value, inner, out)
             except _NonFinite as exc:
-                exc.args += (text,)
+                exc.args += (key,)
                 raise
             lead = ",\n" + inner
         out.append("\n" + pad + "}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (SymMatrix, TraitGrid, _eigh, _first, _readonly, _symmetrized, _ties,
-                   json_number, symmetric_eigen)
+                   symmetric_eigen)
 from .errors import GridTooSmall, InvalidMatrix, NotUnitVector, RankDeficientSubspace
 
 FIRST_DIFFERENCE = "first-difference"
@@ -55,22 +55,6 @@ class SimplicityMeasure:
     @property
     def dim(self) -> int:
         return self.lambda_matrix.dim
-
-    def to_payload(self) -> dict:
-        payload = self.lambda_matrix.to_payload()
-        payload["kind"] = self.kind
-        payload["score_upper_bound"] = float(self.score_upper_bound)
-        return payload
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SimplicityMeasure":
-        matrix = SymMatrix.from_payload(payload)
-        try:
-            bound = json_number(payload["score_upper_bound"], "score_upper_bound")
-            kind = str(payload["kind"])
-        except (KeyError, ValueError) as exc:
-            raise InvalidMatrix(f"malformed measure payload: {exc}") from exc
-        return cls(matrix, bound, kind)
 
 
 @dataclass(frozen=True, eq=False)

@@ -53,9 +53,6 @@ class VarianceShares:
         object.__setattr__(self, "norms", _readonly(self.norms))
         object.__setattr__(self, "proportions", _readonly(self.proportions))
 
-    def pairs(self) -> list[tuple[float, float]]:
-        return [(float(n), float(p)) for n, p in zip(self.norms, self.proportions)]
-
 
 @dataclass(frozen=True, eq=False)
 class SubspacePartition:

@@ -574,6 +574,17 @@ class TestSimulate:
         assert len(err) == 1 and "measure d2: " in err[0]
         assert not out.exists()
 
+    def test_study_too_large_to_allocate(self, study_config, tmp_path, capsys):
+        # 10**15 replicates' 6x6 mean squares need 256 PiB, more than any x86-64
+        # address space, so the allocation fails at once without touching memory
+        out = tmp_path / "o.json"
+        code = main(["simulate", "--config", str(study_config), "--reps", str(10**15),
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("genecon simulate: ")
+        assert not out.exists()
+
     def test_missing_field(self, tmp_path, capsys):
         cfg = tmp_path / "partial.json"
         cfg.write_text(json.dumps({"grid": {"points": [0.0, 1.0]}}))
@@ -731,6 +742,34 @@ def test_nested_lists_are_rejected(inputs, tmp_path, capsys, flag, field, payloa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and f"{flag}: {bad}: " in err[0] and field in err[0]
     assert not out.exists() and not svg.exists()
+
+
+@pytest.mark.parametrize("flag, field, text", [
+    ("--grid", "points", '{"points": ' + "[" * 900 + "]" * 900 + "}"),
+    ("--grid", "points", '{"points": [11, 17, 23, 29, 35, '
+                         + json.dumps({"a": list(range(500))}) + "]}"),
+    ("--g", "entries", json.dumps({"dim": 6, "entries": ["x" * 5000] * 36})),
+    ("--config", "'families'", json.dumps({**STUDY_CONFIG, "families": list(range(1000))})),
+    ("--config", "'sigma2'", json.dumps({**STUDY_CONFIG, "sigma2": {"a": "x" * 5000}})),
+    ("--config", "'measure'", json.dumps({**STUDY_CONFIG, "measure": "d" * 5000})),
+    ("--config", "design", json.dumps({**STUDY_CONFIG, "design": "half" * 2000})),
+], ids=["points-900-deep", "long-last-point", "long-entry", "list-families", "dict-sigma2",
+        "long-measure", "long-design"])
+def test_rejected_value_is_echoed_briefly(inputs, tmp_path, monkeypatch, capsys, flag, field,
+                                          text):
+    # a deep or long value is echoed shortened, so its one line stays readable
+    monkeypatch.chdir(tmp_path)
+    Path("bad.json").write_text(text)
+    if flag == "--config":
+        argv = ["simulate", "--config", "bad.json"]
+    else:
+        paths = {"--g": str(inputs["g"]), "--grid": str(inputs["grid"]), flag: "bad.json"}
+        argv = ["analyze", "--g", paths["--g"], "--grid", paths["--grid"], "--J", "2"]
+    assert main([*argv, "--out", "o.json"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0]) < 200
+    assert err[0].startswith(f"genecon {argv[0]}: {flag}: bad.json: ") and field in err[0]
+    assert not Path("o.json").exists()
 
 
 @pytest.mark.parametrize("target", ["missing/r.json", "taken"], ids=["no-parent", "directory"])

@@ -146,8 +146,10 @@ class TestSymmetricEigen:
             scale_factor = (1e-6, 1.0, 1e6)[trial % 3]  # relative accuracy at any scale
             m = SymMatrix(scale_factor * (a + a.T))
             eig = symmetric_eigen(m)
-            assert np.linalg.norm(m.entries - eig.reconstruct()) <= 1e-8 * m.frobenius()
-            ortho = eig.eigenvectors.T @ eig.eigenvectors
+            v = eig.eigenvectors
+            rebuilt = (v * eig.eigenvalues) @ v.T
+            assert np.linalg.norm(m.entries - rebuilt) <= 1e-8 * m.frobenius()
+            ortho = v.T @ v
             assert np.abs(ortho - np.eye(k)).max() <= 1e-10
             assert np.all(np.diff(eig.eigenvalues) <= 0)
 

@@ -330,25 +330,35 @@ class TestJsonEmitter:
         ({"a": {"b": [0.5, math.nan]}}, "a.b"),
         ({"a": [{"c": math.inf}]}, "a.c"),
         ({"norm": -math.inf}, "norm"),
-        ({"keys": {math.inf: 0}}, "keys"),
         ([1.0, math.nan], "(top level)"),
-    ], ids=["float-list", "list-of-dicts", "scalar", "infinite-key", "top-level"])
+    ], ids=["float-list", "list-of-dicts", "scalar", "top-level"])
     def test_non_finite_names_the_field(self, doc, field):
         with pytest.raises(ValueError):
             reference_json_bytes(doc)
         with pytest.raises(ValueError, match=rf"^report field {re.escape(field)} holds "):
             report_json_bytes(doc)
 
-    @pytest.mark.parametrize("doc", [
-        {1: "a", 2.5: "b", -3: "c"},
-        {True: 0},
-        {None: [1.0]},
-        {1e300: 0, 0.5: 1},
-        (1.0, [2.0, (3, "x")]),
-        [np.float64(0.1), 2.0],
-    ], ids=["numeric-keys", "bool-key", "none-key", "float-keys", "tuples", "float-subclass"])
-    def test_non_string_keys_and_sequences(self, doc):
-        assert report_json_bytes(doc) == reference_json_bytes(doc)
+    @pytest.mark.parametrize("doc, accepted", [
+        ({1: 0}, False),
+        ({1: "a", 2.5: "b", -3: "c"}, False),
+        ({True: 0}, False),
+        ({None: [1.0]}, False),
+        ({1e300: 0, 0.5: 1}, False),
+        ({"keys": {math.inf: 0}}, False),
+        ((1.0,), False),
+        ((1.0, [2.0, (3, "x")]), False),
+        ({"a": [1.0, (2.0,)]}, False),
+        ([np.float64(0.1), 2.0], True),
+    ], ids=["int-key", "numeric-keys", "bool-key", "none-key", "float-keys", "infinite-key",
+            "tuple", "tuples", "nested-tuple", "float-subclass"])
+    def test_non_string_keys_and_sequences(self, doc, accepted):
+        # json.dumps writes all but the infinite key; the writer takes only str
+        # keys and lists, and writes a float subclass as json.dumps does
+        if accepted:
+            assert report_json_bytes(doc) == reference_json_bytes(doc)
+        else:
+            with pytest.raises(TypeError):
+                report_json_bytes(doc)
 
     @pytest.mark.parametrize("doc", [
         np.int64(1),

@@ -376,26 +376,6 @@ class TestMeasureConstruction:
             symmetric_eigen(penalty).eigenvalues[0], abs=1e-9
         )
 
-    def test_payload_round_trip(self):
-        measure = first_difference_measure(temp_grid())
-        back = SimplicityMeasure.from_payload(measure.to_payload())
-        assert back.kind == measure.kind
-        assert back.score_upper_bound == measure.score_upper_bound
-        assert back.lambda_matrix == measure.lambda_matrix
-
-    @pytest.mark.parametrize("field, value", [
-        ("score_upper_bound", None), ("score_upper_bound", "4"),
-        ("score_upper_bound", float("nan")), ("kind", None),
-    ])
-    def test_malformed_payload_rejected(self, field, value):
-        payload = first_difference_measure(temp_grid()).to_payload()
-        if value is None:
-            del payload[field]
-        else:
-            payload[field] = value
-        with pytest.raises(InvalidMatrix, match=r"^malformed measure payload: "):
-            SimplicityMeasure.from_payload(payload)
-
     def test_measure_from_kind(self):
         grid = temp_grid()
         assert measure_from_kind("d1", grid).kind == "first-difference"

@@ -188,6 +188,18 @@ class TestRunStudy:
         assert a.simplest_norm_mean == b.simplest_norm_mean
         assert a.negative_fraction == b.negative_fraction
 
+    @pytest.mark.parametrize("reps, more", [(1, 5), (3, 7), (6, 8)])
+    def test_replicate_prefix(self, reps, more):
+        # replicate r draws from its own key, and each stacked call solves each
+        # replicate on its own, so a study is the first rows of a larger one
+        p = small_params(n_families=30, family_size=6)
+        a = run_study(p, reps=reps, null_dim=3, measure=MEASURE)
+        b = run_study(p, reps=more, null_dim=3, measure=MEASURE)
+        for name in ("min_raw_eigenvalues", "simplest_vectors", "null_pc_vectors",
+                     "simplest_responses", "null_pc_responses", "simplest_response_norms",
+                     "null_pc_response_norms", "canonical_distances_sq"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name)[:reps])
+
     def test_thread_invariance(self, monkeypatch):
         p = small_params(n_families=30, family_size=6)
         monkeypatch.delenv("GENECON_THREADS", raising=False)

@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from genecon.core import SymMatrix, TraitGrid, clip_negative_eigenvalues, symmetric_eigen
 from genecon.errors import DimensionMismatch, InvalidMatrix, SingularPhenotypicCovariance
-from genecon.reference import surrogate_g, temperature_grid
-from genecon.simplicity import first_difference_measure, sparseness_measure
+from genecon.reference import age_grid, surrogate_g, temperature_grid
+from genecon.simplicity import first_difference_measure, measure_from_kind, sparseness_measure
 from genecon.spaces import (
     breeders_response,
     canonical_angle_distance,
@@ -187,7 +189,8 @@ class TestVarianceProportions:
 
     def test_pairs(self):
         shares = variance_proportions(psd(np.eye(2)), np.eye(2))
-        assert shares.pairs() == [(1.0, 0.5), (1.0, 0.5)]
+        np.testing.assert_array_equal(shares.norms, [1.0, 1.0])
+        np.testing.assert_array_equal(shares.proportions, [0.5, 0.5])
 
 
 class TestPartition:
@@ -306,6 +309,64 @@ class TestSweep:
             np.testing.assert_array_equal(a.proportions, b.proportions)
             np.testing.assert_array_equal(a.null_basis.vectors, b.null_basis.vectors)
             np.testing.assert_array_equal(a.scores, b.scores)
+
+
+class TestMetamorphic:
+    """Changes of G's units or of the grid's frame that must leave the partition alone."""
+
+    @pytest.mark.parametrize("origin", [0, 7, -100])
+    @pytest.mark.parametrize("unit", [4.0, 0.125])
+    @pytest.mark.parametrize("grid", [temperature_grid(), age_grid()], ids=["temperature", "age"])
+    def test_grid_origin_and_unit(self, grid, origin, unit):
+        # an integer origin and a power-of-two unit move every point and gap
+        # exactly, so d1, which weighs each gap against the smallest, is the
+        # same bit for bit; d2's penalty scales by unit**-3 and its measure with it
+        moved = TraitGrid((grid.points + origin) * unit)
+        g = surrogate_g(grid=grid)
+        g_moved = dataclasses.replace(g, grid=moved)
+        for j in range(g.dim + 1):
+            a = partition(g, j, measure_from_kind("d1", grid))
+            b = partition(g_moved, j, measure_from_kind("d1", moved))
+            np.testing.assert_array_equal(b.null_basis.vectors, a.null_basis.vectors)
+            np.testing.assert_array_equal(b.scores, a.scores)
+            np.testing.assert_array_equal(b.proportions, a.proportions)
+        for j in range(g.dim):
+            a = partition(g, j, measure_from_kind("d2", grid))
+            b = partition(g_moved, j, measure_from_kind("d2", moved))
+            np.testing.assert_allclose(b.scores, a.scores * unit**-3,
+                                       rtol=0.0, atol=1e-12 * np.abs(b.scores).max())
+            if not a.null_basis.degenerate:  # at J = 0 constant and linear vectors tie
+                np.testing.assert_allclose(b.null_basis.vectors, a.null_basis.vectors,
+                                           rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-3, 0.37, 7.0, 1e3])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scaling_g(self, seed, scale):
+        # a distinct spectrum, so every eigenvector is defined. Tolerances: 1e-12
+        # for eigenvalues (relative), fractions, null-space projectors and scores
+        # (of their bound); 1e-10 for vectors, norms (relative) and proportions
+        q = random_orthogonal(6, np.random.default_rng(seed))
+        entries = (q * np.array([32.0, 16.0, 8.0, 4.0, 2.0, 1.0])) @ q.T
+        g, g_scaled = psd(entries, TEMP_GRID), psd(scale * entries, TEMP_GRID)
+        np.testing.assert_allclose(g_scaled.eigenvalues, scale * g.eigenvalues, rtol=1e-12)
+        for kind in ("d1", "d2", "sparse"):
+            measure = measure_from_kind(kind, TEMP_GRID)
+            for a, b in zip(sweep_partitions(g, measure), sweep_partitions(g_scaled, measure)):
+                assert b.model_variance_fraction == pytest.approx(a.model_variance_fraction,
+                                                                  rel=0.0, abs=1e-12)
+                np.testing.assert_allclose(b.scores, a.scores, rtol=0.0,
+                                           atol=1e-12 * measure.score_upper_bound)
+                np.testing.assert_allclose(b.null_basis.vectors.T @ b.null_basis.vectors,
+                                           a.null_basis.vectors.T @ a.null_basis.vectors,
+                                           rtol=0.0, atol=1e-12)
+                assert b.null_basis.degenerate == a.null_basis.degenerate
+                if a.null_basis.degenerate:
+                    continue  # tied scores: only the span of their vectors is defined
+                np.testing.assert_allclose(b.combined_basis(), a.combined_basis(),
+                                           rtol=0.0, atol=1e-10)
+                np.testing.assert_allclose(b.response_norms, scale * a.response_norms,
+                                           rtol=1e-10)
+                np.testing.assert_allclose(b.proportions, a.proportions, rtol=0.0, atol=1e-10)
 
 
 class TestCanonicalAngleDistance:
