@@ -11,19 +11,18 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from genecon.cli import main as genecon_main
 from genecon.reference import (
-    AGE_POINTS,
     GROWTH_EIGENVALUES,
     HEIGHT_EIGENVALUES,
-    TEMPERATURE_POINTS,
+    age_grid,
+    surrogate_g,
+    temperature_grid,
 )
 
 DATASETS = {
-    "growth_rate": (TEMPERATURE_POINTS, GROWTH_EIGENVALUES),
-    "height": (AGE_POINTS, HEIGHT_EIGENVALUES),
+    "growth_rate": surrogate_g(GROWTH_EIGENVALUES, temperature_grid()),
+    "height": surrogate_g(HEIGHT_EIGENVALUES, age_grid()),
 }
 
 
@@ -31,15 +30,10 @@ def write_inputs(out_dir: Path) -> dict[str, tuple[Path, Path]]:
     inputs = out_dir / "inputs"
     inputs.mkdir(parents=True, exist_ok=True)
     paths = {}
-    for name, (points, eigenvalues) in DATASETS.items():
-        grid_path = inputs / f"{name}_grid.json"
-        grid_path.write_text(json.dumps({"points": list(points)}, indent=2) + "\n")
-        g_path = inputs / f"{name}_g.json"
-        entries = np.diag(eigenvalues).ravel()
-        g_path.write_text(
-            json.dumps({"dim": len(points), "entries": list(entries)}, indent=2) + "\n"
-        )
-        paths[name] = (g_path, grid_path)
+    for name, g in DATASETS.items():
+        paths[name] = (inputs / f"{name}_g.json", inputs / f"{name}_grid.json")
+        for path, payload in zip(paths[name], (g.matrix.to_payload(), g.grid.to_payload())):
+            path.write_text(json.dumps(payload, indent=2) + "\n")
     return paths
 
 

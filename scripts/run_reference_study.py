@@ -7,8 +7,9 @@ nearly-null-space geometry and selection responses:
     python scripts/run_reference_study.py --out-dir results/study
     python scripts/run_reference_study.py --reps 50 --dump-replicate 0
 
-The optional --dump-replicate N writes, as CSV, records whose MANOVA
-reproduces replicate N of the study up to roundoff.
+The optional --dump-replicate N, for N in [0, reps), writes as CSV the
+records of replicate N, from the same parameters the study runs; their MANOVA
+reproduces that replicate up to roundoff.
 """
 
 import argparse
@@ -16,37 +17,23 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from genecon.cli import main as genecon_main
 from genecon.estimate import save_family_csv
-from genecon.reference import (
-    GROWTH_EIGENVALUES,
-    STUDY_FAMILIES,
-    STUDY_FAMILY_SIZE,
-    STUDY_NULL_DIM,
-    STUDY_REPS,
-    STUDY_SEED,
-    SURROGATE_ENV_VARIANCE,
-    SURROGATE_NOISE_VARIANCE,
-    TEMPERATURE_POINTS,
-    study_params,
-)
-from genecon.simulate import generate_dataset
+from genecon.reference import STUDY_NULL_DIM, STUDY_REPS, STUDY_SEED, study_params
+from genecon.simulate import SimulationParams, generate_dataset
 
 
-def write_config(path: Path, reps: int, seed: int) -> None:
-    k = len(TEMPERATURE_POINTS)
+def write_config(path: Path, p: SimulationParams, reps: int) -> None:
     config = {
-        "grid": {"points": list(TEMPERATURE_POINTS)},
-        "g": {"dim": k, "entries": list(np.diag(GROWTH_EIGENVALUES).ravel())},
-        "e": {"dim": k, "entries": list((SURROGATE_ENV_VARIANCE * np.eye(k)).ravel())},
-        "sigma2": SURROGATE_NOISE_VARIANCE,
-        "mu": [0.0] * k,
-        "families": STUDY_FAMILIES,
-        "siblings": STUDY_FAMILY_SIZE,
-        "design": "half-sib",
-        "seed": seed,
+        "grid": p.g.grid.to_payload(),
+        "g": p.g.matrix.to_payload(),
+        "e": p.e.to_payload(),
+        "sigma2": p.sigma2,
+        "mu": p.mu.tolist(),
+        "families": p.n_families,
+        "siblings": p.family_size,
+        "design": p.design,
+        "seed": p.seed,
         "reps": reps,
         "null_dim": STUDY_NULL_DIM,
         "measure": "d1",
@@ -54,10 +41,10 @@ def write_config(path: Path, reps: int, seed: int) -> None:
     path.write_text(json.dumps(config, indent=2) + "\n")
 
 
-def run(out_dir: Path, reps: int, seed: int, dump_replicate: int | None) -> int:
+def run(out_dir: Path, p: SimulationParams, reps: int, dump_replicate: int | None) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = out_dir / "study_config.json"
-    write_config(config, reps, seed)
+    write_config(config, p, reps)
     code = genecon_main([
         "simulate",
         "--config", str(config),
@@ -67,9 +54,8 @@ def run(out_dir: Path, reps: int, seed: int, dump_replicate: int | None) -> int:
     if code != 0:
         return code
     if dump_replicate is not None:
-        data = generate_dataset(study_params(seed=seed), replicate=dump_replicate)
         dump = out_dir / f"replicate_{dump_replicate:03d}.csv"
-        save_family_csv(data, dump)
+        save_family_csv(generate_dataset(p, replicate=dump_replicate), dump)
         print(f"dumped replicate {dump_replicate} to {dump}")
     print(f"summary and figure written to {out_dir}")
     return 0
@@ -82,4 +68,11 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int, default=STUDY_SEED)
     parser.add_argument("--dump-replicate", type=int, default=None)
     args = parser.parse_args()
-    sys.exit(run(args.out_dir, args.reps, args.seed, args.dump_replicate))
+    if args.dump_replicate is not None and not 0 <= args.dump_replicate < args.reps:
+        parser.exit(2, f"{parser.prog}: --dump-replicate must be in [0, {args.reps}), "
+                       f"got {args.dump_replicate}\n")
+    try:
+        params = study_params(seed=args.seed)
+    except ValueError as exc:
+        parser.exit(2, f"{parser.prog}: --seed: {exc}\n")
+    sys.exit(run(args.out_dir, params, args.reps, args.dump_replicate))

@@ -2,13 +2,13 @@
 
 Exit codes follow the usual scripting convention: 0 success, 1 runtime
 failure, 2 bad usage or invalid inputs. Outputs are byte-identical for the
-same inputs, seed, numpy version and LAPACK build. GENECON_THREADS is
-accepted for compatibility and ignored; a malformed value exits 2.
+same inputs, seed, numpy version and LAPACK build.
 
-BLAS, OpenMP and MKL run on one thread unless the user says otherwise.
-Importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS to 1 in the process environment wherever they are unset; they
-take effect only if numpy loads afterwards, as it does when the CLI runs.
+Thread policy: importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
+and MKL_NUM_THREADS to 1 wherever they are unset, so BLAS runs on one thread
+unless the user says otherwise (numpy must load afterwards, as it does when the
+CLI runs). GENECON_THREADS is ignored, since a thread pool never beat one
+thread, but a malformed value exits 2.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .estimate import (
     load_family_csv,
     normalize_design,
 )
-from .parallel import thread_count
 from .report import (
     make_provenance,
     partition_report,
@@ -50,6 +49,18 @@ from .report import (
 from .simplicity import MEASURE_ALIASES, SimplicityMeasure, measure_from_kind
 from .simulate import RNG_DESCRIPTION, SimulationParams, run_study
 from .spaces import partition, sweep_partitions
+
+
+def _check_thread_env() -> None:
+    """Reject a GENECON_THREADS that is not a nonnegative integer; any other value is ignored."""
+    raw = os.environ.get("GENECON_THREADS", "").strip() or "0"
+    try:
+        n = int(raw)
+    except ValueError:
+        raise ValueError(f"GENECON_THREADS must be an integer, got {brief_repr(raw)}") from None
+    if n < 0:
+        raise ValueError(f"GENECON_THREADS must be nonnegative, got {brief_repr(n)}")
+
 
 class UsageError(Exception):
     """Invalid flags or inputs; maps to exit code 2."""
@@ -285,7 +296,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     handlers = {"analyze": _cmd_analyze, "sweep": _cmd_sweep, "simulate": _cmd_simulate}
     try:
-        thread_count()  # reject a malformed GENECON_THREADS before any work
+        _check_thread_env()  # before any work
         # an overflow ends as a NaN or infinity, which the report writer rejects
         # by field name; numpy's warning lines would only precede that message
         with np.errstate(all="ignore"):

@@ -30,10 +30,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def brief_repr(value) -> str:
-    """A repr of a rejected input, shortened by ``reprlib`` and cut at 80 characters."""
-    text = reprlib.repr(value)
+def brief(text: str) -> str:
+    """Echoed input text, cut at 80 characters so that a message stays one short line."""
     return text if len(text) <= 80 else text[:77] + "..."
+
+
+def brief_repr(value) -> str:
+    """A repr of a rejected input, shortened by ``reprlib`` and cut by :func:`brief`."""
+    return brief(reprlib.repr(value))
 
 
 def json_int(value, what: str) -> int:

@@ -32,6 +32,7 @@ from .core import (
     _clip_decomposition,
     _readonly,
     _symmetrized,
+    brief,
     brief_repr,
     clip_negative_eigenvalues,
     symmetric_eigen,
@@ -189,7 +190,7 @@ def load_family_csv(path: str | Path, grid: TraitGrid, design: str) -> FamilyDat
     one: ``<path>:<line>: <reason>`` or ``<path>: <reason>``.
     """
     k = grid.size
-    ids, values, text, line = _bulk_fields(path, k) or _row_fields(path, k)
+    ids, values, echo, line = _bulk_fields(path, k) or _row_fields(path, k)
     n = len(values)
     if n == 0:
         raise InsufficientData(f"{path}: no records")
@@ -203,18 +204,18 @@ def load_family_csv(path: str | Path, grid: TraitGrid, design: str) -> FamilyDat
     if bad.size:
         r = bad[0]
         if finite[r].all():
-            reason = f"duplicate record for family {text(r, 0)!r}, individual {text(r, 1)!r}"
+            reason = f"duplicate record for family {echo(r, 0)}, individual {echo(r, 1)}"
         else:
             c = int(np.argmin(finite[r]))  # the first non-finite trait
-            reason = f"t{c + 1} must be finite, got {text(r, c + 2)!r}"
+            reason = f"t{c + 1} must be finite, got {echo(r, c + 2)}"
         raise InvalidMatrix(f"{path}:{line(r)}: {reason}")
     sizes = np.bincount(family)
     odd = np.flatnonzero(sizes != sizes[0])
     if odd.size:
         j = odd[0]
         r = np.sort(first)[j]  # the record on which family j first appears
-        raise UnbalancedDesign(f"{path}: family {text(r, 0)!r} has {sizes[j]} members, "
-                               f"family {text(0, 0)!r} has {sizes[0]}")
+        raise UnbalancedDesign(f"{path}: family {echo(r, 0)} has {sizes[j]} members, "
+                               f"family {echo(0, 0)} has {sizes[0]}")
     grouped = values[np.argsort(family, kind="stable")].reshape(sizes.size, sizes[0], k)
     try:
         return FamilyDataset(grouped, grid, design)
@@ -222,8 +223,8 @@ def load_family_csv(path: str | Path, grid: TraitGrid, design: str) -> FamilyDat
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-# What both field readers return: the ids (N, 2), the traits (N, K), the text
-# of field c of record r, and the file line on which record r starts.
+# What both field readers return: the ids (N, 2), the traits (N, K), field c of
+# record r as a message echoes it (`brief_repr`), and the line record r starts on.
 _Fields = tuple[np.ndarray, np.ndarray, Callable[[int, int], str], Callable[[int], int]]
 
 # "\x00": numpy drops trailing NULs from strings; "\x1c"-"\x1f": np.loadtxt
@@ -271,7 +272,7 @@ def _bulk_fields(path: str | Path, k: int) -> _Fields | None:
     def line(r: int) -> int:  # nonblank lines are the header, then the records
         return [i for i, text in enumerate(lines) if text][r + 1] + 1
 
-    return ids, values, lambda r, c: rows[r].split(",")[c], line
+    return ids, values, lambda r, c: brief_repr(rows[r].split(",")[c]), line
 
 
 def _csv_header(k: int) -> list[str]:
@@ -291,7 +292,7 @@ def _row_fields(path: str | Path, k: int) -> _Fields:
             if header is None or [h.strip() for h in header] != expected:
                 got = ",".join(header) if header else "<empty>"  # on one line, as errors are
                 raise InvalidMatrix(f"{path}: expected header {','.join(expected)}, got "
-                                    + got.replace("\r", "\\r").replace("\n", "\\n"))
+                                    + brief(got.replace("\r", "\\r").replace("\n", "\\n")))
             # a quoted field may span lines; an error names the line its record starts on
             next_line = reader.line_num + 1
             for row in reader:
@@ -303,7 +304,7 @@ def _row_fields(path: str | Path, k: int) -> _Fields:
                 try:
                     traits.append([float(x) for x in row[2:]])
                 except ValueError as exc:
-                    raise InvalidMatrix(f"{path}:{line}: {exc}") from exc
+                    raise InvalidMatrix(f"{path}:{line}: {brief(str(exc))}") from exc
                 records.append(row)
                 lines.append(line)
         except csv.Error as exc:
@@ -318,7 +319,7 @@ def _row_fields(path: str | Path, k: int) -> _Fields:
             raise
     ids = np.array([row[:2] for row in records], dtype=object).reshape(-1, 2)
     values = np.array(traits, dtype=float).reshape(-1, k)
-    return ids, values, lambda r, c: records[r][c], lines.__getitem__
+    return ids, values, lambda r, c: brief_repr(records[r][c]), lines.__getitem__
 
 
 def save_family_csv(data: FamilyDataset, path: str | Path) -> None:

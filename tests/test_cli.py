@@ -772,6 +772,54 @@ def test_rejected_value_is_echoed_briefly(inputs, tmp_path, monkeypatch, capsys,
     assert not Path("o.json").exists()
 
 
+_HEADER = "family,individual,t1,t2,t3,t4,t5,t6"
+_ROW = ",0,0,0,0,0,0\n"
+
+
+@pytest.mark.parametrize("body, where", [
+    (f"{_HEADER}\nF1,I1,{'x' * 5000},0,0,0,0,0\n", ":2: could not convert string to float: "),
+    (f"{_HEADER}\n{'F' * 3000},I1{_ROW}{'F' * 3000},I1{_ROW}", ":3: duplicate record for family "),
+    (f"family,individual,t1,t2,t3,t4,t5,{'t' * 5000}\n", f": expected header {_HEADER}, got "),
+    (f"{_HEADER}\nF1,I1{_ROW}F1,I2,0,{' ' * 1500}nan{' ' * 1500},0,0,0,0\n",
+     ":3: t2 must be finite, got "),
+    (f"{_HEADER}\nF1,I1{_ROW}F1,I2{_ROW}" + "".join(f"{'F' * 3000},I{i}{_ROW}" for i in range(3)),
+     ": family '"),
+], ids=["long-trait", "long-duplicate-id", "long-header-name", "padded-nan", "long-family-id"])
+def test_csv_field_is_echoed_briefly(inputs, tmp_path, monkeypatch, capsys, body, where):
+    monkeypatch.chdir(tmp_path)
+    Path("bad.csv").write_text(body)
+    assert main(["analyze", "--data", "bad.csv", "--design", "halfsib", "--grid",
+                 str(inputs["grid"]), "--J", "2", "--out", "o.json"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0]) < 200
+    assert err[0].startswith(f"genecon analyze: --data: bad.csv{where}")
+    assert not Path("o.json").exists()
+
+
+@pytest.mark.parametrize("value, code, message", [
+    (None, 0, None), ("  ", 0, None), ("0", 0, None), ("2", 0, None),
+    ("many", 2, "GENECON_THREADS must be an integer, got 'many'"),
+    ("-3", 2, "GENECON_THREADS must be nonnegative, got -3"),
+    ("7" * 5000, 2, "GENECON_THREADS must be an integer, got '777"),
+    ("-" + "7" * 4000, 2, "GENECON_THREADS must be nonnegative, got -777"),
+], ids=["unset", "blank", "zero", "two", "word", "negative", "5000-digits", "long-negative"])
+def test_thread_env_is_checked_once(inputs, tmp_path, monkeypatch, capsys, value, code, message):
+    if value is None:
+        monkeypatch.delenv("GENECON_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("GENECON_THREADS", value)
+    out = tmp_path / "o.json"
+    assert main(["analyze", "--g", str(inputs["g"]), "--grid", str(inputs["grid"]), "--J", "2",
+                 "--out", str(out)]) == code
+    err = capsys.readouterr().err.splitlines()
+    if message is None:
+        assert err == [] and out.exists()
+    else:
+        assert len(err) == 1 and len(err[0]) < 200
+        assert err[0].startswith(f"genecon analyze: {message}")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("target", ["missing/r.json", "taken"], ids=["no-parent", "directory"])
 def test_failed_write_names_its_target(inputs, tmp_path, capsys, target):
     (tmp_path / "taken").mkdir()
