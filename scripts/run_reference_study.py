@@ -24,20 +24,8 @@ from genecon.simulate import SimulationParams, generate_dataset
 
 
 def write_config(path: Path, p: SimulationParams, reps: int) -> None:
-    config = {
-        "grid": p.g.grid.to_payload(),
-        "g": p.g.matrix.to_payload(),
-        "e": p.e.to_payload(),
-        "sigma2": p.sigma2,
-        "mu": p.mu.tolist(),
-        "families": p.n_families,
-        "siblings": p.family_size,
-        "design": p.design,
-        "seed": p.seed,
-        "reps": reps,
-        "null_dim": STUDY_NULL_DIM,
-        "measure": "d1",
-    }
+    config = {"grid": p.g.grid.to_payload(), **p.to_payload(),
+              "reps": reps, "null_dim": STUDY_NULL_DIM, "measure": "d1"}
     path.write_text(json.dumps(config, indent=2) + "\n")
 
 
@@ -68,6 +56,8 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int, default=STUDY_SEED)
     parser.add_argument("--dump-replicate", type=int, default=None)
     args = parser.parse_args()
+    if args.reps < 1:
+        parser.exit(2, f"{parser.prog}: --reps must be at least 1, got {args.reps}\n")
     if args.dump_replicate is not None and not 0 <= args.dump_replicate < args.reps:
         parser.exit(2, f"{parser.prog}: --dump-replicate must be in [0, {args.reps}), "
                        f"got {args.dump_replicate}\n")

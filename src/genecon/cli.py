@@ -181,7 +181,7 @@ def _analysis_provenance(args, j: int, design: str | None) -> dict:
 
 def _emit_partition(part, provenance, out_path, svg_path):
     write_json(partition_report(part, provenance), out_path)
-    if svg_path:
+    if svg_path is not None:
         write_svg(render_partition_figure(part, provenance), svg_path)
 
 
@@ -224,6 +224,12 @@ def _study_config(cfg, args) -> tuple[SimulationParams, int, int, str, Simplicit
     def need_int(key):
         return json_int(need(key), f"field {key!r}")
 
+    def choice(key, value, names):  # a name its flag accepts, exactly as written
+        if not (isinstance(value, str) and value in names):
+            raise ValueError(f"field {key!r} must be one of {tuple(names)}, "
+                             f"got {brief_repr(value)}")
+        return value
+
     def checked(key, ok, bounds):
         """A flag's value if given, else the config field's; named by its source if bad."""
         flag = getattr(args, key)
@@ -247,13 +253,10 @@ def _study_config(cfg, args) -> tuple[SimulationParams, int, int, str, Simplicit
         sigma2=json_number(need("sigma2"), "field 'sigma2'"),
         n_families=need_int("families"),
         family_size=need_int("siblings"),
-        design=str(need("design")),
+        design=choice("design", need("design"), DESIGN_ALIASES),
         seed=seed,
     )
-    measure_kind = str(cfg.get("measure", "d1"))
-    if measure_kind not in MEASURE_ALIASES:
-        raise ValueError(f"field 'measure' must be one of {tuple(MEASURE_ALIASES)}, "
-                         f"got {brief_repr(measure_kind)}")
+    measure_kind = choice("measure", cfg.get("measure", "d1"), MEASURE_ALIASES)
     try:
         measure = measure_from_kind(measure_kind, grid)
     except GeneconError as exc:
@@ -276,7 +279,7 @@ def _cmd_simulate(args) -> int:
         rng=RNG_DESCRIPTION,
     )
     write_json(study_report(summary, provenance), args.out)
-    if args.svg:
+    if args.svg is not None:
         write_svg(render_study_figure(summary, provenance), args.svg)
     pc_means = "/".join(format(x, ".6g") for x in summary.pc_norm_means)
     pc_sds = "/".join(format(x, ".6g") for x in summary.pc_norm_sds)

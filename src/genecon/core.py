@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 import reprlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +28,16 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
     return out
+
+
+class _ReadOnlyArrays:
+    """Base of frozen results: stores each ``np.ndarray`` field, a list too, read-only as floats."""
+
+    def __post_init__(self):
+        for f in fields(self):  # annotations are strings here (PEP 563)
+            value = getattr(self, f.name)
+            if f.type in ("np.ndarray", "np.ndarray | None") and value is not None:
+                object.__setattr__(self, f.name, _readonly(value))
 
 
 def brief(text: str) -> str:
@@ -223,7 +233,7 @@ class SymMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class EigenDecomposition:
+class EigenDecomposition(_ReadOnlyArrays):
     """Eigenvalues in descending order with orthonormal eigenvector columns.
 
     ``degenerate`` is set when two adjacent eigenvalues are closer than
@@ -234,10 +244,6 @@ class EigenDecomposition:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray  # column k is the eigenvector for eigenvalues[k]
     degenerate: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "eigenvalues", _readonly(self.eigenvalues))
-        object.__setattr__(self, "eigenvectors", _readonly(self.eigenvectors))
 
 
 def symmetric_eigen(m: SymMatrix) -> EigenDecomposition:

@@ -29,6 +29,7 @@ from .core import (
     GMatrix,
     SymMatrix,
     TraitGrid,
+    _ReadOnlyArrays,
     _clip_decomposition,
     _readonly,
     _symmetrized,
@@ -108,7 +109,7 @@ class FamilyDataset:
 
 
 @dataclass(frozen=True, eq=False)
-class VarianceComponents:
+class VarianceComponents(_ReadOnlyArrays):
     """Mean-square matrices and the derived genetic covariance estimates."""
 
     between_ms: SymMatrix
@@ -118,9 +119,6 @@ class VarianceComponents:
     g_hat: GMatrix
     raw_eigenvalues: np.ndarray
     relatedness: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "raw_eigenvalues", _readonly(self.raw_eigenvalues))
 
     @property
     def min_raw_eigenvalue(self) -> float:

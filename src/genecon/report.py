@@ -33,6 +33,7 @@ are the same either way, and ``json.loads`` of them equals the document.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 from functools import lru_cache
@@ -333,23 +334,12 @@ def partition_report(part: SubspacePartition, provenance: dict) -> dict:
 
 def study_report(summary: StudySummary, provenance: dict) -> dict:
     """Lossless JSON document for a replicated study."""
-    p = summary.params
     return {
         "provenance": provenance,
         "reps": summary.reps,
         "null_dim": summary.null_dim,
         "measure": summary.measure_kind,
-        "params": {
-            "mu": p.mu.tolist(),
-            "g": p.g.matrix.to_payload(),
-            "e": p.e.to_payload(),
-            "sigma2": float(p.sigma2),
-            "families": p.n_families,
-            "siblings": p.family_size,
-            "design": p.design,
-            "relatedness_c": float(p.relatedness),
-            "seed": p.seed,
-        },
+        "params": {**summary.params.to_payload(), "relatedness_c": summary.params.relatedness},
         "replicates": {
             "min_raw_eigenvalue": summary.min_raw_eigenvalues.tolist(),
             "negative_min_eigenvalue": (summary.min_raw_eigenvalues < 0.0).tolist(),
@@ -507,12 +497,15 @@ def write_bytes_atomic(data: bytes, path: str | Path) -> None:
     """Write via a temporary file in the target directory, then rename.
 
     The temporary file is created like any other (mode 0o666 less the umask),
-    and the rename keeps its mode. A failure is raised as an ``OSError`` that
-    names ``path``, not the temporary file.
+    and the rename keeps its mode. A failure, and a path with no file name
+    ("", "." or "/"), is raised as an ``OSError`` that names ``path`` as
+    given, not the temporary file.
     """
-    path = Path(path)
-    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    given, path = os.fspath(path), Path(path)
     try:
+        if not path.name:
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
         fh = open(tmp, "xb")
         try:
             with fh:
@@ -522,7 +515,7 @@ def write_bytes_atomic(data: bytes, path: str | Path) -> None:
             tmp.unlink(missing_ok=True)
             raise
     except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise OSError(exc.errno, exc.strerror, given) from exc
 
 
 def write_json(doc: dict, path: str | Path) -> None:

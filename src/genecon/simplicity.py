@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SymMatrix, TraitGrid, _eigh, _first, _readonly, _symmetrized, _ties,
+from .core import (SymMatrix, TraitGrid, _ReadOnlyArrays, _eigh, _first, _symmetrized, _ties,
                    symmetric_eigen)
 from .errors import GridTooSmall, InvalidMatrix, NotUnitVector, RankDeficientSubspace
 
@@ -58,7 +58,7 @@ class SimplicityMeasure:
 
 
 @dataclass(frozen=True, eq=False)
-class SimplicityBasis:
+class SimplicityBasis(_ReadOnlyArrays):
     """Orthonormal vectors of a subspace ordered simplest first.
 
     ``vectors[i]`` is the i-th simplest direction, ``scores[i]`` its quadratic
@@ -70,10 +70,6 @@ class SimplicityBasis:
     vectors: np.ndarray  # shape (L, K), rows are unit vectors
     scores: np.ndarray   # shape (L,), non-increasing
     degenerate: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "vectors", _readonly(self.vectors))
-        object.__setattr__(self, "scores", _readonly(self.scores))
 
     def __len__(self) -> int:
         return int(self.vectors.shape[0])

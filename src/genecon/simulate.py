@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GMatrix, SymMatrix, _eigh, _readonly
+from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _eigh, _readonly
 from .errors import DimensionMismatch, InvalidCovariance
 from .estimate import RELATEDNESS, FamilyDataset, _between_ms, _raw_estimates, normalize_design
 from .simplicity import SimplicityMeasure, _simplicity_vectors, simplicity_basis
@@ -114,6 +114,12 @@ class SimulationParams:
     def within_df(self) -> int:
         return self.n_families * (self.family_size - 1)
 
+    def to_payload(self) -> dict:
+        """The model's fields as a study config writes them, in its key order."""
+        return {"g": self.g.matrix.to_payload(), "e": self.e.to_payload(),
+                "sigma2": float(self.sigma2), "mu": self.mu.tolist(), "families": self.n_families,
+                "siblings": self.family_size, "design": self.design, "seed": self.seed}
+
 
 def _draw(params: SimulationParams, replicate: int):
     """Replicate r's generator, its family means (N_f, K) and B (K, min(df, K)), W = B B'."""
@@ -157,7 +163,7 @@ def generate_dataset(params: SimulationParams, replicate: int = 0) -> FamilyData
 
 
 @dataclass(frozen=True, eq=False)
-class StudySummary:
+class StudySummary(_ReadOnlyArrays):
     """The replicated study as columns, with the true-parameter references and aggregates.
 
     Row r of each ``(reps, ...)`` array is replicate r. Responses use the
@@ -189,11 +195,6 @@ class StudySummary:
     negative_fraction: float
     min_eigenvalue_observed: float
     mean_canonical_distance_sq: float
-
-    def __post_init__(self):
-        for name, value in list(vars(self).items()):
-            if isinstance(value, np.ndarray):
-                object.__setattr__(self, name, _readonly(value))
 
 
 def _signs(vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:

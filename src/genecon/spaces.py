@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GMatrix, SymMatrix, _first, _readonly, _ties, symmetric_eigen
+from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _first, _ties, symmetric_eigen
 from .errors import DimensionMismatch, InvalidMatrix, SingularPhenotypicCovariance
 from .parallel import ordered_map
 from .simplicity import SimplicityBasis, SimplicityMeasure, simplicity_basis
@@ -23,7 +23,7 @@ CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True, eq=False)
-class SelectionVectors:
+class SelectionVectors(_ReadOnlyArrays):
     """Selection gradient, differential, and the expected response they imply.
 
     ``differential`` is None when only the gradient is known (no E supplied).
@@ -34,28 +34,18 @@ class SelectionVectors:
     response_norm: float
     differential: np.ndarray | None = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "gradient", _readonly(self.gradient))
-        object.__setattr__(self, "response", _readonly(self.response))
-        if self.differential is not None:
-            object.__setattr__(self, "differential", _readonly(self.differential))
-
 
 @dataclass(frozen=True, eq=False)
-class VarianceShares:
+class VarianceShares(_ReadOnlyArrays):
     """Per-vector response norms and their normalized proportions."""
 
     norms: np.ndarray
     proportions: np.ndarray
     zero_total: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "norms", _readonly(self.norms))
-        object.__setattr__(self, "proportions", _readonly(self.proportions))
-
 
 @dataclass(frozen=True, eq=False)
-class SubspacePartition:
+class SubspacePartition(_ReadOnlyArrays):
     """J-dimensional model space plus simplicity basis of the complement.
 
     ``g`` and ``measure`` are what the partition was computed from. The model
@@ -80,10 +70,6 @@ class SubspacePartition:
     null_variance_fraction: float
     zero_variance: bool
     boundary_tie: bool              # eigenvalue J ties eigenvalue J+1 within tolerance
-
-    def __post_init__(self):
-        for name in ("scores", "response_norms", "proportions"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
     def model_vectors(self) -> np.ndarray:

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib
 import io
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 
 import genecon
 
-from genecon.cli import main
+from genecon.cli import _study_config, main
+from genecon.core import GMatrix
 from genecon.estimate import save_family_csv
 from genecon.reference import (
     GROWTH_EIGENVALUES,
@@ -123,6 +126,14 @@ class TestAnalyze:
                      "--out", str(tmp_path / "x.json")])
         assert code == 2
         assert "--grid" in capsys.readouterr().err
+
+    def test_data_without_design(self, inputs, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(["analyze", "--data", str(inputs["g"]), "--grid", str(inputs["grid"]),
+                     "--J", "2", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "genecon analyze: --design is required with --data\n"
+        assert not out.exists()
 
     def test_both_inputs_rejected(self, inputs, tmp_path, capsys):
         code = main([
@@ -316,6 +327,12 @@ class TestSweep:
         assert reports == [f"report_J{j:02d}.json" for j in range(7)]
         assert figures == [f"figure_J{j:02d}.svg" for j in range(7)]
 
+    def test_dry_run_creates_nothing(self, inputs, tmp_path):
+        out_dir = tmp_path / "sweep"
+        assert main(["sweep", "--g", str(inputs["g"]), "--grid", str(inputs["grid"]),
+                     "--out-dir", str(out_dir), "--dry-run"]) == 0
+        assert not out_dir.exists()
+
     def test_matches_single_analyze(self, tmp_path):
         # eigenvectors are formatted once per G and reused across J; nothing of
         # one J, measure or matrix may show in another's report or figure
@@ -501,6 +518,8 @@ class TestSimulate:
         ("mu", {"a": 1}),
         ("sigma2", float("nan")),
         ("mu", [float("inf")] + [0.0] * 5),
+        ("design", " HALF_SIB "),
+        ("design", "Full_Sib"),
     ])
     def test_non_integer_field_rejected(self, study_config, tmp_path, capsys, field, value):
         cfg = json.loads(study_config.read_text())
@@ -512,6 +531,51 @@ class TestSimulate:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and repr(field) in err[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("e", {"dim": 3, "entries": np.eye(3).ravel().tolist()},
+         "E is 3-dimensional, G is 6-dimensional"),
+        ("families", 1, "need at least 2 families of 2 members, got 1 x 4"),
+        ("sigma2", 10**400, "field 'sigma2' is out of range: int too large to convert to float"),
+        ("design", ["half-sib"], "field 'design' must be one of ('half-sib', 'halfsib', "
+                                 "'full-sib', 'fullsib'), got ['half-sib']"),
+        ("measure", ["d1"], "field 'measure' must be one of ('d1', 'd2', 'sparse'), "
+                            "got ['d1']"),
+    ], ids=["e-3x3", "one-family", "sigma2-400-digits", "design-list", "measure-list"])
+    def test_bad_model_field_is_named(self, study_config, tmp_path, capsys, field, value,
+                                      message):
+        cfg = json.loads(study_config.read_text())
+        cfg[field] = value
+        study_config.write_text(json.dumps(cfg))
+        out = tmp_path / "o.json"
+        assert main(["simulate", "--config", str(study_config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"genecon simulate: --config: {study_config}: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("design", ["half-sib", "full-sib"])
+    def test_written_params_rebuild_the_study(self, design):
+        p = replace(study_params(n_families=10, family_size=4, seed=7), design=design,
+                    mu=np.linspace(-1.0, 1.0, 6))  # not the default mu
+        cfg = {"grid": p.g.grid.to_payload(), **p.to_payload(),
+               "reps": 3, "null_dim": 2, "measure": "d2"}
+        args = argparse.Namespace(seed=None, reps=None, null_dim=None)
+        q, reps, null_dim, kind, _ = _study_config(json.loads(json.dumps(cfg)), args)
+        assert (reps, null_dim, kind) == (3, 2, "d2")
+        for f in fields(p):
+            a, b = getattr(p, f.name), getattr(q, f.name)
+            if isinstance(a, GMatrix):
+                assert a.matrix == b.matrix and a.grid == b.grid
+            elif isinstance(a, np.ndarray):
+                np.testing.assert_array_equal(a, b)
+            else:
+                assert a == b, f.name
+
+    def test_integral_float_count_is_read_as_int(self):
+        cfg = {**STUDY_CONFIG, "families": 20.0}
+        args = argparse.Namespace(seed=None, reps=None, null_dim=None)
+        params = _study_config(cfg, args)[0]
+        assert params.n_families == 20 and type(params.n_families) is int
 
     @pytest.mark.parametrize("dry_run", [False, True])
     def test_non_psd_e_is_usage_error(self, study_config, tmp_path, capsys, dry_run):
@@ -833,6 +897,24 @@ def test_failed_write_names_its_target(inputs, tmp_path, capsys, target):
     assert sorted(tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("outputs, named", [
+    (["--out", "."], "."),
+    (["--out", ""], ""),
+    (["--out", "o.json", "--svg", ""], ""),
+], ids=["out-dot", "out-empty", "svg-empty"])
+def test_output_path_without_a_file_name(inputs, study_config, monkeypatch, capsys, command,
+                                         outputs, named):
+    # fails like any unwritable output: exit 1, one line naming the path as given
+    monkeypatch.chdir(inputs["dir"])
+    source = (["--config", "study.json"] if command == "simulate" else
+              ["--g", "g.json", "--grid", "grid.json", "--J", "2"])
+    assert main([command, *source, *outputs]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"genecon {command}: ")
+    assert err[0].endswith(f": {named!r}")
+
+
 @pytest.mark.parametrize("argv, prefix, reason", [
     (["analyze", "--g", "g.json", "--grid", "grid.json", "--J", "2", "--clip-tol", "-inf",
       "--out", "x.json"], "genecon analyze: ", "--clip-tol"),
@@ -840,7 +922,10 @@ def test_failed_write_names_its_target(inputs, tmp_path, capsys, target):
     (["analyze", "--g", "g.json", "--grid", "grid.json", "--J", "two", "--out", "x.json"],
      "genecon analyze: ", "'two'"),
     (["frobnicate"], "genecon: ", "'frobnicate'"),
-], ids=["clip-tol-minus-inf", "missing-out", "non-integer-J", "unknown-subcommand"])
+    (["analyze", "--g", "g.json", "--grid", "", "--J", "2", "--out", "x.json"],
+     "genecon analyze: ", "missing required input --grid"),
+], ids=["clip-tol-minus-inf", "missing-out", "non-integer-J", "unknown-subcommand",
+        "empty-grid"])
 def test_usage_error_is_one_line(argv, prefix, reason, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,6 +14,11 @@ from genecon.core import (
     symmetric_eigen,
 )
 from genecon.errors import DimensionMismatch, InvalidGrid, InvalidMatrix
+from genecon.estimate import anova_estimate
+from genecon.reference import study_params
+from genecon.simplicity import first_difference_measure
+from genecon.simulate import generate_dataset, run_study
+from genecon.spaces import breeders_response, partition, variance_proportions
 
 
 def random_orthogonal(k, rng):
@@ -275,3 +282,41 @@ class TestGMatrix:
         g = clip_negative_eigenvalues(SymMatrix(np.eye(3)), 0.0)
         with pytest.raises(ValueError):
             g.matrix.entries[0, 0] = 5.0
+
+
+def _frozen_results():
+    """One instance of each frozen result type, from a small study and its first replicate."""
+    params = study_params(n_families=6, family_size=3)
+    g, measure = params.g, first_difference_measure(params.g.grid)
+    part = partition(g, 3, measure)
+    return {
+        "EigenDecomposition": g.eig,
+        "VarianceComponents": anova_estimate(generate_dataset(params)),
+        "SimplicityBasis": part.null_basis,
+        "StudySummary": run_study(params, 2, measure),
+        "SelectionVectors": breeders_response(g, params.e, np.arange(6.0)),
+        "VarianceShares": variance_proportions(g, part.combined_basis()),
+        "SubspacePartition": part,
+    }
+
+
+FROZEN_RESULTS = _frozen_results()
+
+
+@pytest.mark.parametrize("name", FROZEN_RESULTS)
+def test_frozen_result_arrays_are_read_only_float_copies(name):
+    result = FROZEN_RESULTS[name]
+    arrays = {f.name: getattr(result, f.name) for f in fields(result)
+              if isinstance(getattr(result, f.name), np.ndarray)}
+    assert arrays
+    for value in arrays.values():
+        assert value.dtype == float and not value.flags.writeable
+        with pytest.raises(ValueError):
+            value[(0,) * value.ndim] = 1.0
+    # a list given for an array field is stored as a read-only float array too
+    rebuilt = replace(result, **{k: v.astype(int).tolist() for k, v in arrays.items()})
+    for key, value in arrays.items():
+        stored = getattr(rebuilt, key)
+        assert isinstance(stored, np.ndarray) and stored.dtype == float
+        assert not stored.flags.writeable
+        np.testing.assert_array_equal(stored, value.astype(int))

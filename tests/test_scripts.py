@@ -67,7 +67,10 @@ def test_reference_study_and_dumped_replicate(tmp_path):
     (["--dump-replicate", 9], "--dump-replicate must be in [0, 3), got 9"),
     (["--seed", -1], "--seed: seed must be in [0, 2**64), got -1"),
     (["--seed", 2**64], f"--seed: seed must be in [0, 2**64), got {2**64}"),
-], ids=["dump-negative", "dump-reps", "dump-beyond", "seed-negative", "seed-too-large"])
+    (["--reps", 0], "--reps must be at least 1, got 0"),
+    (["--reps", -1], "--reps must be at least 1, got -1"),
+], ids=["dump-negative", "dump-reps", "dump-beyond", "seed-negative", "seed-too-large",
+        "reps-zero", "reps-negative"])
 def test_bad_study_flag_is_rejected_before_any_work(tmp_path, args, message):
     out = tmp_path / "study"
     run = run_script("run_reference_study.py", "--reps", 3, *args, "--out-dir", out)
