@@ -200,8 +200,8 @@ def _cmd_sweep(args) -> int:
     g, measure, design = _load_analysis_inputs(args)
     if args.dry_run:
         return 0
+    os.makedirs(args.out_dir, exist_ok=True)  # raises for "", which Path reads as "."
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for part in sweep_partitions(g, measure):
         _emit_partition(
             part, _analysis_provenance(args, part.j, design),
@@ -300,6 +300,9 @@ def main(argv=None) -> int:
     handlers = {"analyze": _cmd_analyze, "sweep": _cmd_sweep, "simulate": _cmd_simulate}
     try:
         _check_thread_env()  # before any work
+        # realpath, as Path.resolve raises RuntimeError on a symlink loop before Python 3.13
+        if getattr(args, "svg", None) and os.path.realpath(args.svg) == os.path.realpath(args.out):
+            raise UsageError(f"--out {args.out} and --svg {args.svg} name the same file")
         # an overflow ends as a NaN or infinity, which the report writer rejects
         # by field name; numpy's warning lines would only precede that message
         with np.errstate(all="ignore"):

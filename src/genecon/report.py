@@ -36,6 +36,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import stat
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from operator import is_
@@ -497,14 +498,21 @@ def write_bytes_atomic(data: bytes, path: str | Path) -> None:
     """Write via a temporary file in the target directory, then rename.
 
     The temporary file is created like any other (mode 0o666 less the umask),
-    and the rename keeps its mode. A failure, and a path with no file name
-    ("", "." or "/"), is raised as an ``OSError`` that names ``path`` as
-    given, not the temporary file.
+    and the rename keeps its mode. A failure, a path with no file name ("",
+    "." or "/") and an existing target that is not a regular file (a symlink,
+    a FIFO, a device), which is never replaced, are raised as an ``OSError``
+    that names ``path`` as given, not the temporary file.
     """
     given, path = os.fspath(path), Path(path)
     try:
         if not path.name:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        try:
+            regular = stat.S_ISREG(path.lstat().st_mode)
+        except FileNotFoundError:
+            regular = True  # a new file
+        if not regular:
+            raise FileExistsError(errno.EEXIST, "exists and is not a regular file")
         tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
         fh = open(tmp, "xb")
         try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SymMatrix, TraitGrid, _ReadOnlyArrays, _eigh, _first, _symmetrized, _ties,
+from .core import (SymMatrix, TraitGrid, _ReadOnlyArrays, _eigh, _symmetrized, _ties,
                    symmetric_eigen)
 from .errors import GridTooSmall, InvalidMatrix, NotUnitVector, RankDeficientSubspace
 
@@ -167,31 +167,28 @@ def simplicity_score(v: np.ndarray, measure: SimplicityMeasure) -> float:
 
 
 def _orthonormalize(rows: np.ndarray) -> np.ndarray:
-    """Householder QR (LAPACK) with Gram-Schmidt's signs of each row set of a (..., L, K) stack."""
-    q, r = np.linalg.qr(np.swapaxes(rows, -1, -2))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    """(K, L) orthonormal columns spanning (L, K) rows: Householder QR, Gram-Schmidt's signs."""
+    q, r = np.linalg.qr(rows.T)
+    diag = np.diagonal(r)
     # |r[i, i]| is row i's distance from its predecessors' span; rows past K have none
-    residuals = np.zeros(rows.shape[:-1])
-    residuals[..., : diag.shape[-1]] = np.abs(diag)
+    residuals = np.zeros(len(rows))
+    residuals[: diag.size] = np.abs(diag)
     deficient = residuals < _ORTHO_TOL
     if deficient.any():
-        where, prefix = _first(deficient.any(axis=-1))
-        i = int(np.argmax(deficient[where]))
+        i = int(np.argmax(deficient))
         raise RankDeficientSubspace(
-            f"{prefix}vector {i} lies in the span of its predecessors "
-            f"(residual {residuals[where][i]:.3e})"
+            f"vector {i} lies in the span of its predecessors (residual {residuals[i]:.3e})"
         )
-    return np.swapaxes(q * np.sign(diag)[..., None, :], -1, -2)
+    return q * np.sign(diag)
 
 
-def _simplicity_vectors(rows: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`simplicity_basis`'s vectors and scores for a (..., L, K) stack, under form ``lam``."""
-    p = np.swapaxes(_orthonormalize(rows), -1, -2)  # columns span each subspace
+def _simplicity_vectors(p: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Vectors (..., L, K), scores (..., L) and coordinates a (..., L, L), vectors' = p a.
+
+    ``p`` is a (..., K, L) stack of orthonormal columns, ``lam`` the measure's form.
+    """
     scores, a = _eigh(_symmetrized(np.swapaxes(p, -1, -2) @ lam @ p))
-    vectors = np.swapaxes(p @ a, -1, -2)
-    # renormalize against accumulated roundoff; directions are unchanged
-    vectors /= np.linalg.norm(vectors, axis=-1, keepdims=True)
-    return vectors, scores
+    return np.swapaxes(p @ a, -1, -2), scores, a
 
 
 def simplicity_basis(subspace_basis: np.ndarray, measure: SimplicityMeasure) -> SimplicityBasis:
@@ -220,7 +217,7 @@ def simplicity_basis(subspace_basis: np.ndarray, measure: SimplicityMeasure) -> 
     if basis.shape[0] == 0:
         return SimplicityBasis(np.empty((0, k)), np.empty(0), degenerate=False)
 
-    vectors, scores = _simplicity_vectors(basis, measure.lambda_matrix.entries)
+    vectors, scores, _ = _simplicity_vectors(_orthonormalize(basis), measure.lambda_matrix.entries)
     return SimplicityBasis(vectors, scores, degenerate=bool(_ties(scores).any()))
 
 

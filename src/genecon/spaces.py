@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _first, _ties, symmetric_eigen
+from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _ties, symmetric_eigen
 from .errors import DimensionMismatch, InvalidMatrix, SingularPhenotypicCovariance
 from .parallel import ordered_map
-from .simplicity import SimplicityBasis, SimplicityMeasure, simplicity_basis
+from .simplicity import SimplicityBasis, SimplicityMeasure, _simplicity_vectors
 
 CONDITION_LIMIT = 1e12
 
@@ -174,34 +174,25 @@ def partition(g: GMatrix, j: int, measure: SimplicityMeasure) -> SubspacePartiti
     if measure.dim != k:
         raise DimensionMismatch(f"measure is {measure.dim}-dimensional, G is {k}-dimensional")
 
-    lam = g.eig.eigenvalues
-    vectors = g.eig.eigenvectors.T  # rows
-    null_b = simplicity_basis(vectors[j:], measure)
-
-    combined = np.vstack([vectors[:j], null_b.vectors])
-    shares = variance_proportions(g, combined)
+    lam, v = g.eig.eigenvalues, g.eig.eigenvectors
     lam_mat = measure.lambda_matrix.entries
-    scores = np.einsum("ij,jk,ik->i", combined, lam_mat, combined)
-
+    # G's trailing eigenvectors are orthonormal already, and G b = V (lam * V'b)
+    # with V'b = (0, a) for a null vector b = V_{J:} a
+    null_vectors, null_scores, a = _simplicity_vectors(v[:, j:], lam_mat)
+    norms = np.concatenate([np.abs(lam[:j]), np.linalg.norm(lam[j:, None] * a, axis=0)])
     total = float(lam.sum())
-    if shares.zero_total or total <= 0.0:
-        model_frac, null_frac = 0.0, 0.0
-        zero = True
-    else:
-        model_frac = float(lam[:j].sum() / total)
-        null_frac = float(lam[j:].sum() / total)
-        zero = False
+    zero = total <= 0.0 or not norms.any()
 
     return SubspacePartition(
         g=g,
         measure=measure,
         j=j,
-        null_basis=null_b,
-        scores=scores,
-        response_norms=shares.norms,
-        proportions=shares.proportions,
-        model_variance_fraction=model_frac,
-        null_variance_fraction=null_frac,
+        null_basis=SimplicityBasis(null_vectors, null_scores, bool(_ties(null_scores).any())),
+        scores=np.concatenate([np.sum(v[:, :j] * (lam_mat @ v[:, :j]), axis=0), null_scores]),
+        response_norms=norms,
+        proportions=np.zeros(k) if zero else norms / norms.sum(),
+        model_variance_fraction=0.0 if zero else float(lam[:j].sum() / total),
+        null_variance_fraction=0.0 if zero else float(lam[j:].sum() / total),
         zero_variance=zero,
         boundary_tie=bool(0 < j < k and _ties(lam)[j - 1]),
     )
@@ -213,13 +204,9 @@ def sweep_partitions(g: GMatrix, measure: SimplicityMeasure) -> list[SubspacePar
 
 
 def _require_orthonormal(b: np.ndarray, what: str) -> None:
-    """Raise unless every row set of a (..., L, K) stack is orthonormal within 1e-8."""
-    if not b.size:
-        return
-    gram = b @ np.swapaxes(b, -1, -2)
-    bad = np.abs(gram - np.eye(b.shape[-2])).max(axis=(-2, -1)) > 1e-8
-    if bad.any():
-        raise InvalidMatrix(f"{_first(bad)[1]}{what} rows are not orthonormal within 1e-8")
+    """Raise unless the rows of ``b`` are orthonormal within 1e-8."""
+    if b.size and np.abs(b @ b.T - np.eye(len(b))).max() > 1e-8:
+        raise InvalidMatrix(f"{what} rows are not orthonormal within 1e-8")
 
 
 def _canonical_distances(u: np.ndarray, w: np.ndarray) -> np.ndarray:

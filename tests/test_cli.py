@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 from dataclasses import fields, replace
@@ -884,17 +885,51 @@ def test_thread_env_is_checked_once(inputs, tmp_path, monkeypatch, capsys, value
         assert not out.exists()
 
 
-@pytest.mark.parametrize("target", ["missing/r.json", "taken"], ids=["no-parent", "directory"])
+@pytest.mark.parametrize("target", ["missing/r.json", "taken", "link.json", "loop.json",
+                                    "pipe.json"],
+                         ids=["no-parent", "directory", "symlink", "symlink-loop", "fifo"])
 def test_failed_write_names_its_target(inputs, tmp_path, capsys, target):
+    # an existing output that is not a regular file is never replaced
     (tmp_path / "taken").mkdir()
+    (tmp_path / "kept.json").write_text("kept")
+    (tmp_path / "link.json").symlink_to("kept.json")
+    (tmp_path / "loop.json").symlink_to("loop.json")
+    os.mkfifo(tmp_path / "pipe.json")
     out = tmp_path / target
     before = sorted(tmp_path.iterdir())
     code = main(["analyze", "--g", str(inputs["g"]), "--grid", str(inputs["grid"]),
-                 "--J", "2", "--out", str(out)])
+                 "--J", "2", "--out", str(out), "--svg", str(tmp_path / "f.svg")])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and repr(str(out)) in err[0] and ".tmp" not in err[0]
     assert sorted(tmp_path.iterdir()) == before
+    assert (tmp_path / "link.json").is_symlink() and (tmp_path / "kept.json").read_text() == "kept"
+    assert stat.S_ISFIFO((tmp_path / "pipe.json").lstat().st_mode)
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+@pytest.mark.parametrize("svg", ["r.json", "./r.json", "sub/../r.json"])
+def test_report_and_figure_naming_one_file(inputs, study_config, monkeypatch, capsys, command,
+                                           svg):
+    # rejected before any work, so nothing is written
+    monkeypatch.chdir(inputs["dir"])
+    (inputs["dir"] / "sub").mkdir()
+    source = (["--config", "study.json"] if command == "simulate" else
+              ["--g", "g.json", "--grid", "grid.json", "--J", "2"])
+    assert main([command, *source, "--out", "r.json", "--svg", svg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"genecon {command}: --out r.json and --svg {svg} name the same file"]
+    assert not Path("r.json").exists()
+
+
+def test_sweep_into_an_empty_directory_name(inputs, monkeypatch, capsys):
+    # fails like `--out ""`: exit 1, one line naming the path as given, no file written
+    monkeypatch.chdir(inputs["dir"])
+    before = sorted(inputs["dir"].iterdir())
+    assert main(["sweep", "--g", "g.json", "--grid", "grid.json", "--out-dir", ""]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("genecon sweep: ") and err[0].endswith(": ''")
+    assert sorted(inputs["dir"].iterdir()) == before
 
 
 @pytest.mark.parametrize("command", ["analyze", "simulate"])

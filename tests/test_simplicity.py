@@ -341,22 +341,16 @@ class TestStackedHelpers:
 
     @given(symmetric_stacks(), st.data())
     def test_simplicity_slices_equal_simplicity_basis(self, stack, data):
-        # the study's input: the trailing eigenvectors of each matrix, as rows
+        # the study's input: a block of trailing eigenvector columns per matrix,
+        # which is what a partition passes for one matrix
         k = stack.shape[-1]
         dims = data.draw(st.integers(1, k))
-        rows = np.swapaxes(_eigh(stack)[1][..., k - dims:], -1, -2)
-        measure = first_difference_measure(equal_grid(k))
-        vectors, scores = _simplicity_vectors(rows, measure.lambda_matrix.entries)
+        cols = _eigh(stack)[1][..., k - dims:]
+        lam = first_difference_measure(equal_grid(k)).lambda_matrix.entries
+        stacked = _simplicity_vectors(cols, lam)
         for i in range(len(stack)):
-            single = simplicity_basis(rows[i], measure)
-            np.testing.assert_array_equal(vectors[i], single.vectors)
-            np.testing.assert_array_equal(scores[i], single.scores)
-
-    def test_rank_deficient_slice_named(self):
-        rows = np.array([np.eye(3)[:2], [[1.0, 0.0, 0.0], [1.0, 1e-14, 0.0]]])
-        lam = first_difference_measure(equal_grid(3)).lambda_matrix.entries
-        with pytest.raises(RankDeficientSubspace, match=r"^replicate 1: vector 1 "):
-            _simplicity_vectors(rows, lam)
+            for whole, single in zip(stacked, _simplicity_vectors(cols[i], lam)):
+                np.testing.assert_array_equal(whole[i], single)
 
 
 class TestMeasureConstruction:

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genecon.core import SymMatrix, TraitGrid, clip_negative_eigenvalues, symmetric_eigen
 from genecon.errors import DimensionMismatch, InvalidMatrix, SingularPhenotypicCovariance
@@ -309,6 +311,49 @@ class TestSweep:
             np.testing.assert_array_equal(a.proportions, b.proportions)
             np.testing.assert_array_equal(a.null_basis.vectors, b.null_basis.vectors)
             np.testing.assert_array_equal(a.scores, b.scores)
+
+
+@st.composite
+def psd_and_measure(draw):
+    """A PSD G, K in [3, 12], in a random basis, zero and tied eigenvalues likely; a measure."""
+    k = draw(st.integers(3, 12))
+    values = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 100.0))
+    eigenvalues = np.array(draw(st.lists(values, min_size=k, max_size=k)))
+    q = random_orthogonal(k, np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    kind = draw(st.sampled_from(["d1", "d2", "sparse"]))
+    return psd((q * eigenvalues) @ q.T), measure_from_kind(kind, TraitGrid(np.arange(k * 1.0)))
+
+
+class TestSweepOracles:
+    """Properties of every partition of a sweep, from theorems and from the plain formulas."""
+
+    @given(psd_and_measure())
+    def test_null_scores_interlace(self, case):
+        # V_{J+1:} spans a hyperplane of span(V_{J:}), so by Cauchy's interlacing
+        # theorem (Horn & Johnson, Matrix Analysis, 2nd ed., section 4.3)
+        # s_i(J) >= s_i(J+1) >= s_{i+1}(J)
+        parts = sweep_partitions(*case)
+        tol = 1e-12 * max(1.0, abs(parts[0].null_basis.scores[0]))
+        for outer, inner in zip(parts, parts[1:]):
+            s, t = outer.null_basis.scores, inner.null_basis.scores
+            assert np.all(s[:-1] >= t - tol) and np.all(t >= s[1:] - tol)
+
+    @given(psd_and_measure())
+    def test_fields_match_plain_formulas(self, case):
+        g, measure = case
+        lam = measure.lambda_matrix.entries
+        for part in sweep_partitions(g, measure):
+            b = part.combined_basis()
+            assert np.abs(b @ b.T - np.eye(g.dim)).max() <= 1e-12
+            np.testing.assert_allclose(part.response_norms,
+                                       np.linalg.norm(b @ g.matrix.entries.T, axis=1), rtol=0,
+                                       atol=1e-12 * max(1.0, g.eigenvalues[0]))
+            np.testing.assert_allclose(part.scores, np.einsum("ik,kl,il->i", b, lam, b), rtol=0,
+                                       atol=1e-12 * max(1.0, measure.score_upper_bound))
+            if part.zero_variance:
+                assert not part.proportions.any()
+            else:
+                assert part.proportions.sum() == pytest.approx(1.0, rel=0, abs=1e-12)
 
 
 class TestMetamorphic:
