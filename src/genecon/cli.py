@@ -26,8 +26,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from .core import (SymMatrix, TraitGrid, brief_repr, clip_negative_eigenvalues, json_int,
-                   json_number, json_numbers)
+from .core import (SymMatrix, TraitGrid, _known_keys, brief_repr, clip_negative_eigenvalues,
+                   json_int, json_number, json_numbers)
 from .errors import GeneconError
 from .estimate import (
     DESIGN_ALIASES,
@@ -38,6 +38,7 @@ from .estimate import (
     normalize_design,
 )
 from .report import (
+    _check_target,
     make_provenance,
     partition_report,
     render_partition_figure,
@@ -148,6 +149,8 @@ def _load_analysis_inputs(args):
         raise UsageError(f"--clip-tol must be finite and nonnegative, got {args.clip_tol}")
     grid = _load("--grid", args.grid, lambda path: TraitGrid.from_payload(_read_json(path)))
     if args.g:
+        if args.design:
+            raise UsageError("--design is read only with --data, not with --g")
         g = _load("--g", args.g,
                   lambda path: ingest_gmatrix(_read_json(path), grid, args.clip_tol))
         design = None
@@ -179,6 +182,13 @@ def _analysis_provenance(args, j: int, design: str | None) -> dict:
     )
 
 
+def _check_outputs(*paths) -> None:
+    """Check every output of a run before its first write, so a bad one leaves no other behind."""
+    for path in paths:
+        if path is not None:
+            _check_target(path)
+
+
 def _emit_partition(part, provenance, out_path, svg_path):
     write_json(partition_report(part, provenance), out_path)
     if svg_path is not None:
@@ -188,9 +198,10 @@ def _emit_partition(part, provenance, out_path, svg_path):
 def _cmd_analyze(args) -> int:
     g, measure, design = _load_analysis_inputs(args)
     if not 0 <= args.J <= g.dim:
-        raise UsageError(f"--J must be in [0, {g.dim}], got {args.J}")
+        raise UsageError(f"--J must be in [0, {g.dim}], got {brief_repr(args.J)}")
     if args.dry_run:
         return 0
+    _check_outputs(args.out, args.svg)
     _emit_partition(partition(g, args.J, measure),
                     _analysis_provenance(args, args.J, design), args.out, args.svg)
     return 0
@@ -202,12 +213,11 @@ def _cmd_sweep(args) -> int:
         return 0
     os.makedirs(args.out_dir, exist_ok=True)  # raises for "", which Path reads as "."
     out_dir = Path(args.out_dir)
-    for part in sweep_partitions(g, measure):
-        _emit_partition(
-            part, _analysis_provenance(args, part.j, design),
-            out_dir / f"report_J{part.j:02d}.json",
-            out_dir / f"figure_J{part.j:02d}.svg",
-        )
+    pairs = [(out_dir / f"report_J{j:02d}.json", out_dir / f"figure_J{j:02d}.svg")
+             for j in range(g.dim + 1)]
+    _check_outputs(*sum(pairs, ()))
+    for part, pair in zip(sweep_partitions(g, measure), pairs):
+        _emit_partition(part, _analysis_provenance(args, part.j, design), *pair)
     return 0
 
 
@@ -215,6 +225,8 @@ def _study_config(cfg, args) -> tuple[SimulationParams, int, int, str, Simplicit
     """The study a decoded config describes; bad fields raise ValueError, bad flags UsageError."""
     if not isinstance(cfg, dict):
         raise ValueError(f"expected a JSON object, got {type(cfg).__name__}")
+    _known_keys(cfg, {"grid", "g", "e", "sigma2", "mu", "families", "siblings", "design", "seed",
+                      "reps", "null_dim", "measure"})
 
     def need(key):
         if key not in cfg:
@@ -236,9 +248,10 @@ def _study_config(cfg, args) -> tuple[SimulationParams, int, int, str, Simplicit
         value = need_int(key) if flag is None else flag
         if ok(value):
             return value
+        reason = f"{key} must be {bounds}, got {brief_repr(value)}"
         if flag is None:
-            raise ValueError(f"field {key!r}: {key} must be {bounds}, got {value}")
-        raise UsageError(f"--{key.replace('_', '-')}: {key} must be {bounds}, got {value}")
+            raise ValueError(f"field {key!r}: {reason}")
+        raise UsageError(f"--{key.replace('_', '-')}: {reason}")
 
     grid = TraitGrid.from_payload(need("grid"))
     g = ingest_gmatrix(need("g"), grid=grid, clip_tolerance=0.0)
@@ -269,6 +282,7 @@ def _cmd_simulate(args) -> int:
         "--config", args.config, lambda path: _study_config(_read_json(path), args))
     if args.dry_run:
         return 0
+    _check_outputs(args.out, args.svg)
     summary = run_study(params, reps, measure, null_dim=null_dim)
     provenance = make_provenance(
         inputs={"config": args.config, "reps": reps, "null_dim": null_dim},

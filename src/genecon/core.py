@@ -50,6 +50,14 @@ def brief_repr(value) -> str:
     return brief(reprlib.repr(value))
 
 
+def _known_keys(payload: dict, known: set[str]) -> dict:
+    """``payload`` if ``known`` holds each of its keys; else ValueError naming the least other."""
+    extra = payload.keys() - known
+    if extra:
+        raise ValueError(f"unknown key {brief_repr(min(extra, key=str))}")
+    return payload
+
+
 def json_int(value, what: str) -> int:
     """An integer read from JSON; bools, strings and non-integral numbers are rejected."""
     if isinstance(value, float) and value.is_integer():
@@ -173,7 +181,7 @@ class TraitGrid:
         if "points" not in payload:
             raise InvalidGrid("grid payload missing 'points'")
         try:
-            points = json_numbers(payload["points"], "points")
+            points = json_numbers(_known_keys(payload, {"points"})["points"], "points")
         except ValueError as exc:
             raise InvalidGrid(f"malformed grid payload: {exc}") from exc
         return cls(points)
@@ -216,7 +224,7 @@ class SymMatrix:
                 f"matrix payload must be a JSON object, got {type(payload).__name__}"
             )
         try:
-            dim = json_int(payload["dim"], "dim")
+            dim = json_int(_known_keys(payload, {"dim", "entries"})["dim"], "dim")
             raw = json_numbers(payload["entries"], "entries")
         except (KeyError, ValueError) as exc:
             raise InvalidMatrix(f"malformed matrix payload: {exc}") from exc
@@ -224,7 +232,8 @@ class SymMatrix:
             raise InvalidMatrix(f"matrix payload dim must be at least 1, got {dim}")
         if raw.size != dim * dim:
             raise InvalidMatrix(
-                f"matrix payload has {raw.size} entries, expected dim*dim = {dim * dim}"
+                f"matrix payload has {raw.size} entries, "
+                f"expected dim*dim = {brief_repr(dim * dim)}"
             )
         return cls(raw.reshape(dim, dim))
 

@@ -21,14 +21,10 @@ of floats is formatted in one join, not by the encoder ``indent`` selects.
 Figure coordinates are formatted in bulk the same way, with the same ``.6g``
 text as formatting each point on its own.
 
-A partition reads its model PCs from its G, so every partition of one G
-repeats G's leading eigenvectors. One memo per G formats all K of them at
-once, as report coordinates and as figure panels, and every J takes its first
-J. The coordinates travel in the report as a fragment: a ``list`` subclass
-holding the floats and their JSON text. The text is written only where it is
-exact, at the indentation it was made for and while the list holds the floats
-it was made from; anywhere else the list is encoded like any other. The bytes
-are the same either way, and ``json.loads`` of them equals the document.
+Every partition of one G repeats G's leading eigenvectors, so their figure
+panels are drawn once per G and every J takes its first J. Their report text
+comes from a bounded memo of float-list text keyed by exact bits and indent,
+so a sweep formats each of them once too.
 """
 
 from __future__ import annotations
@@ -37,9 +33,9 @@ import errno
 import json
 import os
 import stat
+import struct
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from operator import is_
 from pathlib import Path
 
 import numpy as np
@@ -199,24 +195,18 @@ def _vector_panel(col: int, role: str, number: int, x_text: list[str], ys: list[
     ]))
 
 
-# doc > "vectors" > entry > "coordinates": the pad of every vector's coordinates
-_COORDINATES_PAD = " " * 6
-
-
 @lru_cache(maxsize=1)
-def _model_rows(g: GMatrix) -> tuple[list[_Fragment], list[str], list[str]]:
-    """Each of G's K eigenvectors as report coordinates and as a figure panel, and G's x text.
+def _model_rows(g: GMatrix) -> tuple[list[str], list[str]]:
+    """Each of G's K eigenvectors as a figure panel, and G's x text.
 
     Model PC i of every partition of G is row i of G's eigenvector matrix and
-    sits in column i-1 of the figure, so its text is the same at every J.
+    sits in column i-1 of the figure, so its panel is the same at every J.
     GMatrix hashes by identity and is immutable, so one slot serves a sweep.
     """
-    rows = g.eig.eigenvectors.T
     x_text = _x_text(_x_pixels(_abscissa(g)))
-    fragments = [_Fragment(row, _COORDINATES_PAD) for row in rows.tolist()]
     panels = [_vector_panel(col, "model", col + 1, x_text, ys)
-              for col, ys in enumerate(_y_pixels(rows, 1.0).tolist())]
-    return fragments, panels, x_text
+              for col, ys in enumerate(_y_pixels(g.eig.eigenvectors.T, 1.0).tolist())]
+    return panels, x_text
 
 
 def render_partition_figure(part: SubspacePartition, provenance: dict | None = None) -> str:
@@ -228,7 +218,7 @@ def render_partition_figure(part: SubspacePartition, provenance: dict | None = N
     simplest nearly-null vector. Curves run over the grid of the partition's G
     (over trait indices if it has none).
     """
-    _, model_panels, x_text = _model_rows(part.g)
+    model_panels, x_text = _model_rows(part.g)
     ys = _y_pixels(part.null_basis.vectors, 1.0).tolist()
     panels = model_panels[:part.j] + [
         _vector_panel(part.j + i, "null", i + 1, x_text, y) for i, y in enumerate(ys)
@@ -298,8 +288,7 @@ def make_provenance(
 def partition_report(part: SubspacePartition, provenance: dict) -> dict:
     """Lossless JSON document for one partition; ``grid`` is null if its G has no grid."""
     g, measure = part.g, part.measure
-    fragments = _model_rows(g)[0][:part.j]
-    coordinates = [f.twin() for f in fragments] + part.null_basis.vectors.tolist()
+    coordinates = part.combined_basis().tolist()
     vectors = []
     for i, (role, number) in enumerate(_labels(part)):
         entry = {
@@ -386,49 +375,26 @@ def _float_text(x: float) -> str:
     return text
 
 
-def _floats_text(items, pad: str) -> str | None:
-    """The JSON text of a list of finite floats at ``pad``; None for any other list."""
+def _floats_text(items: list, pad: str) -> str | None:
+    """The JSON text at ``pad`` of a list of finite floats, each exactly a ``float``, else None."""
     if not items:
         return "[]"
-    inner = pad + "  "
-    try:
-        # float.__repr__ raises TypeError on the first item that is not a float
-        text = (",\n" + inner).join(map(float.__repr__, items))
-    except TypeError:
+    if {*map(type, items)} != {float}:  # so that 1 is never written as 1.0
         return None
+    # the exact bits, as 0.0 == -0.0 and the two hash alike
+    return _bits_text(struct.pack(f"{len(items)}d", *items), pad)
+
+
+# A partition report holds K + 3 float lists, so 256 entries keep a sweep's
+# model rows cached for K <= 253 while capping the memory the memo holds.
+@lru_cache(maxsize=256)
+def _bits_text(bits: bytes, pad: str) -> str | None:
+    """:func:`_floats_text` of the floats packed in ``bits``; None if one is not finite."""
+    inner = pad + "  "
+    text = (",\n" + inner).join(map(float.__repr__, struct.unpack(f"{len(bits) // 8}d", bits)))
     if "n" in text:  # only nan, inf and -inf contain an n
         return None
     return "[\n" + inner + text + "\n" + pad + "]"
-
-
-class _Fragment(list):
-    """A list of floats carrying its JSON text at one pad, formatted once and shared by copies.
-
-    ``_encode`` writes the text verbatim only at that pad and only while the
-    list still holds the very float objects the text was formatted from;
-    otherwise it encodes the list like any other, so the text is never stale.
-    """
-
-    __slots__ = ("_source", "_pad", "_text")
-
-    def __init__(self, items, pad: str):
-        super().__init__(items)
-        self._source = tuple(self)
-        self._pad = pad
-        self._text = _floats_text(self._source, pad)
-
-    def twin(self) -> _Fragment:
-        """A new fragment of the items this one was made from, sharing its text."""
-        twin = _Fragment.__new__(_Fragment)
-        twin.extend(self._source)
-        twin._source, twin._pad, twin._text = self._source, self._pad, self._text
-        return twin
-
-    def text_at(self, pad: str) -> str | None:
-        """The stored text if it is still this list's JSON text at ``pad``, else None."""
-        if pad != self._pad or len(self) != len(self._source):
-            return None
-        return self._text if all(map(is_, self, self._source)) else None
 
 
 def _encode(o, pad: str, out: list[str]) -> None:
@@ -436,7 +402,7 @@ def _encode(o, pad: str, out: list[str]) -> None:
 
     The type tests run in ``json``'s order, so bools are written before ints
     and float or int subclasses as their base type; keys must be ``str``. A
-    list of floats is formatted in one join; a :class:`_Fragment` brings its own text.
+    list of floats is formatted in one join, once per distinct list.
     """
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))
@@ -451,9 +417,7 @@ def _encode(o, pad: str, out: list[str]) -> None:
     elif isinstance(o, float):
         out.append(_float_text(o))
     elif isinstance(o, list):
-        text = o.text_at(pad) if type(o) is _Fragment else None
-        if text is None:
-            text = _floats_text(o, pad)
+        text = _floats_text(o, pad)
         if text is not None:
             out.append(text)
             return
@@ -494,26 +458,39 @@ def report_json_bytes(doc: dict) -> bytes:
     return "".join(out).encode("utf-8")
 
 
+def _check_target(path: str | Path) -> Path:
+    """``path`` as a ``Path`` if a file may be written there; else an ``OSError`` naming it.
+
+    The path must have a file name ("", "." and "/" have none) and a parent
+    directory that exists, and an existing target must be a regular file: a
+    symlink, a FIFO or a device is never replaced. The error names ``path``
+    as given.
+    """
+    target = Path(path)
+    try:
+        if not target.name:
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        try:
+            if not stat.S_ISREG(target.lstat().st_mode):
+                raise FileExistsError(errno.EEXIST, "exists and is not a regular file")
+        except FileNotFoundError:
+            target.parent.stat()  # a new file, in a directory that must exist
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from exc
+    return target
+
+
 def write_bytes_atomic(data: bytes, path: str | Path) -> None:
     """Write via a temporary file in the target directory, then rename.
 
-    The temporary file is created like any other (mode 0o666 less the umask),
-    and the rename keeps its mode. A failure, a path with no file name ("",
-    "." or "/") and an existing target that is not a regular file (a symlink,
-    a FIFO, a device), which is never replaced, are raised as an ``OSError``
-    that names ``path`` as given, not the temporary file.
+    The target must pass :func:`_check_target`. The temporary file is created
+    like any other (mode 0o666 less the umask), and the rename keeps its
+    mode. A failure is raised as an ``OSError`` that names ``path`` as given,
+    not the temporary file.
     """
-    given, path = os.fspath(path), Path(path)
+    given, path = os.fspath(path), _check_target(path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        if not path.name:
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        try:
-            regular = stat.S_ISREG(path.lstat().st_mode)
-        except FileNotFoundError:
-            regular = True  # a new file
-        if not regular:
-            raise FileExistsError(errno.EEXIST, "exists and is not a regular file")
-        tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
         fh = open(tmp, "xb")
         try:
             with fh:

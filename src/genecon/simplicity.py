@@ -39,8 +39,7 @@ class SimplicityMeasure:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         lam = symmetric_eigen(self.lambda_matrix).eigenvalues
-        scale = max(1.0, self.lambda_matrix.frobenius())
-        if lam.min() < -1e-9 * scale:
+        if lam.min() < -1e-9 * np.abs(lam).max():  # relative, so no unit hides a negative
             raise InvalidMatrix(
                 f"simplicity form must be nonnegative definite; min eigenvalue {lam.min():.3e}"
             )

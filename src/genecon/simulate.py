@@ -45,10 +45,9 @@ RNG_DESCRIPTION = (
 
 
 def _psd_factor(matrix: np.ndarray, name: str) -> np.ndarray:
-    """Factor A with A A' = matrix; tolerates (and zeroes) roundoff negatives."""
+    """Factor A with A A' = matrix; zeroes negatives within roundoff of its largest |eigenvalue|."""
     lam, vectors = _eigh(matrix)
-    scale = max(1.0, float(np.abs(lam).max()))
-    if lam.min() < -1e-9 * scale:
+    if lam.min() < -1e-9 * np.abs(lam).max():
         raise InvalidCovariance(
             f"{name} is not positive semidefinite: min eigenvalue {lam.min():.3e}"
         )

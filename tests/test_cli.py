@@ -136,6 +136,20 @@ class TestAnalyze:
         assert capsys.readouterr().err == "genecon analyze: --design is required with --data\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    @pytest.mark.parametrize("dry_run", [False, True])
+    def test_design_with_g_is_rejected(self, inputs, tmp_path, capsys, command, dry_run):
+        # --design is read only with --data, so with --g it would be ignored
+        outputs = (["--J", "2", "--out", str(tmp_path / "x.json")] if command == "analyze" else
+                   ["--out-dir", str(tmp_path / "sweep")])
+        argv = [command, "--g", str(inputs["g"]), "--grid", str(inputs["grid"]),
+                "--design", "fullsib", *outputs, *["--dry-run"] * dry_run]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"genecon {command}: --design is read only with --data, not with --g\n")
+        assert sorted(tmp_path.iterdir()) == before
+
     def test_both_inputs_rejected(self, inputs, tmp_path, capsys):
         code = main([
             "analyze", "--g", str(inputs["g"]), "--data", str(inputs["g"]),
@@ -818,8 +832,13 @@ def test_nested_lists_are_rejected(inputs, tmp_path, capsys, flag, field, payloa
     ("--config", "'sigma2'", json.dumps({**STUDY_CONFIG, "sigma2": {"a": "x" * 5000}})),
     ("--config", "'measure'", json.dumps({**STUDY_CONFIG, "measure": "d" * 5000})),
     ("--config", "design", json.dumps({**STUDY_CONFIG, "design": "half" * 2000})),
+    ("--config", "'seed'", json.dumps({**STUDY_CONFIG, "seed": 10**400})),
+    ("--config", "'null_dim'", json.dumps({**STUDY_CONFIG, "null_dim": 10**400})),
+    ("--g", "dim*dim", json.dumps({"dim": 10**400, "entries": IDENTITY6})),
+    ("--config", "unknown key", json.dumps({**STUDY_CONFIG, "m" * 5000: 1})),
 ], ids=["points-900-deep", "long-last-point", "long-entry", "list-families", "dict-sigma2",
-        "long-measure", "long-design"])
+        "long-measure", "long-design", "400-digit-seed", "400-digit-null-dim", "400-digit-dim",
+        "long-unknown-key"])
 def test_rejected_value_is_echoed_briefly(inputs, tmp_path, monkeypatch, capsys, flag, field,
                                           text):
     # a deep or long value is echoed shortened, so its one line stays readable
@@ -835,6 +854,42 @@ def test_rejected_value_is_echoed_briefly(inputs, tmp_path, monkeypatch, capsys,
     assert len(err) == 1 and len(err[0]) < 200
     assert err[0].startswith(f"genecon {argv[0]}: {flag}: bad.json: ") and field in err[0]
     assert not Path("o.json").exists()
+
+
+def test_rejected_j_is_echoed_briefly(inputs, tmp_path, capsys):
+    out = tmp_path / "o.json"
+    assert main(["analyze", "--g", str(inputs["g"]), "--grid", str(inputs["grid"]),
+                 "--J", str(10**500), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and len(err[0]) < 200
+    assert err[0].startswith("genecon analyze: --J must be in [0, 6], got 1000")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, text, key", [
+    ("--grid", json.dumps({**GRID_PAYLOAD, "pionts": [1.0]}), "'pionts'"),
+    ("--g", json.dumps({**G_PAYLOAD, "dims": 6}), "'dims'"),
+    ("--g", json.dumps({"dims": 6, "entries": IDENTITY6}), "'dims'"),
+    ("--config", json.dumps({**STUDY_CONFIG, "measur": "d2"}), "'measur'"),
+    ("--config", json.dumps({**STUDY_CONFIG, "grid": {**GRID_PAYLOAD, "pionts": []}}),
+     "'pionts'"),
+    ("--config", json.dumps({**STUDY_CONFIG, "e": {**STUDY_CONFIG["e"], "dims": 6}}), "'dims'"),
+], ids=["grid", "matrix", "matrix-misspelt-dim", "config", "config-grid", "config-matrix"])
+def test_unknown_key_is_named(inputs, tmp_path, capsys, flag, text, key):
+    # a misspelt or extra key would otherwise be dropped without a word
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    out = tmp_path / "o.json"
+    if flag == "--config":
+        argv = ["simulate", "--config", str(bad)]
+    else:
+        paths = {"--g": str(inputs["g"]), "--grid": str(inputs["grid"]), flag: str(bad)}
+        argv = ["analyze", "--g", paths["--g"], "--grid", paths["--grid"], "--J", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"genecon {argv[0]}: {flag}: {bad}: ")
+    assert err[0].endswith(f"unknown key {key}")
+    assert not out.exists()
 
 
 _HEADER = "family,individual,t1,t2,t3,t4,t5,t6"
@@ -885,24 +940,43 @@ def test_thread_env_is_checked_once(inputs, tmp_path, monkeypatch, capsys, value
         assert not out.exists()
 
 
-@pytest.mark.parametrize("target", ["missing/r.json", "taken", "link.json", "loop.json",
-                                    "pipe.json"],
-                         ids=["no-parent", "directory", "symlink", "symlink-loop", "fifo"])
-def test_failed_write_names_its_target(inputs, tmp_path, capsys, target):
-    # an existing output that is not a regular file is never replaced
+@pytest.mark.parametrize("command, flag, target", [
+    ("analyze", "--out", "missing/r.json"),
+    ("analyze", "--out", "taken"),
+    ("analyze", "--out", "link.json"),
+    ("analyze", "--out", "loop.json"),
+    ("analyze", "--out", "pipe.json"),
+    ("analyze", "--svg", "missing/f.svg"),
+    ("analyze", "--svg", "taken"),
+    ("simulate", "--svg", "missing/f.svg"),
+    ("simulate", "--svg", "pipe.json"),
+    ("sweep", "--out-dir", "taken/figure_J03.svg"),
+], ids=["no-parent", "directory", "symlink", "symlink-loop", "fifo", "svg-no-parent",
+        "svg-directory", "simulate-svg-no-parent", "simulate-svg-fifo", "sweep-figure-directory"])
+def test_failed_write_names_its_target(inputs, study_config, tmp_path, capsys, command, flag,
+                                       target):
+    # every output is checked before the first write, so no report is left
+    # behind; an existing output that is not a regular file is never replaced
     (tmp_path / "taken").mkdir()
     (tmp_path / "kept.json").write_text("kept")
     (tmp_path / "link.json").symlink_to("kept.json")
     (tmp_path / "loop.json").symlink_to("loop.json")
     os.mkfifo(tmp_path / "pipe.json")
-    out = tmp_path / target
-    before = sorted(tmp_path.iterdir())
-    code = main(["analyze", "--g", str(inputs["g"]), "--grid", str(inputs["grid"]),
-                 "--J", "2", "--out", str(out), "--svg", str(tmp_path / "f.svg")])
-    assert code == 1
+    bad = tmp_path / target
+    outputs = {"--out": tmp_path / "r.json", "--svg": tmp_path / "f.svg", flag: bad}
+    if command == "sweep":
+        bad.mkdir()
+        argv = ["--g", str(inputs["g"]), "--grid", str(inputs["grid"]),
+                "--out-dir", str(bad.parent)]
+    else:
+        source = (["--config", str(study_config)] if command == "simulate" else
+                  ["--g", str(inputs["g"]), "--grid", str(inputs["grid"]), "--J", "2"])
+        argv = [*source, "--out", str(outputs["--out"]), "--svg", str(outputs["--svg"])]
+    before = sorted(tmp_path.iterdir()), sorted((tmp_path / "taken").iterdir())
+    assert main([command, *argv]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and repr(str(out)) in err[0] and ".tmp" not in err[0]
-    assert sorted(tmp_path.iterdir()) == before
+    assert len(err) == 1 and repr(str(bad)) in err[0] and ".tmp" not in err[0]
+    assert (sorted(tmp_path.iterdir()), sorted((tmp_path / "taken").iterdir())) == before
     assert (tmp_path / "link.json").is_symlink() and (tmp_path / "kept.json").read_text() == "kept"
     assert stat.S_ISFIFO((tmp_path / "pipe.json").lstat().st_mode)
 
@@ -998,18 +1072,30 @@ def _replaced(doc, path, value):
     return copy
 
 
+def _misspelt(doc, path):
+    """A copy of ``doc`` with the key at ``path`` missing its last letter."""
+    copy = dict(doc)
+    if len(path) > 1:
+        copy[path[0]] = _misspelt(doc[path[0]], path[1:])
+    else:
+        copy[path[0][:-1]] = copy.pop(path[0])
+    return copy
+
+
 @st.composite
 def malformed_json(draw, doc):
     """A grid, matrix or config file that every reader must reject."""
     raw = json.dumps(doc).encode()
-    kind = draw(st.sampled_from(["field", "missing", "truncated", "not-utf8", "not-an-object",
-                                 "too-deep"]))
+    kind = draw(st.sampled_from(["field", "missing", "misspelt", "truncated", "not-utf8",
+                                 "not-an-object", "too-deep"]))
     if kind == "field":
         path = draw(st.sampled_from(list(_key_paths(doc))))
         return json.dumps(_replaced(doc, path, draw(st.sampled_from(BAD_VALUES)))).encode()
     if kind == "missing":
         path = draw(st.sampled_from([p for p in _key_paths(doc) if p not in OPTIONAL_FIELDS]))
         return json.dumps(_replaced(doc, path, ...)).encode()
+    if kind == "misspelt":  # an optional key too, which was once dropped without a word
+        return json.dumps(_misspelt(doc, draw(st.sampled_from(list(_key_paths(doc)))))).encode()
     if kind == "truncated":
         return raw[:draw(st.integers(0, len(raw) - 1))]
     if kind == "not-utf8":

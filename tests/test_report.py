@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from genecon.core import EigenDecomposition, GMatrix, SymMatrix, clip_negative_eigenvalues
 from genecon.reference import study_params, surrogate_g, temperature_grid
 from genecon.report import (
-    _Fragment,
+    _bits_text,
     _polyline,
     _x_text,
     make_provenance,
@@ -385,56 +385,45 @@ def nest(value, containers):
     return value
 
 
-class TestFragments:
-    """A `_Fragment` brings its own JSON text; the bytes must be json.dumps's regardless."""
+class TestFloatMemo:
+    """Each float list's text comes from a memo; the bytes must be json.dumps's regardless."""
 
     @given(st.lists(FLOAT_ROWS, min_size=1, max_size=4),
            st.lists(st.sampled_from(["dict", "list"]), max_size=4))
     def test_bytes_match_json_dumps(self, rows, containers):
-        pad = "  " * len(containers)
-        fragments = [_Fragment(row, pad + "  ") for row in rows]
-        doc = nest([*fragments, 2.0], containers)
+        # every row twice, one level deeper the second time, and the whole document twice
+        doc = nest([*rows, {"k": rows}, 2.0], containers)
+        assert report_json_bytes(doc) == reference_json_bytes(doc)
         assert report_json_bytes(doc) == reference_json_bytes(doc)
         assert json.loads(report_json_bytes(doc)) == doc
-        for f in fragments:
-            f._text = "FRAGMENT"
-        assert report_json_bytes(doc).count(b"FRAGMENT") == len(fragments)  # its text is used
 
-    @pytest.mark.parametrize("mutate", [
-        lambda f: f.__setitem__(0, -0.0),   # equal to 0.0, not the same text
-        lambda f: f.__setitem__(1, 1),      # equal to 1.0, not the same text
-        lambda f: list.__setitem__(f, 2, 2.5),
-        lambda f: f.append(3.0),
-        lambda f: f.pop(),
-        lambda f: f.reverse(),
-        lambda f: f.clear(),
-    ], ids=["negative-zero", "int", "base-setitem", "append", "pop", "reverse", "clear"])
-    def test_mutated_fragment(self, mutate):
-        fragment = _Fragment([0.0, 1.0, 2.0], "    ")
-        doc = {"a": fragment}
-        assert report_json_bytes(doc) == reference_json_bytes(doc)
-        twin = fragment.twin()
-        mutate(fragment)
-        assert report_json_bytes(doc) == reference_json_bytes(doc)
-        assert twin == [0.0, 1.0, 2.0]
-        assert report_json_bytes({"a": twin}) == reference_json_bytes({"a": twin})
-
-    @pytest.mark.parametrize("pad", ["", "  ", "      "])
-    def test_fragment_at_another_pad(self, pad):
-        fragment = _Fragment([0.25, -1e300], "    ")
-        for doc in (fragment, {"a": fragment}, {"a": {"b": [fragment]}}, [[fragment]]):
+    @pytest.mark.parametrize("first, then", [
+        ([0.0, 1.0], [-0.0, 1.0]),    # equal, and they hash alike
+        ([1.0, 2.0], [1, 2.0]),       # equal, and they hash alike
+        ([0.25, -1e300], [[0.25, -1e300]]),
+    ], ids=["negative-zero", "int", "two-pads"])
+    def test_an_equal_list_is_not_given_the_text(self, first, then):
+        for doc in ({"a": first}, {"a": then}, {"a": first}):
             assert report_json_bytes(doc) == reference_json_bytes(doc)
 
-    @pytest.mark.parametrize("made, mutate", [
-        ([0.5, math.nan], None),
-        ([0.5, 1.0], lambda f: f.__setitem__(1, math.inf)),
-    ], ids=["made-with-nan", "mutated-to-inf"])
-    def test_non_finite_names_the_field(self, made, mutate):
-        fragment = _Fragment(made, "    ")
-        if mutate:
-            mutate(fragment)
-        with pytest.raises(ValueError, match=r"^report field a\.b holds (nan|inf), "):
-            report_json_bytes({"a": {"b": fragment}})
+    def test_non_finite_names_the_field(self):
+        # the same bits under two fields: each is named by its own
+        row = [0.5, math.nan]
+        for doc, field in ({"a": {"b": row}}, "a.b"), ({"c": row}, "c"), ({"a": [row]}, "a"):
+            with pytest.raises(ValueError, match=rf"^report field {re.escape(field)} holds nan, "):
+                report_json_bytes(doc)
+
+    def test_sweep_formats_each_model_row_once(self):
+        g = surrogate_g()
+        docs = [partition_report(partition(g, j, MEASURE), {}) for j in range(g.dim + 1)]
+        _bits_text.cache_clear()
+        first = [report_json_bytes(doc) for doc in docs]
+        misses = _bits_text.cache_info().misses
+        # grid and eigenvalues once, each model row once, each null row at most once
+        assert misses <= 2 + g.dim + g.dim * (g.dim + 1) // 2
+        assert [report_json_bytes(doc) for doc in docs] == first
+        assert _bits_text.cache_info().misses == misses
+        assert first == [reference_json_bytes(doc) for doc in docs]
 
 
 class TestAtomicWrites:

@@ -358,6 +358,13 @@ class TestMeasureConstruction:
         with pytest.raises(InvalidMatrix):
             SimplicityMeasure(SymMatrix(np.diag([1.0, -1.0])), 1.0, "custom")
 
+    @pytest.mark.parametrize("unit", [1e-12, 1.0, 1e12])
+    def test_acceptance_does_not_depend_on_units(self, unit):
+        with pytest.raises(InvalidMatrix):
+            SimplicityMeasure(SymMatrix(unit * np.diag([1.0, -1e-3])), unit, "custom")
+        penalty = second_difference_penalty(temp_grid()).entries
+        custom_measure(SymMatrix(unit * penalty), small_is_simple=True)
+
     def test_custom_conversion_flips_order(self):
         # small = simple penalty becomes big = simple after conversion
         grid = temp_grid()

@@ -99,6 +99,31 @@ class TestGenerateDataset:
                 sigma2=0.0, n_families=3, family_size=2, design="half-sib", seed=0,
             )
 
+    @pytest.mark.parametrize("e_spectrum, accepted", [
+        ([0.1] * 6, True),
+        ([0.1] * 5 + [0.0], True),
+        ([1.0, 0.5, -0.8, 0.1, 0.1, 0.1], False),
+        ([1.0, 0.5, -1e-6, 0.1, 0.1, 0.1], False),
+    ], ids=["positive", "singular", "indefinite", "slightly-indefinite"])
+    @pytest.mark.parametrize("unit", [1e-12, 1e12])
+    def test_acceptance_does_not_depend_on_units(self, e_spectrum, accepted, unit):
+        # E, G and sigma2 share one unit, so a change of unit scales every eigenvalue alike
+        p = small_params()
+        q = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))[0]
+        e = (q * e_spectrum) @ q.T
+
+        def build(c):
+            g = clip_negative_eigenvalues(SymMatrix(c * p.g.matrix.entries), 0.0, grid=p.g.grid)
+            return SimulationParams(mu=p.mu, g=g, e=SymMatrix(c * e), sigma2=c * p.sigma2,
+                                    n_families=3, family_size=2, design="half-sib", seed=0)
+
+        for c in (1.0, unit):
+            if accepted:
+                build(c)
+            else:
+                with pytest.raises(InvalidCovariance, match="^E is not positive semidefinite"):
+                    build(c)
+
     def test_negative_sigma2_rejected(self):
         p = small_params()
         with pytest.raises(InvalidCovariance):
