@@ -12,7 +12,7 @@ The public names load their submodule on first access (PEP 562), so
 
 from importlib import import_module
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 _EXPORTS = {
     "core": ["EigenDecomposition", "GMatrix", "SymMatrix", "TraitGrid",

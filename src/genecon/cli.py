@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import (SymMatrix, TraitGrid, _known_keys, brief_repr, clip_negative_eigenvalues,
                    json_int, json_number, json_numbers)
-from .errors import GeneconError
+from .errors import GeneconError, InvalidMatrix
 from .estimate import (
     DESIGN_ALIASES,
     RELATEDNESS,
@@ -159,7 +159,11 @@ def _load_analysis_inputs(args):
             raise UsageError("--design is required with --data")
         design = normalize_design(args.design)
         data = _load("--data", args.data, lambda path: load_family_csv(path, grid, design))
-        g = clip_negative_eigenvalues(anova_estimate(data).g_hat, args.clip_tol)
+        try:
+            g_hat = anova_estimate(data).g_hat
+        except InvalidMatrix as exc:  # finite records whose mean squares overflow
+            raise UsageError(f"--data: {args.data}: mean squares overflow: {exc}") from exc
+        g = clip_negative_eigenvalues(g_hat, args.clip_tol)
     try:
         measure = measure_from_kind(args.measure, grid)
     except GeneconError as exc:

@@ -21,7 +21,8 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidGrid, InvalidMatrix
 
 SYMMETRY_RTOL = 1e-10          # allowed asymmetry relative to max |entry|
-DEGENERACY_RTOL = 1e-9         # adjacent gap below this times max(1, |largest|) is a tie
+DEGENERACY_RTOL = 1e-9         # adjacent gap at most this times max |value| is a tie
+PSD_RTOL = 1e-9                # allowed negative eigenvalue relative to max |eigenvalue|
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -96,18 +97,30 @@ def _first(bad: np.ndarray) -> tuple[tuple[int, ...], str]:
     return (r,), f"replicate {r}: "
 
 
+def _magnitude(a: np.ndarray, axis) -> np.ndarray:
+    """Each stack member's largest |entry| over ``axis``: every tolerance is an RTOL times it."""
+    return np.abs(a).max(axis=axis, initial=0.0)
+
+
+def _check_psd(eigenvalues: np.ndarray, what: str, error: type = InvalidMatrix) -> None:
+    """Raise ``error`` if the smallest eigenvalue is below -``PSD_RTOL`` times the largest |one|."""
+    low = float(eigenvalues.min(initial=0.0))
+    if low < -PSD_RTOL * _magnitude(eigenvalues, -1):
+        raise error(f"{what} is not positive semidefinite: min eigenvalue {low:.3e}")
+
+
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     """(M + M')/2 of each matrix of a (..., K, K) stack, after checking it.
 
-    Each must be finite and symmetric within ``SYMMETRY_RTOL`` times its
-    largest entry magnitude (at least 1).
+    Each must be finite and symmetric within ``SYMMETRY_RTOL`` times its own
+    largest entry magnitude.
     """
     mt = np.swapaxes(m, -1, -2)
     finite = np.isfinite(m).all(axis=(-2, -1))
     if not finite.all():
         raise InvalidMatrix(_first(~finite)[1] + "matrix entries must be finite")
-    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
-    asym = np.abs(m - mt).max(axis=(-2, -1), initial=0.0)
+    scale = _magnitude(m, (-2, -1))
+    asym = _magnitude(m - mt, (-2, -1))
     bad = asym > SYMMETRY_RTOL * scale
     if bad.any():
         i, where = _first(bad)
@@ -121,10 +134,10 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
 def _ties(values: np.ndarray) -> np.ndarray:
     """(..., L-1) flags of the adjacent pairs of a descending (..., L) array that tie.
 
-    Pair i ties when its gap is below ``DEGENERACY_RTOL`` times max(1, |values[..., 0]|).
+    Pair i ties when its gap is at most ``DEGENERACY_RTOL`` times its array's
+    largest |value|, so an all-zero array ties throughout.
     """
-    scale = np.maximum(1.0, np.abs(values[..., :1]))
-    return -np.diff(values, axis=-1) < DEGENERACY_RTOL * scale
+    return -np.diff(values, axis=-1) <= DEGENERACY_RTOL * _magnitude(values, -1)[..., None]
 
 
 def _eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,9 +258,9 @@ class SymMatrix:
 class EigenDecomposition(_ReadOnlyArrays):
     """Eigenvalues in descending order with orthonormal eigenvector columns.
 
-    ``degenerate`` is set when two adjacent eigenvalues are closer than
-    ``DEGENERACY_RTOL`` times max(1, |largest|), in which case the affected
-    eigenvectors are only defined up to rotation within their eigenspace.
+    ``degenerate`` is set when two adjacent eigenvalues tie (see :func:`_ties`),
+    in which case the affected eigenvectors are only defined up to rotation
+    within their eigenspace.
     """
 
     eigenvalues: np.ndarray
@@ -261,8 +274,7 @@ def symmetric_eigen(m: SymMatrix) -> EigenDecomposition:
     Eigenvalues are sorted descending with a stable tie-break, and each
     eigenvector is flipped so its first component of magnitude above 1e-8 is
     positive, so the result does not depend on LAPACK's sign choices.
-    ``degenerate`` is set when two adjacent eigenvalues are closer than
-    ``DEGENERACY_RTOL`` times max(1, |largest|).
+    ``degenerate`` is set when two adjacent eigenvalues tie (see :func:`_ties`).
     """
     if not isinstance(m, SymMatrix):
         m = SymMatrix(np.asarray(m, dtype=float))
@@ -274,7 +286,7 @@ def symmetric_eigen(m: SymMatrix) -> EigenDecomposition:
 class GMatrix:
     """Genetic covariance matrix with its cached eigendecomposition.
 
-    Positive semidefinite within tolerance; build one from a possibly
+    Positive semidefinite by :func:`_check_psd`; build one from a possibly
     indefinite estimate with :func:`clip_negative_eigenvalues`.
     """
 
@@ -284,12 +296,7 @@ class GMatrix:
     clipped_indices: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        lam = self.eig.eigenvalues
-        floor = -1e-8 * max(float(lam.max()), 0.0)
-        if float(lam.min()) < floor:
-            raise InvalidMatrix(
-                f"eigenvalues not PSD within tolerance: min {lam.min():.3e} < {floor:.3e}"
-            )
+        _check_psd(self.eig.eigenvalues, "G")
         if self.grid is not None and self.grid.size != self.matrix.dim:
             raise DimensionMismatch(
                 f"grid has {self.grid.size} points but matrix is {self.matrix.dim}-dimensional"

@@ -248,7 +248,8 @@ def render_study_figure(summary: StudySummary, provenance: dict | None = None) -
     x_text = _x_text(_x_pixels(_abscissa(summary.params.g)))
     panels = []
     for col, (vectors, responses, true_vector, true_response, caption) in enumerate(columns):
-        span = max(float(np.abs(responses).max()), float(np.abs(true_response).max()), 1e-12)
+        # the largest |response| spans the panel at any unit; 1 draws all-zero curves flat
+        span = max(float(np.abs(responses).max()), float(np.abs(true_response).max())) or 1.0
         panels += _panel(col, 0, "panel vector overlay",
                          _overlay(x_text, vectors, true_vector, 1.0, caption))
         panels += _panel(col, 1, "panel response overlay",

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SymMatrix, TraitGrid, _ReadOnlyArrays, _eigh, _symmetrized, _ties,
-                   symmetric_eigen)
+from .core import (PSD_RTOL, SymMatrix, TraitGrid, _ReadOnlyArrays, _check_psd, _eigh,
+                   _symmetrized, _ties, symmetric_eigen)
 from .errors import GridTooSmall, InvalidMatrix, NotUnitVector, RankDeficientSubspace
 
 FIRST_DIFFERENCE = "first-difference"
@@ -24,7 +24,7 @@ CUSTOM = "custom"
 
 _KINDS = (FIRST_DIFFERENCE, SECOND_DIFFERENCE, SPARSENESS, CUSTOM)
 MEASURE_ALIASES = {"d1": FIRST_DIFFERENCE, "d2": SECOND_DIFFERENCE, "sparse": SPARSENESS}
-_ORTHO_TOL = 1e-12
+_ORTHO_TOL = 1e-12  # a row's QR residual at most this times its norm is dependent
 
 
 @dataclass(frozen=True)
@@ -39,13 +39,8 @@ class SimplicityMeasure:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
         lam = symmetric_eigen(self.lambda_matrix).eigenvalues
-        if lam.min() < -1e-9 * np.abs(lam).max():  # relative, so no unit hides a negative
-            raise InvalidMatrix(
-                f"simplicity form must be nonnegative definite; min eigenvalue {lam.min():.3e}"
-            )
-        if self.kind == FIRST_DIFFERENCE and not (
-            lam.min() >= -1e-9 and lam.max() <= 4.0 + 1e-9
-        ):
+        _check_psd(lam, "simplicity form")
+        if self.kind == FIRST_DIFFERENCE and lam.max() > 4.0 * (1.0 + PSD_RTOL):
             raise InvalidMatrix(
                 f"first-difference form eigenvalues must lie in [0, 4], got "
                 f"[{lam.min():.3e}, {lam.max():.3e}]"
@@ -61,9 +56,9 @@ class SimplicityBasis(_ReadOnlyArrays):
     """Orthonormal vectors of a subspace ordered simplest first.
 
     ``vectors[i]`` is the i-th simplest direction, ``scores[i]`` its quadratic
-    score. ``degenerate`` warns that two adjacent scores tie (their gap is
-    below ``DEGENERACY_RTOL`` times max(1, |largest score|)), in which case
-    only the span of the tied vectors is well defined.
+    score. ``degenerate`` warns that two adjacent scores tie (their gap is at
+    most ``DEGENERACY_RTOL`` times the largest |score|), in which case only the
+    span of the tied vectors is well defined.
     """
 
     vectors: np.ndarray  # shape (L, K), rows are unit vectors
@@ -172,7 +167,7 @@ def _orthonormalize(rows: np.ndarray) -> np.ndarray:
     # |r[i, i]| is row i's distance from its predecessors' span; rows past K have none
     residuals = np.zeros(len(rows))
     residuals[: diag.size] = np.abs(diag)
-    deficient = residuals < _ORTHO_TOL
+    deficient = residuals <= _ORTHO_TOL * np.linalg.norm(rows, axis=1)
     if deficient.any():
         i = int(np.argmax(deficient))
         raise RankDeficientSubspace(

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _eigh, _readonly
+from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _check_psd, _eigh, _readonly
 from .errors import DimensionMismatch, InvalidCovariance
 from .estimate import RELATEDNESS, FamilyDataset, _between_ms, _raw_estimates, normalize_design
 from .simplicity import SimplicityMeasure, _simplicity_vectors, simplicity_basis
@@ -45,12 +45,9 @@ RNG_DESCRIPTION = (
 
 
 def _psd_factor(matrix: np.ndarray, name: str) -> np.ndarray:
-    """Factor A with A A' = matrix; zeroes negatives within roundoff of its largest |eigenvalue|."""
+    """Factor A with A A' = matrix; zeroes the negatives that :func:`_check_psd` allows."""
     lam, vectors = _eigh(matrix)
-    if lam.min() < -1e-9 * np.abs(lam).max():
-        raise InvalidCovariance(
-            f"{name} is not positive semidefinite: min eigenvalue {lam.min():.3e}"
-        )
+    _check_psd(lam, name, InvalidCovariance)
     return vectors * np.sqrt(np.clip(lam, 0.0, None))
 
 

@@ -696,6 +696,27 @@ class TestNonFiniteReports:
         assert err[0].startswith("genecon analyze: report field vectors.")
         assert not out.exists() and not svg.exists()
 
+    @pytest.mark.parametrize("command", ["analyze", "sweep"])
+    def test_data_whose_mean_squares_overflow(self, inputs, tmp_path, capsys, command):
+        # 12 finite records near 1e200: their cross products overflow, which
+        # is worded as any other bad --data input, naming the flag and the path
+        rows = ["family,individual," + ",".join(f"t{i + 1}" for i in range(6))]
+        for f in range(4):
+            for i in range(3):
+                rows.append(f"F{f},I{i}," + ",".join(
+                    repr((-1) ** (i + t) * (1.0 + f + 0.1 * i * t) * 1e200) for t in range(6)))
+        data = tmp_path / "big.csv"
+        data.write_text("\n".join(rows) + "\n")
+        target = (["--J", "3", "--out", str(tmp_path / "x.json")] if command == "analyze"
+                  else ["--out-dir", str(tmp_path / "sweep")])
+        code = main([command, "--data", str(data), "--design", "half-sib",
+                     "--grid", str(inputs["grid"]), *target])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"genecon {command}: --data: {data}: mean squares overflow: "
+            "matrix entries must be finite\n")
+        assert not (tmp_path / "x.json").exists() and not (tmp_path / "sweep").exists()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_simulate(self, study_config, tmp_path, capsys):
         cfg = json.loads(study_config.read_text())

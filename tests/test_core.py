@@ -10,6 +10,7 @@ from genecon.core import (
     SymMatrix,
     TraitGrid,
     _symmetrized,
+    _ties,
     clip_negative_eigenvalues,
     symmetric_eigen,
 )
@@ -93,6 +94,24 @@ class TestSymMatrix:
         with pytest.raises(InvalidMatrix, match=r"^matrix is asymmetric"):
             _symmetrized(single)
 
+    @pytest.mark.parametrize("first, second", [(2.0**40, 2.0**-40), (2.0**-40, 2.0**40)])
+    def test_stack_members_keep_their_own_verdicts(self, first, second):
+        # members 2**80 apart: a tolerance from the whole stack's largest entry
+        # would pass an asymmetric small member after a large symmetric one, and
+        # a floor at 1 would too
+        a = np.random.default_rng(8).standard_normal((3, 3))
+        sym, near, skew = a + a.T, a + a.T, a + a.T
+        near[0, 1] += 1e-12 * np.abs(sym).max()  # within SYMMETRY_RTOL
+        skew[0, 1] += 1e-8 * np.abs(sym).max()
+        accepted = np.array([first * sym, second * near, second * sym, first * near])
+        np.testing.assert_array_equal(_symmetrized(accepted),
+                                      [_symmetrized(m) for m in accepted])
+        for c in (first, second):
+            with pytest.raises(InvalidMatrix, match=r"^matrix is asymmetric"):
+                _symmetrized(c * skew)
+            with pytest.raises(InvalidMatrix, match=r"^replicate 2: matrix is asymmetric"):
+                _symmetrized(np.array([first * sym, second * near, c * skew, first * skew]))
+
     def test_payload_round_trip(self):
         m = from_spectrum([3.0, 1.0, 0.5], np.random.default_rng(7))
         assert SymMatrix.from_payload(m.to_payload()) == m
@@ -132,8 +151,22 @@ class TestSymmetricEigen:
         np.testing.assert_array_equal(a.eigenvectors, b.eigenvectors)
 
     def test_zero_matrix_degenerate(self):
-        # the tie scale is max(1, |largest|), so a zero spectrum ties throughout
+        # a zero gap is at most any multiple of the largest |value|, so a zero spectrum ties
         assert symmetric_eigen(SymMatrix(np.zeros((3, 3)))).degenerate
+
+    def test_ties_of_a_stack_keep_each_members_verdict(self):
+        # each row is judged by its own largest |value|, so scaling a row by a
+        # power of two, or stacking it with rows 2**80 larger, changes no flag
+        v = np.array([3.0, 2.0, 2.0 - 1e-9, 0.5, 0.5, 0.0])  # a gap of 1e-9 <= 3e-9 ties
+        w = np.array([1.0, 1.0 - 2e-9, 0.25, 0.25 - 2e-9, 1e-3, 0.0])  # 2e-9 > 1e-9 does not
+        rows = [(2.0**40, v), (2.0**-40, v), (1.0, w), (2.0**-40, w), (2.0**40, w), (1.0, 0 * v)]
+        flags = _ties(np.array([c * base for c, base in rows]))
+        for r, (c, base) in enumerate(rows):
+            np.testing.assert_array_equal(flags[r], _ties(c * base))
+            np.testing.assert_array_equal(flags[r], _ties(base))
+        np.testing.assert_array_equal(flags[0], [False, True, False, True, False])
+        np.testing.assert_array_equal(flags[2], [False, False, False, False, False])
+        assert flags[5].all()
 
     def test_empty_matrix(self):
         eig = symmetric_eigen(SymMatrix(np.zeros((0, 0))))

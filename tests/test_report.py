@@ -28,7 +28,7 @@ from genecon.report import (
     write_svg,
 )
 from genecon.simplicity import first_difference_measure, sparseness_measure
-from genecon.simulate import run_study
+from genecon.simulate import SimulationParams, run_study
 from genecon.spaces import partition
 
 GRID = temperature_grid()
@@ -140,6 +140,28 @@ class TestStudyFigure:
     def test_deterministic(self):
         summary = self.make_summary(reps=2)
         assert render_study_figure(summary) == render_study_figure(summary)
+
+    @pytest.mark.parametrize("exponent", [-50, 50])
+    def test_response_unit_changes_no_byte(self, exponent):
+        # a panel spans its largest |response|, so a power-of-two unit, which
+        # scales every response exactly, leaves each pixel as it was
+        summary = self.make_summary(reps=3)
+        names = ("simplest_responses", "null_pc_responses",
+                 "true_simplest_response", "true_pc_responses")
+        scaled = dataclasses.replace(summary, **{
+            name: getattr(summary, name) * 2.0**exponent for name in names
+        })
+        assert render_study_figure(scaled) == render_study_figure(summary)
+
+    def test_zero_model_draws_flat_curves(self):
+        zero = np.zeros((6, 6))
+        params = SimulationParams(
+            mu=np.zeros(6), g=clip_negative_eigenvalues(SymMatrix(zero), 0.0, grid=GRID),
+            e=SymMatrix(zero), sigma2=0.0, n_families=12, family_size=4, design="half-sib",
+            seed=0)
+        svg = render_study_figure(run_study(params, reps=2, null_dim=3, measure=MEASURE))
+        assert "nan" not in svg
+        assert len(panels(svg, "response")) == 4
 
 
 class TestLayout:

@@ -246,10 +246,12 @@ class TestPartition:
         assert not partition(g, 1, measure).boundary_tie
 
     def test_boundary_tie_agrees_with_degenerate_below_unit_scale(self):
-        # gap 7e-10 lies between 1e-9 * |largest| and 1e-9: one tie rule flags it in both
-        g = psd(np.diag([0.5, 0.3, 0.3 - 7e-10, 0.1]))
-        assert symmetric_eigen(g.matrix).degenerate
-        assert partition(g, 2, sparseness_measure(4)).boundary_tie
+        # the tie bound is 1e-9 * |largest| = 5e-10, with no floor at 1: one rule
+        # flags a gap of 4e-10 in both flags, and a gap of 7e-10 in neither
+        for gap, tied in ((4e-10, True), (7e-10, False)):
+            g = psd(np.diag([0.5, 0.3, 0.3 - gap, 0.1]))
+            assert symmetric_eigen(g.matrix).degenerate == tied
+            assert partition(g, 2, sparseness_measure(4)).boundary_tie == tied
 
     def test_zero_variance_flagged(self):
         part = partition(psd(np.zeros((6, 6)), TEMP_GRID), 3, self.measure())
@@ -384,7 +386,7 @@ class TestMetamorphic:
                 np.testing.assert_allclose(b.null_basis.vectors, a.null_basis.vectors,
                                            rtol=0.0, atol=1e-12)
 
-    @pytest.mark.parametrize("scale", [1e-3, 0.37, 7.0, 1e3])
+    @pytest.mark.parametrize("scale", [1e-3, 0.37, 7.0, 1e3, 2.0**-40, 2.0**40])
     @pytest.mark.parametrize("seed", range(4))
     def test_scaling_g(self, seed, scale):
         # a distinct spectrum, so every eigenvector is defined. Tolerances: 1e-12
@@ -405,6 +407,7 @@ class TestMetamorphic:
                                            a.null_basis.vectors.T @ a.null_basis.vectors,
                                            rtol=0.0, atol=1e-12)
                 assert b.null_basis.degenerate == a.null_basis.degenerate
+                assert b.boundary_tie == a.boundary_tie
                 if a.null_basis.degenerate:
                     continue  # tied scores: only the span of their vectors is defined
                 np.testing.assert_allclose(b.combined_basis(), a.combined_basis(),
