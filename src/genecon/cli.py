@@ -132,8 +132,9 @@ def _load(flag: str, path: str | None, read):
     """``read(path)``; a GeneconError or ValueError from it reads ``<flag>: <path>: <reason>``."""
     if not path:
         raise UsageError(f"missing required input {flag}")
-    if not Path(path).is_file():
-        raise UsageError(f"{flag}: no such file: {path}")
+    if not Path(path).is_file():  # a FIFO is refused too, as reading one would block
+        problem = "not a regular file" if Path(path).exists() else "no such file"
+        raise UsageError(f"{flag}: {problem}: {path}")
     try:
         return read(path)
     except (GeneconError, ValueError) as exc:

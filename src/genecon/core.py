@@ -23,6 +23,8 @@ from .errors import DimensionMismatch, InvalidGrid, InvalidMatrix
 SYMMETRY_RTOL = 1e-10          # allowed asymmetry relative to max |entry|
 DEGENERACY_RTOL = 1e-9         # adjacent gap at most this times max |value| is a tie
 PSD_RTOL = 1e-9                # allowed negative eigenvalue relative to max |eigenvalue|
+TOLERANCES = {"symmetry_rtol": SYMMETRY_RTOL, "degeneracy_rtol": DEGENERACY_RTOL,
+              "psd_rtol": PSD_RTOL}  # what every report's provenance records
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -60,12 +62,12 @@ def _known_keys(payload: dict, known: set[str]) -> dict:
 
 
 def json_int(value, what: str) -> int:
-    """An integer read from JSON; bools, strings and non-integral numbers are rejected."""
+    """``value`` as an ``int``, numpy integers and integral floats too; bools and the rest raise."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {brief_repr(value)}")
-    return value
+    return int(value)
 
 
 def json_number(value, what: str) -> float:

@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import DEGENERACY_RTOL, SYMMETRY_RTOL, GMatrix
+from .core import TOLERANCES, GMatrix, _magnitude
 from .simulate import StudySummary
 from .spaces import SubspacePartition
 
@@ -99,14 +99,15 @@ def _polyline(x_text: list[str], ys: list[float], classes: str) -> str:
     return f'<polyline class="{classes}" points="{pts}"/>'
 
 
-def _abscissa(g: GMatrix) -> np.ndarray:
-    """The x of each trait: its grid point, or its index 0..K-1 when G has no grid."""
-    return np.asarray(g.grid.points) if g.grid is not None else np.arange(g.dim, dtype=float)
+def _x_pixels(g: GMatrix) -> np.ndarray:
+    """The x pixel of each trait: its grid point, or its index 0..K-1 when G has no grid."""
+    t = np.asarray(g.grid.points) if g.grid is not None else np.arange(g.dim, dtype=float)
+    return _PAD + (t - t[0]) / (t[-1] - t[0]) * _INNER_WIDTH
 
 
-def _x_pixels(t: np.ndarray) -> np.ndarray:
-    span = t[-1] - t[0]
-    return _PAD + (t - t[0]) / span * _INNER_WIDTH
+def _span(*drawn: np.ndarray) -> float:
+    """The largest |value| drawn on an axis, or 1 when all are 0, so it fits them at any unit."""
+    return float(max(_magnitude(a, None) for a in drawn)) or 1.0
 
 
 def _y_pixels(values: np.ndarray, span: float) -> np.ndarray:
@@ -148,9 +149,8 @@ _POINT = '<circle class="pt {}" cx="{}" cy="{}" r="3" data-proportion="{}" data-
 
 
 def _scatter(part: SubspacePartition) -> list[str]:
-    top = max(1.0, float(part.scores.max()))
     cx = _PAD + np.clip(part.proportions, 0.0, 1.0) * _INNER_WIDTH
-    cy = _BOTTOM - np.clip(part.scores / top, 0.0, 1.0) * _INNER_HEIGHT
+    cy = _BOTTOM - np.clip(part.scores / _span(part.scores), 0.0, 1.0) * _INNER_HEIGHT
     # each column formatted in one pass, as _fmt would format each point
     columns = (map("{:.6g}".format, c.tolist()) for c in (cx, cy, part.proportions, part.scores))
     roles = (role for role, _ in _labels(part))
@@ -203,7 +203,7 @@ def _model_rows(g: GMatrix) -> tuple[list[str], list[str]]:
     sits in column i-1 of the figure, so its panel is the same at every J.
     GMatrix hashes by identity and is immutable, so one slot serves a sweep.
     """
-    x_text = _x_text(_x_pixels(_abscissa(g)))
+    x_text = _x_text(_x_pixels(g))
     panels = [_vector_panel(col, "model", col + 1, x_text, ys)
               for col, ys in enumerate(_y_pixels(g.eig.eigenvectors.T, 1.0).tolist())]
     return panels, x_text
@@ -245,11 +245,10 @@ def render_study_figure(summary: StudySummary, provenance: dict | None = None) -
         [summary.true_simplest_response, *summary.true_pc_responses],
         ["simplest"] + [f"PC{j + r + 1}" for r in range(summary.null_dim)],
     )
-    x_text = _x_text(_x_pixels(_abscissa(summary.params.g)))
+    x_text = _x_text(_x_pixels(summary.params.g))
     panels = []
     for col, (vectors, responses, true_vector, true_response, caption) in enumerate(columns):
-        # the largest |response| spans the panel at any unit; 1 draws all-zero curves flat
-        span = max(float(np.abs(responses).max()), float(np.abs(true_response).max())) or 1.0
+        span = _span(responses, true_response)
         panels += _panel(col, 0, "panel vector overlay",
                          _overlay(x_text, vectors, true_vector, 1.0, caption))
         panels += _panel(col, 1, "panel response overlay",
@@ -279,10 +278,7 @@ def make_provenance(
         "clip_tolerance": clip_tolerance,
         "relatedness_c": relatedness,
         "rng": rng,
-        "tolerances": {
-            "symmetry_rtol": SYMMETRY_RTOL,
-            "degeneracy_rtol": DEGENERACY_RTOL,
-        },
+        "tolerances": dict(TOLERANCES),
     }
 
 

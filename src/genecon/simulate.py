@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _check_psd, _eigh, _readonly
+from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _check_psd, _eigh, _readonly, json_int
 from .errors import DimensionMismatch, InvalidCovariance
 from .estimate import RELATEDNESS, FamilyDataset, _between_ms, _raw_estimates, normalize_design
 from .simplicity import SimplicityMeasure, _simplicity_vectors, simplicity_basis
@@ -81,6 +81,8 @@ class SimulationParams:
             raise DimensionMismatch(f"E is {self.e.dim}-dimensional, G is {k}-dimensional")
         if not (np.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise InvalidCovariance(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
+        for name in ("seed", "n_families", "family_size"):
+            object.__setattr__(self, name, json_int(getattr(self, name), name))
         if self.n_families < 2 or self.family_size < 2:
             raise ValueError(
                 f"need at least 2 families of 2 members, got "
@@ -88,7 +90,6 @@ class SimulationParams:
             )
         object.__setattr__(self, "design", normalize_design(self.design))
         object.__setattr__(self, "mu", _readonly(mu))
-        object.__setattr__(self, "seed", int(self.seed))
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         _psd_factor(self.e.entries, "E")

@@ -781,6 +781,19 @@ def test_missing_input_is_named_as_typed(inputs, tmp_path, capsys, flag):
     assert capsys.readouterr().err == f"genecon {command}: {flag}: no such file: {absent}\n"
 
 
+@pytest.mark.parametrize("kind", ["directory", "fifo"])
+@pytest.mark.parametrize("flag", ["--grid", "--g"])
+def test_input_that_is_not_a_regular_file_is_named(inputs, tmp_path, capsys, kind, flag):
+    # a FIFO is refused before it is opened: reading one with no writer would block
+    odd = tmp_path / kind
+    odd.mkdir() if kind == "directory" else os.mkfifo(odd)
+    paths = {"--g": str(inputs["g"]), "--grid": str(inputs["grid"]), flag: str(odd)}
+    argv = ["analyze", "--g", paths["--g"], "--grid", paths["--grid"], "--J", "2"]
+    assert main([*argv, "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == f"genecon analyze: {flag}: not a regular file: {odd}\n"
+    assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("body, reason", [
     ("family,ind,t1,t2,t3,t4,t5,t6\n",
      ": expected header family,individual,t1,t2,t3,t4,t5,t6, got family,ind,t1,t2,t3,t4,t5,t6"),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from genecon import core
 from genecon.core import EigenDecomposition, GMatrix, SymMatrix, clip_negative_eigenvalues
 from genecon.reference import study_params, surrogate_g, temperature_grid
 from genecon.report import (
@@ -27,7 +28,7 @@ from genecon.report import (
     write_json,
     write_svg,
 )
-from genecon.simplicity import first_difference_measure, sparseness_measure
+from genecon.simplicity import custom_measure, first_difference_measure, sparseness_measure
 from genecon.simulate import SimulationParams, run_study
 from genecon.spaces import partition
 
@@ -100,6 +101,16 @@ class TestPartitionFigure:
         for circle, entry in zip(circles, doc["vectors"]):
             assert circle.get("data-proportion") == format(entry["proportion"], ".6g")
             assert circle.get("data-score") == format(entry["simplicity_score"], ".6g")
+
+    @pytest.mark.parametrize("j", [0, 3, 6])
+    def test_scatter_under_an_all_zero_form(self, j):
+        # every score is 0, so the score axis spans 1 and each point sits on the bottom
+        part = partition(surrogate_g(), j, custom_measure(SymMatrix(np.zeros((6, 6)))))
+        points = svg_elements(render_partition_figure(part), "circle")
+        assert len(points) == 6
+        for point in points:
+            assert math.isfinite(float(point.get("cx")))
+            assert float(point.get("cy")) == 114.0
 
     def test_polyline_matches_per_point_format(self):
         xs = np.array([-0.0, 1e-7, 1e21, np.nan, 16.0, 1 / 3])
@@ -290,6 +301,15 @@ class TestJsonReports:
         assert prov["relatedness_c"] == 4.0
         assert prov["numpy"] == np.__version__
         assert set(prov["lapack"]) == {"name", "version"}
+
+    def test_provenance_records_the_tolerance_table(self):
+        assert make_provenance({})["tolerances"] == core.TOLERANCES
+
+    def test_tolerance_table_names_every_rtol(self):
+        # so that a tolerance added to core cannot be left out of provenance
+        rtols = {name.lower(): value for name, value in vars(core).items()
+                 if name.endswith("_RTOL")}
+        assert core.TOLERANCES == rtols
 
     def test_study_report_shape(self):
         summary = run_study(study_params(n_families=12, family_size=4),

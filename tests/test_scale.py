@@ -1,19 +1,22 @@
-"""One scale rule: every verdict on G is the same in any unit.
+"""One scale rule: every verdict on G, and every figure, is the same in any unit.
 
 Scaling by a power of two is exact in floating point, so each comparison here
 is bitwise: a partition, an input check or a study of c * G must match that of
-G exactly, with eigenvalues, responses and norms exactly c times G's.
+G exactly, with eigenvalues, responses and norms exactly c times G's. A
+partition figure is the same in any unit of G and of the grid, apart from the
+raw scores it records.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
-from genecon.core import SymMatrix, clip_negative_eigenvalues
+from genecon.core import SymMatrix, TraitGrid, clip_negative_eigenvalues
 from genecon.errors import InvalidMatrix, RankDeficientSubspace
 from genecon.reference import study_params, temperature_grid
-from genecon.report import render_study_figure
+from genecon.report import render_partition_figure, render_study_figure
 from genecon.simplicity import first_difference_measure, measure_from_kind, simplicity_basis
 from genecon.simulate import run_study
 from genecon.spaces import sweep_partitions
@@ -60,6 +63,52 @@ def test_partitions_match_at_any_scale(c):
                 assert b.null_variance_fraction == a.null_variance_fraction
                 assert b.boundary_tie == a.boundary_tie, (seed, kind, b.j)
                 assert b.null_basis.degenerate == a.null_basis.degenerate, (seed, kind, b.j)
+
+
+def figure_inputs():
+    """(entries, grid points) of a random PSD G for each K in 3..10, twice.
+
+    The second G of each K draws its spectrum from a few values with 0, so it
+    has exact eigenvalue ties and zeros; the grid is unevenly spaced.
+    """
+    rng = np.random.default_rng(24)
+    for k in range(3, 11):
+        for tied in (False, True):
+            eigenvalues = rng.choice([0.0, 0.5, 2.0], size=k) if tied else rng.uniform(0, 3, k)
+            q = random_orthogonal(k, rng)
+            yield (q * eigenvalues) @ q.T, np.cumsum(rng.uniform(0.5, 2.0, k))
+
+
+def figures(entries, points, kind):
+    """The partition figure at every J of G = ``entries`` on the grid ``points``."""
+    grid = TraitGrid(points)
+    g = clip_negative_eigenvalues(SymMatrix(entries), 0.0, grid=grid)
+    return [render_partition_figure(part)
+            for part in sweep_partitions(g, measure_from_kind(kind, grid))]
+
+
+def without_data(svg):
+    return re.sub(r' data-[a-z]+="[^"]*"', "", svg)
+
+
+@pytest.mark.parametrize("unit", [2.0**-3, 2.0**3])
+@pytest.mark.parametrize("kind", ["d1", "d2", "sparse"])
+def test_partition_figures_match_in_any_grid_unit(unit, kind):
+    # the scatter's score axis spans the largest score, so its points keep their place
+    # when d2's scores scale as unit**-3; data-score records the raw score
+    for entries, points in figure_inputs():
+        for a, b in zip(figures(entries, points, kind), figures(entries, unit * points, kind)):
+            if kind == "d2":
+                assert without_data(b) == without_data(a)
+            else:
+                assert b == a
+
+
+@pytest.mark.parametrize("c", [2.0**-20, 2.0**20])
+@pytest.mark.parametrize("kind", ["d1", "d2", "sparse"])
+def test_partition_figures_match_at_any_scale_of_g(c, kind):
+    for entries, points in figure_inputs():
+        assert figures(c * entries, points, kind) == figures(entries, points, kind)
 
 
 @pytest.mark.parametrize("c", SCALES)

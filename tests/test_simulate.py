@@ -49,6 +49,16 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="seed must be in"):
             small_params(seed=seed)
 
+    @pytest.mark.parametrize("name", ["seed", "n_families", "family_size"])
+    def test_count_or_seed_must_be_an_integer(self, name):
+        # never truncated: 1.9 or True must not become 1, nor 2.5 reach run_study
+        for bad in (2.5, 1.9, True, "3"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                small_params(**{name: bad})
+        for good in (3.0, np.int64(3)):
+            value = getattr(small_params(**{name: good}), name)
+            assert value == 3 and type(value) is int
+
     def test_family_count_keeps_mean_prefix(self):
         # the family-mean normals come first and row j depends only on j, so a
         # smaller data set's family means are the first of a larger one's; the
