@@ -62,9 +62,9 @@ def _known_keys(payload: dict, known: set[str]) -> dict:
 
 
 def json_int(value, what: str) -> int:
-    """``value`` as an ``int``, numpy integers and integral floats too; bools and the rest raise."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
+    """``value`` as an ``int``, numpy integers and integral reals too; bools and the rest raise."""
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
+        value = int(value) if abs(value) < math.inf and int(value) == value else value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {brief_repr(value)}")
     return int(value)

@@ -126,9 +126,9 @@ class VarianceComponents(_ReadOnlyArrays):
 
 
 def _between_ms(family_means: np.ndarray, n: int) -> np.ndarray:
-    """MSB of (N_f, K) family means of n members each, before symmetrizing and checking."""
-    dev_b = family_means - family_means.mean(axis=0)
-    return n * (dev_b.T @ dev_b) / (family_means.shape[0] - 1)
+    """MSB of (..., N_f, K) family means of n members each, before symmetrizing and checking."""
+    dev_b = family_means - family_means.mean(axis=-2, keepdims=True)
+    return n * (np.swapaxes(dev_b, -1, -2) @ dev_b) / (family_means.shape[-2] - 1)
 
 
 def _mean_squares(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -16,15 +16,16 @@ Byte contract: for a document of ``str`` keys and ``list`` containers, as
 both report builders make, :func:`report_json_bytes` returns exactly the UTF-8
 bytes of ``json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\\n"``.
 Any other key or container, or a value ``json.dumps`` rejects, raises
-``TypeError``; a NaN or infinity raises ``ValueError`` naming its field. A list
-of floats is formatted in one join, not by the encoder ``indent`` selects.
-Figure coordinates are formatted in bulk the same way, with the same ``.6g``
-text as formatting each point on its own.
+``TypeError``; a NaN or infinity raises ``ValueError`` naming its field. A
+table of floats (a list of floats, or of equal-length tables, such as a study's
+(reps, K) vectors) is formatted as a whole, one join per list, not by the
+encoder ``indent`` selects. A polyline's points are one ``%`` of a
+``"x0,%.6g x1,%.6g ..."`` template: the ``.6g`` text of each point on its own.
 
 Every partition of one G repeats G's leading eigenvectors, so their figure
 panels are drawn once per G and every J takes its first J. Their report text
-comes from a bounded memo of float-list text keyed by exact bits and indent,
-so a sweep formats each of them once too.
+comes from a bounded memo of table text keyed by exact bits, shape and
+indent, so a sweep formats each of them once too.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import os
 import stat
 import struct
 from functools import lru_cache
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -89,14 +91,13 @@ def _labels(part: SubspacePartition) -> list[tuple[str, int]]:
             + [("null", n) for n in range(1, part.null_dim + 1)])
 
 
-def _x_text(xs: np.ndarray) -> list[str]:
-    """Each x pixel of a panel, formatted once with the comma that follows it."""
-    return [f"{x:.6g}," for x in xs.tolist()]
+def _x_text(xs: np.ndarray) -> str:
+    """A panel's points template ``"x0,%.6g x1,%.6g ..."``, each x pixel formatted once."""
+    return " ".join(f"{x:.6g},%.6g" for x in xs.tolist())
 
 
-def _polyline(x_text: list[str], ys: list[float], classes: str) -> str:
-    pts = " ".join(map("{}{:.6g}".format, x_text, ys))
-    return f'<polyline class="{classes}" points="{pts}"/>'
+def _polyline(x_text: str, ys: list[float], classes: str) -> str:
+    return f'<polyline class="{classes}" points="{x_text % tuple(ys)}"/>'
 
 
 def _x_pixels(g: GMatrix) -> np.ndarray:
@@ -373,25 +374,35 @@ def _float_text(x: float) -> str:
 
 
 def _floats_text(items: list, pad: str) -> str | None:
-    """The JSON text at ``pad`` of a list of finite floats, each exactly a ``float``, else None."""
+    """The JSON text at ``pad`` of a list of finite floats or of equal-length tables, else None."""
     if not items:
         return "[]"
-    if {*map(type, items)} != {float}:  # so that 1 is never written as 1.0
+    shape, leaves = [len(items)], items
+    while (kinds := {*map(type, leaves)}) == {list}:
+        lengths = {*map(len, leaves)}
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        leaves = [*chain.from_iterable(leaves)]
+    if kinds != {float}:  # exactly, so that 1 is never written as 1.0
         return None
     # the exact bits, as 0.0 == -0.0 and the two hash alike
-    return _bits_text(struct.pack(f"{len(items)}d", *items), pad)
+    return _bits_text(struct.pack(f"{len(leaves)}d", *leaves), tuple(shape), pad)
 
 
 # A partition report holds K + 3 float lists, so 256 entries keep a sweep's
 # model rows cached for K <= 253 while capping the memory the memo holds.
 @lru_cache(maxsize=256)
-def _bits_text(bits: bytes, pad: str) -> str | None:
-    """:func:`_floats_text` of the floats packed in ``bits``; None if one is not finite."""
-    inner = pad + "  "
-    text = (",\n" + inner).join(map(float.__repr__, struct.unpack(f"{len(bits) // 8}d", bits)))
-    if "n" in text:  # only nan, inf and -inf contain an n
+def _bits_text(bits: bytes, shape: tuple[int, ...], pad: str) -> str | None:
+    """:func:`_floats_text` of the ``shape`` table packed in ``bits``; None if one is not finite."""
+    texts = [*map(float.__repr__, struct.unpack(f"{len(bits) // 8}d", bits))]
+    for depth in reversed(range(len(shape))):  # each level's lists, innermost first
+        n, inner = shape[depth], pad + "  " * (depth + 1)
+        texts = ["[\n" + inner + (",\n" + inner).join(texts[i:i + n]) + "\n" + inner[2:] + "]"
+                 for i in range(0, len(texts), n)]
+    if "n" in texts[0]:  # only nan, inf and -inf contain an n
         return None
-    return "[\n" + inner + text + "\n" + pad + "]"
+    return texts[0]
 
 
 def _encode(o, pad: str, out: list[str]) -> None:
@@ -399,7 +410,7 @@ def _encode(o, pad: str, out: list[str]) -> None:
 
     The type tests run in ``json``'s order, so bools are written before ints
     and float or int subclasses as their base type; keys must be ``str``. A
-    list of floats is formatted in one join, once per distinct list.
+    table of floats is formatted as a whole, once per distinct table.
     """
     if isinstance(o, str):
         out.append(encode_basestring_ascii(o))

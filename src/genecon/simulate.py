@@ -20,8 +20,8 @@ when asked for, add within-family deviations U B', U a Haar orthonormal frame
 in the within-family contrast space, so their MANOVA reproduces the
 replicate up to roundoff.
 
-Randomness is counter-based (Philox): each replicate has its own generator,
-keyed by (seed, replicate), so a replicate's draws are reproducible and do
+Randomness is counter-based (Philox): before a replicate draws, one generator
+is reset to the key (seed, replicate), so the draws are reproducible and do
 not depend on the order replicates run in. It draws the family-mean normals,
 then A row by row, then (for records only) the frame's normals.
 """
@@ -32,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _check_psd, _eigh, _readonly, json_int
+from .core import (GMatrix, SymMatrix, _ReadOnlyArrays, _check_psd, _eigh, _readonly, json_int,
+                   json_number)
 from .errors import DimensionMismatch, InvalidCovariance
 from .estimate import RELATEDNESS, FamilyDataset, _between_ms, _raw_estimates, normalize_design
 from .simplicity import SimplicityMeasure, _simplicity_vectors, simplicity_basis
@@ -79,6 +80,8 @@ class SimulationParams:
             raise DimensionMismatch(f"mu has length {mu.size}, G is {k}-dimensional")
         if self.e.dim != k:
             raise DimensionMismatch(f"E is {self.e.dim}-dimensional, G is {k}-dimensional")
+        if not isinstance(self.sigma2, float) or np.isfinite(self.sigma2):  # else InvalidCovariance
+            object.__setattr__(self, "sigma2", json_number(self.sigma2, "sigma2"))
         if not (np.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise InvalidCovariance(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
         for name in ("seed", "n_families", "family_size"):
@@ -118,22 +121,27 @@ class SimulationParams:
                 "siblings": self.family_size, "design": self.design, "seed": self.seed}
 
 
-def _draw(params: SimulationParams, replicate: int):
-    """Replicate r's generator, its family means (N_f, K) and B (K, min(df, K)), W = B B'."""
-    key = np.array([params.seed, replicate], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    k, df = params.dim, params.within_df
-    means = params.mu + gen.standard_normal((params.n_families, k)) @ params.means_factor.T
-    if df >= k:
-        # row i of A: i normals, then sqrt(chi2(df - i)); scalar chisquare
-        # calls, as numpy's array-argument path adds about 0.3 MB to peak RSS
-        a = np.zeros((k, k))
-        for i in range(k):
-            a[i, :i] = gen.standard_normal(i)
-            a[i, i] = gen.chisquare(df - i) ** 0.5
-    else:  # singular Wishart: W = L_w Z'Z L_w' with Z a df x K block of normals
-        a = gen.standard_normal((df, k)).T
-    return gen, means, params.within_factor @ a
+def _draws(params: SimulationParams, replicates):
+    """The generator, family means (R, N_f, K) and B (R, K, min(df, K)) of R replicates."""
+    k, df, gen = params.dim, params.within_df, np.random.Generator(np.random.Philox())
+    z = np.empty((len(replicates), params.n_families, k))
+    a = np.zeros((len(replicates), k, min(k, df)))
+    state = {"bit_generator": "Philox", "buffer": np.zeros(4, np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0, "state": {"counter": np.zeros(4, np.uint64)}}
+    for z_r, a_r, r in zip(z, a, replicates):
+        state["state"]["key"] = np.array([params.seed, r], dtype=np.uint64)
+        gen.bit_generator.state = state
+        gen.standard_normal(out=z_r)
+        if df >= k:
+            # row i of A: i normals, then sqrt(chi2(df - i)); scalar chisquare
+            # calls, as numpy's array-argument path adds about 0.3 MB to peak RSS
+            for i in range(k):
+                gen.standard_normal(out=a_r[i, :i])
+                a_r[i, i] = gen.chisquare(df - i) ** 0.5
+        else:  # singular Wishart: W = L_w Z'Z L_w' with Z a df x K block of normals
+            a_r[:] = gen.standard_normal((df, k)).T
+    # the means overwrite z: one (R, N_f, K) array fewer at the peak
+    return gen, np.add(params.mu, z @ params.means_factor.T, out=z), params.within_factor @ a
 
 
 def generate_dataset(params: SimulationParams, replicate: int = 0) -> FamilyDataset:
@@ -150,7 +158,7 @@ def generate_dataset(params: SimulationParams, replicate: int = 0) -> FamilyData
     """
     if replicate < 0:
         raise ValueError(f"replicate index must be nonnegative, got {replicate}")
-    gen, means, b = _draw(params, replicate)
+    gen, (means,), (b,) = _draws(params, [replicate])
     n_f, n = params.n_families, params.family_size
     z = gen.standard_normal((n_f, n, b.shape[1]))
     q, r = np.linalg.qr((z - z.mean(axis=1, keepdims=True)).reshape(n_f * n, -1))
@@ -201,12 +209,8 @@ def _signs(vectors: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
 def _study_mean_squares(params: SimulationParams, reps: int) -> tuple[np.ndarray, np.ndarray]:
     """Unchecked MSB and MSW of replicates 0..reps-1, (reps, K, K) each, from one draw apiece."""
-    k, n = params.dim, params.family_size
-    between, within = np.empty((reps, k, k)), np.empty((reps, k, k))
-    for r in range(reps):
-        _, means, b = _draw(params, r)
-        between[r], within[r] = _between_ms(means, n), b @ b.T / params.within_df
-    return between, within
+    _, means, b = _draws(params, range(reps))
+    return _between_ms(means, params.family_size), b @ np.swapaxes(b, -1, -2) / params.within_df
 
 
 def run_study(
@@ -217,9 +221,9 @@ def run_study(
 ) -> StudySummary:
     """Replicate the pipeline: generate, estimate, decompose, find the simplest vector, respond.
 
-    Each replicate draws only its sufficient statistics, from its own
-    generator keyed by (seed, r), and keeps its mean squares; no records are
-    drawn. Each later stage is one call on (reps, ...) arrays:
+    Each replicate draws only its sufficient statistics, from the stream
+    keyed by (seed, r), and no records are drawn. Each later stage is one
+    call on (reps, ...) arrays: the mean squares,
     G_hat_raw = c (MSB - MSW) / n, its eigendecomposition (not clipped:
     clipping leaves the eigenvectors as they are), the simplicity bases,
     responses, norms and canonical distances. An error names the first

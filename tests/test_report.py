@@ -52,6 +52,45 @@ def panels(svg_text, kind=None):
     return out
 
 
+# finite floats, with the signed zero, the smallest subnormal, and the exponent and sign
+# boundaries of repr's fixed and scientific forms drawn often
+TABLE_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [-0.0, 5e-324, 1e16, 1e-5, 1e300, -1e300])
+
+
+@st.composite
+def float_tables(draw):
+    """A rectangular nested list of depth 1 to 3 whose leaves are exactly ``float``."""
+    shape = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    size = math.prod(shape)
+    return np.array(draw(st.lists(TABLE_FLOATS, min_size=size, max_size=size))).reshape(
+        shape).tolist()
+
+
+@st.composite
+def near_tables(draw):
+    """A float table with one innermost list changed: ragged, emptied, or one leaf that
+    is an int, a bool or a float subclass."""
+    table = row = draw(float_tables())
+    while isinstance(row[0], list):
+        row = row[draw(st.integers(0, len(row) - 1))]
+    i = draw(st.integers(0, len(row) - 1))
+    change = draw(st.sampled_from(["longer", "shorter", "empty", "int", "bool", "subclass"]))
+    if change == "longer":
+        row.append(draw(TABLE_FLOATS))
+    elif change == "shorter":
+        del row[i]
+    elif change == "empty":
+        row.clear()
+    elif change == "int":
+        row[i] = draw(st.integers(-(2**70), 2**70))
+    elif change == "bool":
+        row[i] = draw(st.booleans())
+    else:
+        row[i] = np.float64(row[i])
+    return table
+
+
 def make_partition(j=4):
     g = surrogate_g()
     return g, partition(g, j, MEASURE)
@@ -112,9 +151,12 @@ class TestPartitionFigure:
             assert math.isfinite(float(point.get("cx")))
             assert float(point.get("cy")) == 114.0
 
-    def test_polyline_matches_per_point_format(self):
-        xs = np.array([-0.0, 1e-7, 1e21, np.nan, 16.0, 1 / 3])
-        ys = np.array([1e21, np.nan, -0.0, 1e-7, -2.5, 0.1 + 0.2])
+    @given(st.lists(st.tuples(TABLE_FLOATS | st.floats(), TABLE_FLOATS | st.floats()),
+                    min_size=1, max_size=12))
+    @example(list(zip([-0.0, 1e-7, 1e21, math.nan, 16.0, 1 / 3],
+                      [1e21, math.nan, -0.0, 1e-7, -2.5, 0.1 + 0.2])))
+    def test_polyline_matches_per_point_format(self, points):
+        xs, ys = map(np.array, zip(*points))
         per_point = " ".join(
             f"{format(float(x), '.6g')},{format(float(y), '.6g')}" for x, y in zip(xs, ys)
         )
@@ -465,6 +507,35 @@ class TestFloatMemo:
         assert [report_json_bytes(doc) for doc in docs] == first
         assert _bits_text.cache_info().misses == misses
         assert first == [reference_json_bytes(doc) for doc in docs]
+
+
+class TestFloatTables:
+    """A table of floats is formatted as a whole; anything else falls back item by item."""
+
+    @given(float_tables() | near_tables(), st.sampled_from(["", "  ", "      "]))
+    @example([[-0.0, 5e-324], [1e16, 1e-5], [1e300, -1e300]], "")
+    @example([[[0.5, 1.0]], [[], []]], "")
+    def test_bytes_match_json_dumps(self, table, pad):
+        for _ in range(len(pad) // 2):  # each enclosing list indents the table by two
+            table = [table]
+        for doc in (table, {"t": table, "u": [table, 1.0]}):
+            assert report_json_bytes(doc) == reference_json_bytes(doc)
+            assert report_json_bytes(doc) == reference_json_bytes(doc)  # from the memo
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 3)])
+    def test_non_finite_names_the_field(self, shape, value):
+        table = np.arange(math.prod(shape), dtype=float).reshape(shape)
+        table[(-1,) * len(shape)] = value
+        doc = {"replicates": {"vectors": table.tolist()}, "z": 1.0}
+        with pytest.raises(ValueError, match=rf"^report field replicates\.vectors holds {value}, "):
+            report_json_bytes(doc)
+
+    def test_a_table_is_formatted_once(self):
+        table = np.linspace(-1.0, 1.0, 24).reshape(4, 2, 3).tolist()
+        _bits_text.cache_clear()
+        assert report_json_bytes({"t": table}) == reference_json_bytes({"t": table})
+        assert _bits_text.cache_info().misses == 1
 
 
 class TestFragments:

@@ -1,12 +1,23 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from genecon.core import SymMatrix, clip_negative_eigenvalues, symmetric_eigen
 from genecon.errors import DimensionMismatch, InvalidCovariance, InvalidMatrix
 from genecon.estimate import _raw_estimates, anova_estimate, load_family_csv, save_family_csv
 from genecon.reference import study_params, surrogate_g, temperature_grid
 from genecon.simplicity import first_difference_measure, simplicity_basis
-from genecon.simulate import SimulationParams, _study_mean_squares, generate_dataset, run_study
+from genecon.simulate import (
+    SimulationParams,
+    _draws,
+    _study_mean_squares,
+    generate_dataset,
+    run_study,
+)
 from genecon.spaces import canonical_angle_distance, partition
 
 MEASURE = first_difference_measure(temperature_grid())
@@ -16,6 +27,38 @@ def small_params(**overrides):
     defaults = dict(n_families=12, family_size=4, seed=99)
     defaults.update(overrides)
     return study_params(**defaults)
+
+
+def fresh_draw(p, replicate):
+    """Replicate r's family means and B from a newly built ``Philox(key=(seed, r))``, and the
+    draw that generator makes next."""
+    gen = np.random.Generator(np.random.Philox(key=np.array([p.seed, replicate], np.uint64)))
+    k, df = p.dim, p.within_df
+    means = p.mu + gen.standard_normal((p.n_families, k)) @ p.means_factor.T
+    if df >= k:
+        a = np.zeros((k, k))
+        for i in range(k):
+            a[i, :i] = gen.standard_normal(i)
+            a[i, i] = gen.chisquare(df - i) ** 0.5
+    else:
+        a = gen.standard_normal((df, k)).T
+    return means, p.within_factor @ a, gen.standard_normal()
+
+
+class TestGenerator:
+    @given(st.lists(st.integers(0, 40), min_size=1, max_size=6),
+           st.sampled_from([(12, 4), (3, 2), (2, 3)]), st.sampled_from([0, 99, 2**64 - 1]))
+    def test_reset_generator_matches_a_fresh_one(self, replicates, shape, seed):
+        # one generator reset per replicate draws, in any replicate order and with
+        # repeats, what a generator built for that replicate alone draws; (3, 2) and
+        # (2, 3) have df < K
+        p = small_params(n_families=shape[0], family_size=shape[1], seed=seed)
+        gen, means, b = _draws(p, replicates)
+        for r, means_r, b_r in zip(replicates, means, b):
+            fresh_means, fresh_b, _ = fresh_draw(p, r)
+            np.testing.assert_array_equal(means_r, fresh_means)
+            np.testing.assert_array_equal(b_r, fresh_b)
+        assert gen.standard_normal() == fresh_draw(p, replicates[-1])[2]
 
 
 class TestGenerateDataset:
@@ -44,18 +87,19 @@ class TestGenerateDataset:
                   for s in seeds}
         assert len(firsts) == len(seeds)
 
-    @pytest.mark.parametrize("seed", [-1, 2**64])
+    @pytest.mark.parametrize("seed", [-1, 2**64, Fraction(10**400), 1e300])
     def test_seed_outside_64_bits_rejected(self, seed):
         with pytest.raises(ValueError, match="seed must be in"):
             small_params(seed=seed)
 
     @pytest.mark.parametrize("name", ["seed", "n_families", "family_size"])
     def test_count_or_seed_must_be_an_integer(self, name):
-        # never truncated: 1.9 or True must not become 1, nor 2.5 reach run_study
-        for bad in (2.5, 1.9, True, "3"):
+        # never truncated: 1.9 or True must not become 1, nor 2.5 reach run_study;
+        # every integral real is read alike, numpy's float32 as float64
+        for bad in (2.5, 1.9, True, "3", np.float32(2.5), np.float32(np.inf), Fraction(7, 2)):
             with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
                 small_params(**{name: bad})
-        for good in (3.0, np.int64(3)):
+        for good in (3.0, np.int64(3), np.float64(3.0), np.float32(3.0), Fraction(6, 2)):
             value = getattr(small_params(**{name: good}), name)
             assert value == 3 and type(value) is int
 
@@ -133,6 +177,17 @@ class TestGenerateDataset:
             else:
                 with pytest.raises(InvalidCovariance, match="^E is not positive semidefinite"):
                     build(c)
+
+    @pytest.mark.parametrize("sigma2", [True, "0.1", [0.1], None])
+    def test_sigma2_must_be_a_number(self, sigma2):
+        # read by core.json_number: never stored as a bool, nor failing inside numpy
+        with pytest.raises(ValueError, match="^sigma2 must be a number, got "):
+            dataclasses.replace(small_params(), sigma2=sigma2)
+
+    @pytest.mark.parametrize("sigma2", [0, np.float32(0.5), np.int64(2)])
+    def test_sigma2_is_stored_as_a_float(self, sigma2):
+        value = dataclasses.replace(small_params(), sigma2=sigma2).sigma2
+        assert value == sigma2 and type(value) is float
 
     def test_negative_sigma2_rejected(self):
         p = small_params()
