@@ -288,7 +288,10 @@ def _cmd_simulate(args) -> int:
     if args.dry_run:
         return 0
     _check_outputs(args.out, args.svg)
-    summary = run_study(params, reps, measure, null_dim=null_dim)
+    try:
+        summary = run_study(params, reps, measure, null_dim=null_dim)
+    except InvalidMatrix as exc:  # finite inputs whose mean squares overflow
+        raise UsageError(f"--config: {args.config}: mean squares overflow: {exc}") from exc
     provenance = make_provenance(
         inputs={"config": args.config, "reps": reps, "null_dim": null_dim},
         seed=params.seed,

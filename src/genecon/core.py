@@ -226,9 +226,6 @@ class SymMatrix:
     def dim(self) -> int:
         return int(self.entries.shape[0])
 
-    def frobenius(self) -> float:
-        return float(np.linalg.norm(self.entries))
-
     def to_payload(self) -> dict:
         return {"dim": self.dim, "entries": self.entries.reshape(-1).tolist()}
 
@@ -241,7 +238,9 @@ class SymMatrix:
         try:
             dim = json_int(_known_keys(payload, {"dim", "entries"})["dim"], "dim")
             raw = json_numbers(payload["entries"], "entries")
-        except (KeyError, ValueError) as exc:
+        except KeyError as exc:
+            raise InvalidMatrix(f"matrix payload missing {exc.args[0]!r}") from exc
+        except ValueError as exc:
             raise InvalidMatrix(f"malformed matrix payload: {exc}") from exc
         if dim < 1:
             raise InvalidMatrix(f"matrix payload dim must be at least 1, got {dim}")
@@ -311,13 +310,6 @@ class GMatrix:
     @property
     def eigenvalues(self) -> np.ndarray:
         return self.eig.eigenvalues
-
-    @property
-    def rank(self) -> int:
-        lam = self.eig.eigenvalues
-        if lam.size == 0 or lam[0] <= 0.0:
-            return 0
-        return int(np.sum(lam > 1e-12 * lam[0]))
 
 
 def _clip_decomposition(

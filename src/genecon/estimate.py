@@ -120,10 +120,6 @@ class VarianceComponents(_ReadOnlyArrays):
     raw_eigenvalues: np.ndarray
     relatedness: float
 
-    @property
-    def min_raw_eigenvalue(self) -> float:
-        return float(self.raw_eigenvalues.min())
-
 
 def _between_ms(family_means: np.ndarray, n: int) -> np.ndarray:
     """MSB of (..., N_f, K) family means of n members each, before symmetrizing and checking."""

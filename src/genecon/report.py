@@ -390,8 +390,9 @@ def _floats_text(items: list, pad: str) -> str | None:
     return _bits_text(struct.pack(f"{len(leaves)}d", *leaves), tuple(shape), pad)
 
 
-# A partition report holds K + 3 float lists, so 256 entries keep a sweep's
-# model rows cached for K <= 253 while capping the memory the memo holds.
+# A partition report holds K + 2 float lists (the grid, the eigenvalues and K
+# coordinate rows), so 256 entries keep a sweep's model rows cached for
+# K <= 254 while capping the memory the memo holds.
 @lru_cache(maxsize=256)
 def _bits_text(bits: bytes, shape: tuple[int, ...], pad: str) -> str | None:
     """:func:`_floats_text` of the ``shape`` table packed in ``bits``; None if one is not finite."""

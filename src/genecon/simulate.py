@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (GMatrix, SymMatrix, _ReadOnlyArrays, _check_psd, _eigh, _readonly, json_int,
-                   json_number)
+from .core import (GMatrix, SymMatrix, _ReadOnlyArrays, _check_psd, _eigh, _readonly, brief_repr,
+                   json_int, json_number)
 from .errors import DimensionMismatch, InvalidCovariance
 from .estimate import RELATEDNESS, FamilyDataset, _between_ms, _raw_estimates, normalize_design
 from .simplicity import SimplicityMeasure, _simplicity_vectors, simplicity_basis
@@ -78,6 +78,8 @@ class SimulationParams:
         k = self.g.dim
         if mu.size != k:
             raise DimensionMismatch(f"mu has length {mu.size}, G is {k}-dimensional")
+        if not np.isfinite(mu).all():
+            raise ValueError(f"mu must be finite, got {brief_repr(mu.tolist())}")
         if self.e.dim != k:
             raise DimensionMismatch(f"E is {self.e.dim}-dimensional, G is {k}-dimensional")
         if not isinstance(self.sigma2, float) or np.isfinite(self.sigma2):  # else InvalidCovariance
@@ -230,6 +232,7 @@ def run_study(
     failing replicate. Vectors are only defined up to sign, so each is
     sign-aligned against its true counterpart.
     """
+    reps, null_dim = json_int(reps, "reps"), json_int(null_dim, "null_dim")
     if reps < 1:
         raise ValueError(f"need at least 1 replicate, got {reps}")
     k = params.dim

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _ties, symmetric_eigen
+from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _ties, json_int, symmetric_eigen
 from .errors import DimensionMismatch, InvalidMatrix, SingularPhenotypicCovariance
 from .parallel import ordered_map
 from .simplicity import SimplicityBasis, SimplicityMeasure, _simplicity_vectors
@@ -168,7 +168,7 @@ def partition(g: GMatrix, j: int, measure: SimplicityMeasure) -> SubspacePartiti
     A tie between eigenvalues J and J+1 makes the split ill-defined; it is
     flagged (``boundary_tie``) rather than rejected.
     """
-    k = g.dim
+    k, j = g.dim, json_int(j, "j")
     if not 0 <= j <= k:
         raise ValueError(f"model dimension must be in [0, {k}], got {j}")
     if measure.dim != k:

@@ -208,6 +208,10 @@ class TestAnalyze:
                      "points must be a number", id="bool-points"),
         pytest.param("--g", json.dumps({"dim": -1, "entries": [1.0]}),
                      "dim must be at least 1", id="negative-dim"),
+        pytest.param("--g", json.dumps({"entries": IDENTITY6}),
+                     "matrix payload missing 'dim'", id="missing-dim"),
+        pytest.param("--g", json.dumps({"dim": 6}),
+                     "matrix payload missing 'entries'", id="missing-entries"),
     ])
     def test_non_object_json_is_usage_error(self, inputs, tmp_path, capsys, flag, content,
                                             reason):
@@ -716,6 +720,22 @@ class TestNonFiniteReports:
             f"genecon {command}: --data: {data}: mean squares overflow: "
             "matrix entries must be finite\n")
         assert not (tmp_path / "x.json").exists() and not (tmp_path / "sweep").exists()
+
+    def test_config_whose_mean_squares_overflow(self, study_config, tmp_path, capsys):
+        # a finite mu of 1e200: the family means' deviations from their mean
+        # carry roundoff at that scale, and their cross products overflow
+        cfg = json.loads(study_config.read_text())
+        cfg["mu"] = [1e200] * 6
+        study_config.write_text(json.dumps(cfg))
+        out, svg = tmp_path / "s.json", tmp_path / "s.svg"
+        code = main(["simulate", "--config", str(study_config), "--out", str(out),
+                     "--svg", str(svg)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"genecon simulate: --config: {study_config}: mean squares "
+                                "overflow: replicate 0: matrix entries must be finite\n")
+        assert captured.out == ""
+        assert not out.exists() and not svg.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_simulate(self, study_config, tmp_path, capsys):

@@ -49,6 +49,11 @@ class TestTraitGrid:
         with pytest.raises(InvalidGrid):
             TraitGrid(np.array([1.0, 1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(InvalidGrid, match="^measurement points must be finite$"):
+            TraitGrid(np.array([1.0, bad, 2.0]))
+
     def test_overflowing_span_rejected(self):
         # each gap is finite, but t[-1] - t[0] overflows to infinity
         with pytest.raises(InvalidGrid, match="overflows"):
@@ -188,7 +193,7 @@ class TestSymmetricEigen:
             eig = symmetric_eigen(m)
             v = eig.eigenvectors
             rebuilt = (v * eig.eigenvalues) @ v.T
-            assert np.linalg.norm(m.entries - rebuilt) <= 1e-8 * m.frobenius()
+            assert np.linalg.norm(m.entries - rebuilt) <= 1e-8 * np.linalg.norm(m.entries)
             ortho = v.T @ v
             assert np.abs(ortho - np.eye(k)).max() <= 1e-10
             assert np.all(np.diff(eig.eigenvalues) <= 0)
@@ -231,7 +236,6 @@ class TestClipping:
         g = clip_negative_eigenvalues(SymMatrix(np.diag([1.0, -1.0])), 0.0)
         np.testing.assert_array_equal(g.matrix.entries, np.diag([1.0, 0.0]))
         assert g.clipped_indices == (1,)
-        assert g.rank == 1
 
     def test_eigenvalues_clipped_to_a_common_zero_are_degenerate(self):
         g = clip_negative_eigenvalues(SymMatrix(np.diag([2.0, 1.0, -0.3, -0.5])))
@@ -252,7 +256,6 @@ class TestClipping:
         m = from_spectrum([183.7, 12.0, 4.0, 1.5, -0.21, -0.55], rng)
         g = clip_negative_eigenvalues(m, 0.0)
         assert g.clipped_indices == (4, 5)
-        assert g.rank == 4
         np.testing.assert_array_equal(g.eigenvalues[4:], [0.0, 0.0])
         np.testing.assert_allclose(g.eigenvalues[:4], [183.7, 12.0, 4.0, 1.5], rtol=1e-12)
 

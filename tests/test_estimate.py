@@ -72,6 +72,17 @@ class TestDatasetValidation:
         with pytest.raises(DimensionMismatch):
             FamilyDataset(np.zeros((2, 2, 3)), GRID1, "half-sib")
 
+    def test_records_must_form_a_three_dimensional_array(self):
+        with pytest.raises(UnbalancedDesign, match=r"got shape \(4, 2\)$"):
+            FamilyDataset(np.zeros((4, 2)), GRID1, "half-sib")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_records_rejected(self, bad):
+        values = np.zeros((2, 2, 2))
+        values[1, 0, 1] = bad
+        with pytest.raises(InvalidMatrix, match="^phenotype records must be finite$"):
+            FamilyDataset(values, GRID1, "half-sib")
+
     def test_design_normalization(self):
         assert normalize_design("halfsib") == "half-sib"
         assert normalize_design("FULL-SIB") == "full-sib"
@@ -132,7 +143,8 @@ class TestIngest:
         m = (q * np.array([183.7, 9.0, 3.0, 1.0, -0.21, -0.55])) @ q.T
         g = ingest_gmatrix({"dim": 6, "entries": list(m.ravel())})
         assert g.clipped_indices == (4, 5)
-        assert g.rank == 4
+        np.testing.assert_array_equal(g.eigenvalues[4:], [0.0, 0.0])
+        np.testing.assert_allclose(g.eigenvalues[:4], [183.7, 9.0, 3.0, 1.0], rtol=1e-12)
 
     def test_grid_mismatch(self):
         payload = {"dim": 3, "entries": list(np.eye(3).ravel())}

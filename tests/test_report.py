@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -577,6 +578,17 @@ class TestAtomicWrites:
             os.umask(previous)
         for name in ("out.json", "fig.svg"):
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+    def test_failed_replace_removes_the_temp_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(src))
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(PermissionError) as info:
+            write_json({"a": 1}, "out.json")
+        assert info.value.filename == "out.json"  # the path as given, not the temporary one
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_rename_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "taken"

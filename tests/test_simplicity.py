@@ -358,6 +358,15 @@ class TestMeasureConstruction:
         with pytest.raises(InvalidMatrix):
             SimplicityMeasure(SymMatrix(np.diag([1.0, -1.0])), 1.0, "custom")
 
+    def test_rejects_unknown_kind(self):
+        with pytest.raises(ValueError, match="^unknown measure kind 'rough'$"):
+            SimplicityMeasure(SymMatrix(np.eye(2)), 1.0, "rough")
+
+    def test_first_difference_form_scores_at_most_four(self):
+        message = r"must lie in \[0, 4\], got \[1.000e\+00, 5.000e\+00\]$"
+        with pytest.raises(InvalidMatrix, match=message):
+            SimplicityMeasure(SymMatrix(np.diag([5.0, 1.0])), 5.0, "first-difference")
+
     @pytest.mark.parametrize("unit", [1e-12, 1.0, 1e12])
     def test_acceptance_does_not_depend_on_units(self, unit):
         with pytest.raises(InvalidMatrix):

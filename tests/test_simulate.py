@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genecon.core import SymMatrix, clip_negative_eigenvalues, symmetric_eigen
+from genecon.core import SymMatrix, TraitGrid, clip_negative_eigenvalues, symmetric_eigen
 from genecon.errors import DimensionMismatch, InvalidCovariance, InvalidMatrix
 from genecon.estimate import _raw_estimates, anova_estimate, load_family_csv, save_family_csv
 from genecon.reference import study_params, surrogate_g, temperature_grid
@@ -215,6 +215,15 @@ class TestGenerateDataset:
                 n_families=3, family_size=2, design="half-sib", seed=0,
             )
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mu_rejected(self, value):
+        p = small_params()
+        with pytest.raises(ValueError, match=r"^mu must be finite, got \["):
+            SimulationParams(
+                mu=np.full(6, value), g=p.g, e=p.e, sigma2=0.0,
+                n_families=3, family_size=2, design="half-sib", seed=0,
+            )
+
     def test_sibling_covariance_matches_family_share(self):
         # with E = 0 and sigma2 = 0 the records expose the genetic component;
         # the covariance between two siblings is the shared family share G/4.
@@ -257,6 +266,23 @@ class TestRunStudy:
             run_study(small_params(), reps=1, null_dim=6, measure=MEASURE)
         with pytest.raises(ValueError):
             run_study(small_params(), reps=1, null_dim=0, measure=MEASURE)
+
+    @pytest.mark.parametrize("name", ["reps", "null_dim"])
+    def test_count_must_be_an_integer(self, name):
+        # an integral real is its integer; a bool is not 1, nor 2.5 truncated
+        p, counts = small_params(), {"reps": 2, "null_dim": 3}
+        for bad in (True, 2.5, "2"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                run_study(p, measure=MEASURE, **{**counts, name: bad})
+        summary = run_study(p, measure=MEASURE, **{**counts, name: float(counts[name])})
+        assert getattr(summary, name) == counts[name] and type(getattr(summary, name)) is int
+        np.testing.assert_array_equal(summary.simplest_vectors,
+                                      run_study(p, measure=MEASURE, **counts).simplest_vectors)
+
+    def test_measure_dimension_checked(self):
+        measure = first_difference_measure(TraitGrid(np.arange(5.0)))
+        with pytest.raises(DimensionMismatch, match="^measure is 5-dimensional, traits are 6$"):
+            run_study(small_params(), reps=1, null_dim=3, measure=measure)
 
     def test_single_rep_consistency(self):
         # noiseless environment at a generous sample size pins the nearly
@@ -462,7 +488,7 @@ class TestSufficientStatistics:
             save_family_csv(generate_dataset(p, r), path)
             components = anova_estimate(load_family_csv(path, p.g.grid, p.design))
             scale = np.abs(components.raw_eigenvalues).max()
-            assert abs(components.min_raw_eigenvalue - summary.min_raw_eigenvalues[r]) \
+            assert abs(components.raw_eigenvalues.min() - summary.min_raw_eigenvalues[r]) \
                 <= 1e-12 * scale
             rank = np.linalg.matrix_rank(components.within_ms.entries)
             assert rank == min(p.within_df, 6)

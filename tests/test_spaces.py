@@ -81,6 +81,10 @@ class TestBreedersResponse:
         sv = breeders_response(psd(np.zeros((3, 3))), SymMatrix(np.eye(3)), np.ones(3))
         np.testing.assert_allclose(sv.response, np.zeros(3), atol=1e-15)
 
+    def test_environment_dimension_checked(self):
+        with pytest.raises(DimensionMismatch, match="^E is 2-dimensional, G is 3-dimensional$"):
+            breeders_response(psd(np.eye(3)), SymMatrix(np.eye(2)), np.ones(3))
+
     def test_singular_rejected(self):
         g = psd(np.zeros((2, 2)))
         with pytest.raises(SingularPhenotypicCovariance):
@@ -194,6 +198,15 @@ class TestVarianceProportions:
         np.testing.assert_array_equal(shares.norms, [1.0, 1.0])
         np.testing.assert_array_equal(shares.proportions, [0.5, 0.5])
 
+    def test_one_vector_as_a_flat_array(self):
+        shares = variance_proportions(psd(np.diag([3.0, 1.0])), np.array([0.0, 1.0]))
+        np.testing.assert_array_equal(shares.norms, [1.0])
+        np.testing.assert_array_equal(shares.proportions, [1.0])
+
+    def test_vector_length_checked(self):
+        with pytest.raises(DimensionMismatch, match="^basis vectors have length 3, expected 2$"):
+            variance_proportions(psd(np.eye(2)), np.eye(3))
+
 
 class TestPartition:
     def measure(self):
@@ -264,6 +277,20 @@ class TestPartition:
             partition(g, 7, self.measure())
         with pytest.raises(ValueError):
             partition(g, -1, self.measure())
+
+    def test_j_must_be_an_integer(self):
+        # an integral real is its integer; a bool is not 1, nor 2.5 truncated
+        g = psd(np.eye(6), TEMP_GRID)
+        for bad in (True, 2.5, "2"):
+            with pytest.raises(ValueError, match="^j must be an integer, got "):
+                partition(g, bad, self.measure())
+        part = partition(g, 2.0, self.measure())
+        assert part.j == 2 and type(part.j) is int
+        np.testing.assert_array_equal(part.scores, partition(g, 2, self.measure()).scores)
+
+    def test_measure_dimension_checked(self):
+        with pytest.raises(DimensionMismatch, match="^measure is 5-dimensional, G is 6-dim"):
+            partition(psd(np.eye(6)), 2, sparseness_measure(5))
 
     def test_reference_null_basis_pinned(self):
         # values of the reference 3-dimensional null basis computed with the
@@ -428,6 +455,7 @@ class TestCanonicalAngleDistance:
     def test_45_degrees(self):
         mix = (np.eye(3)[0] + np.eye(3)[1]) / np.sqrt(2)
         assert canonical_angle_distance(np.eye(3)[:1], mix) == pytest.approx(0.5, abs=1e-12)
+        assert canonical_angle_distance(mix, np.eye(3)[:1]) == pytest.approx(0.5, abs=1e-12)
 
     def test_symmetric_and_basis_invariant(self):
         rng = np.random.default_rng(19)
@@ -445,6 +473,8 @@ class TestCanonicalAngleDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             canonical_angle_distance(np.eye(4)[:2], np.eye(4)[:3])
+        with pytest.raises(DimensionMismatch, match="^ambient dimensions differ: 3 vs 4$"):
+            canonical_angle_distance(np.eye(3)[:1], np.eye(4)[:1])
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(InvalidMatrix):
