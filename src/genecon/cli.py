@@ -26,8 +26,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import numpy as np
 
-from .core import (SymMatrix, TraitGrid, _known_keys, brief_repr, clip_negative_eigenvalues,
-                   json_int, json_number, json_numbers)
+from .core import (SymMatrix, TraitGrid, brief_repr, clip_negative_eigenvalues, json_int,
+                   json_number, json_numbers, json_object)
 from .errors import GeneconError, InvalidMatrix
 from .estimate import (
     DESIGN_ALIASES,
@@ -228,18 +228,12 @@ def _cmd_sweep(args) -> int:
 
 def _study_config(cfg, args) -> tuple[SimulationParams, int, int, str, SimplicityMeasure]:
     """The study a decoded config describes; bad fields raise ValueError, bad flags UsageError."""
-    if not isinstance(cfg, dict):
-        raise ValueError(f"expected a JSON object, got {type(cfg).__name__}")
-    _known_keys(cfg, {"grid", "g", "e", "sigma2", "mu", "families", "siblings", "design", "seed",
-                      "reps", "null_dim", "measure"})
-
-    def need(key):
-        if key not in cfg:
-            raise ValueError(f"missing field {key!r}")
-        return cfg[key]
+    # a flag may give seed, reps or null_dim, so `checked` requires each field it reads
+    cfg = json_object(cfg, ("grid", "g", "e", "sigma2", "families", "siblings", "design"),
+                      ("mu", "seed", "reps", "null_dim", "measure"))
 
     def need_int(key):
-        return json_int(need(key), f"field {key!r}")
+        return json_int(cfg[key], f"field {key!r}")
 
     def choice(key, value, names):  # a name its flag accepts, exactly as written
         if not (isinstance(value, str) and value in names):
@@ -250,6 +244,8 @@ def _study_config(cfg, args) -> tuple[SimulationParams, int, int, str, Simplicit
     def checked(key, ok, bounds):
         """A flag's value if given, else the config field's; named by its source if bad."""
         flag = getattr(args, key)
+        if flag is None:  # then the field is required
+            json_object(cfg, (key,), cfg)
         value = need_int(key) if flag is None else flag
         if ok(value):
             return value
@@ -258,9 +254,9 @@ def _study_config(cfg, args) -> tuple[SimulationParams, int, int, str, Simplicit
             raise ValueError(f"field {key!r}: {reason}")
         raise UsageError(f"--{key.replace('_', '-')}: {reason}")
 
-    grid = TraitGrid.from_payload(need("grid"))
-    g = ingest_gmatrix(need("g"), grid=grid, clip_tolerance=0.0)
-    e = SymMatrix.from_payload(need("e"))
+    grid = TraitGrid.from_payload(cfg["grid"])
+    g = ingest_gmatrix(cfg["g"], grid=grid, clip_tolerance=0.0)
+    e = SymMatrix.from_payload(cfg["e"])
     seed = checked("seed", lambda n: 0 <= n < 2**64, "in [0, 2**64)")
     reps = checked("reps", lambda n: n >= 1, "at least 1")
     null_dim = checked("null_dim", lambda n: 1 <= n < grid.size, f"in [1, {grid.size - 1}]")
@@ -268,10 +264,10 @@ def _study_config(cfg, args) -> tuple[SimulationParams, int, int, str, Simplicit
         mu=json_numbers(cfg.get("mu", [0.0] * grid.size), "field 'mu'"),
         g=g,
         e=e,
-        sigma2=json_number(need("sigma2"), "field 'sigma2'"),
+        sigma2=json_number(cfg["sigma2"], "field 'sigma2'"),
         n_families=need_int("families"),
         family_size=need_int("siblings"),
-        design=choice("design", need("design"), DESIGN_ALIASES),
+        design=choice("design", cfg["design"], DESIGN_ALIASES),
         seed=seed,
     )
     measure_kind = choice("measure", cfg.get("measure", "d1"), MEASURE_ALIASES)

@@ -53,12 +53,21 @@ def brief_repr(value) -> str:
     return brief(reprlib.repr(value))
 
 
-def _known_keys(payload: dict, known: set[str]) -> dict:
-    """``payload`` if ``known`` holds each of its keys; else ValueError naming the least other."""
-    extra = payload.keys() - known
+def json_object(value, required, optional=()) -> dict:
+    """``value`` if it is a dict with every ``required`` key and no key outside ``optional``.
+
+    Else one ValueError, checked in this order: not an object, then the least
+    unknown key, then the first missing required key.
+    """
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a JSON object, got {type(value).__name__}")
+    extra = value.keys() - {*required, *optional}
     if extra:
         raise ValueError(f"unknown key {brief_repr(min(extra, key=str))}")
-    return payload
+    for key in required:
+        if key not in value:
+            raise ValueError(f"missing field {key!r}")
+    return value
 
 
 def json_int(value, what: str) -> int:
@@ -191,12 +200,8 @@ class TraitGrid:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TraitGrid":
-        if not isinstance(payload, dict):
-            raise InvalidGrid(f"grid payload must be a JSON object, got {type(payload).__name__}")
-        if "points" not in payload:
-            raise InvalidGrid("grid payload missing 'points'")
         try:
-            points = json_numbers(_known_keys(payload, {"points"})["points"], "points")
+            points = json_numbers(json_object(payload, ("points",))["points"], "points")
         except ValueError as exc:
             raise InvalidGrid(f"malformed grid payload: {exc}") from exc
         return cls(points)
@@ -231,15 +236,9 @@ class SymMatrix:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SymMatrix":
-        if not isinstance(payload, dict):
-            raise InvalidMatrix(
-                f"matrix payload must be a JSON object, got {type(payload).__name__}"
-            )
         try:
-            dim = json_int(_known_keys(payload, {"dim", "entries"})["dim"], "dim")
+            dim = json_int(json_object(payload, ("dim", "entries"))["dim"], "dim")
             raw = json_numbers(payload["entries"], "entries")
-        except KeyError as exc:
-            raise InvalidMatrix(f"matrix payload missing {exc.args[0]!r}") from exc
         except ValueError as exc:
             raise InvalidMatrix(f"malformed matrix payload: {exc}") from exc
         if dim < 1:

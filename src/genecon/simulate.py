@@ -74,7 +74,9 @@ class SimulationParams:
     means_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float).reshape(-1)
+        # a float passes as it is, so a NaN or infinity gets the message below
+        mu = np.array([x if isinstance(x, float) else json_number(x, "each entry of mu")
+                       for x in np.asarray(self.mu, dtype=object).reshape(-1)], dtype=float)
         k = self.g.dim
         if mu.size != k:
             raise DimensionMismatch(f"mu has length {mu.size}, G is {k}-dimensional")
@@ -158,6 +160,7 @@ def generate_dataset(params: SimulationParams, replicate: int = 0) -> FamilyData
     seed, replicate and family size, and the records' family means match
     them up to roundoff; the within-family deviations are not a prefix.
     """
+    replicate = json_int(replicate, "replicate")
     if replicate < 0:
         raise ValueError(f"replicate index must be nonnegative, got {replicate}")
     gen, (means,), (b,) = _draws(params, [replicate])

@@ -195,9 +195,9 @@ class TestAnalyze:
         assert "asym.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, content, reason", [
-        ("--grid", "3", "must be a JSON object"),
+        ("--grid", "3", "expected a JSON object"),
         ("--grid", '{"points": {"a": 1}}', "malformed grid payload"),
-        ("--g", "[1, 2]", "must be a JSON object"),
+        ("--g", "[1, 2]", "expected a JSON object"),
         pytest.param("--g", json.dumps({"dim": 6.5, "entries": IDENTITY6}),
                      "dim must be an integer", id="fractional-dim"),
         pytest.param("--g", json.dumps({"dim": 6, "entries": ["1"] + IDENTITY6[1:]}),
@@ -209,9 +209,9 @@ class TestAnalyze:
         pytest.param("--g", json.dumps({"dim": -1, "entries": [1.0]}),
                      "dim must be at least 1", id="negative-dim"),
         pytest.param("--g", json.dumps({"entries": IDENTITY6}),
-                     "matrix payload missing 'dim'", id="missing-dim"),
+                     "missing field 'dim'", id="missing-dim"),
         pytest.param("--g", json.dumps({"dim": 6}),
-                     "matrix payload missing 'entries'", id="missing-entries"),
+                     "missing field 'entries'", id="missing-entries"),
     ])
     def test_non_object_json_is_usage_error(self, inputs, tmp_path, capsys, flag, content,
                                             reason):
@@ -922,13 +922,15 @@ def test_rejected_j_is_echoed_briefly(inputs, tmp_path, capsys):
 
 @pytest.mark.parametrize("flag, text, key", [
     ("--grid", json.dumps({**GRID_PAYLOAD, "pionts": [1.0]}), "'pionts'"),
+    ("--grid", json.dumps({"pionts": GRID_PAYLOAD["points"]}), "'pionts'"),
     ("--g", json.dumps({**G_PAYLOAD, "dims": 6}), "'dims'"),
     ("--g", json.dumps({"dims": 6, "entries": IDENTITY6}), "'dims'"),
     ("--config", json.dumps({**STUDY_CONFIG, "measur": "d2"}), "'measur'"),
     ("--config", json.dumps({**STUDY_CONFIG, "grid": {**GRID_PAYLOAD, "pionts": []}}),
      "'pionts'"),
     ("--config", json.dumps({**STUDY_CONFIG, "e": {**STUDY_CONFIG["e"], "dims": 6}}), "'dims'"),
-], ids=["grid", "matrix", "matrix-misspelt-dim", "config", "config-grid", "config-matrix"])
+], ids=["grid", "grid-misspelt-points", "matrix", "matrix-misspelt-dim", "config",
+        "config-grid", "config-matrix"])
 def test_unknown_key_is_named(inputs, tmp_path, capsys, flag, text, key):
     # a misspelt or extra key would otherwise be dropped without a word
     bad = tmp_path / "bad.json"
@@ -943,6 +945,37 @@ def test_unknown_key_is_named(inputs, tmp_path, capsys, flag, text, key):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"genecon {argv[0]}: {flag}: {bad}: ")
     assert err[0].endswith(f"unknown key {key}")
+    assert not out.exists()
+
+
+# per reader: a payload without one required key, and that key
+_PARTIAL = {"--grid": ({}, "points"), "--g": ({"entries": IDENTITY6}, "dim"),
+            "--config": ({k: v for k, v in STUDY_CONFIG.items() if k != "sigma2"}, "sigma2")}
+
+
+@pytest.mark.parametrize("flag", ["--grid", "--g", "--config"], ids=["grid", "g", "config"])
+@pytest.mark.parametrize("case", ["not-an-object", "unknown-and-missing", "missing"])
+def test_json_objects_are_checked_in_one_order(inputs, tmp_path, capsys, flag, case):
+    # every reader checks its object alike: not an object, then the least
+    # unknown key, then the first missing required key, in the same words
+    partial, missing = _PARTIAL[flag]
+    payload, reason = {
+        "not-an-object": ([partial], "expected a JSON object, got list"),
+        "unknown-and-missing": ({**partial, "zz": 1, "measur": "d2"}, "unknown key 'measur'"),
+        "missing": (partial, f"missing field {missing!r}"),
+    }[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload))
+    out = tmp_path / "o.json"
+    if flag == "--config":
+        argv = ["simulate", "--config", str(bad)]
+    else:
+        paths = {"--g": str(inputs["g"]), "--grid": str(inputs["grid"]), flag: str(bad)}
+        argv = ["analyze", "--g", paths["--g"], "--grid", paths["--grid"], "--J", "2"]
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"genecon {argv[0]}: {flag}: {bad}: ")
+    assert err[0].endswith(reason)
     assert not out.exists()
 
 

@@ -12,6 +12,7 @@ from genecon.core import (
     _symmetrized,
     _ties,
     clip_negative_eigenvalues,
+    json_object,
     symmetric_eigen,
 )
 from genecon.errors import DimensionMismatch, InvalidGrid, InvalidMatrix
@@ -30,6 +31,23 @@ def random_orthogonal(k, rng):
 def from_spectrum(eigenvalues, rng):
     q = random_orthogonal(len(eigenvalues), rng)
     return SymMatrix((q * np.asarray(eigenvalues, dtype=float)) @ q.T)
+
+
+class TestJsonObject:
+    def test_object_returned_as_it_is(self):
+        payload = {"a": 1, "c": 2}
+        assert json_object(payload, ("a",), ("b", "c")) is payload
+
+    @pytest.mark.parametrize("value, reason", [
+        ([{"a": 1}], "expected a JSON object, got list"),
+        (None, "expected a JSON object, got NoneType"),
+        ({"zz": 1, "yy": 2}, "unknown key 'yy'"),  # the least, though 'a' and 'b' are missing
+        ({"b": 1, "c": 2}, "missing field 'a'"),
+        ({}, "missing field 'a'"),  # the first required key
+    ])
+    def test_one_error_in_one_order(self, value, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            json_object(value, ("a", "b"), ("c",))
 
 
 class TestTraitGrid:

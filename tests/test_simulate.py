@@ -134,6 +134,17 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="replicate"):
             generate_dataset(small_params(), replicate=-1)
 
+    @pytest.mark.parametrize("bad", [2.5, True])
+    def test_replicate_must_be_an_integer(self, bad):
+        # never truncated: 2.5 must not draw replicate 2, nor True replicate 1
+        with pytest.raises(ValueError, match=f"^replicate must be an integer, got {bad}$"):
+            generate_dataset(small_params(), replicate=bad)
+
+    def test_integral_float_replicate_is_read_as_an_integer(self):
+        p = small_params()
+        np.testing.assert_array_equal(generate_dataset(p, 2.0).values,
+                                      generate_dataset(p, 2).values)
+
     def test_zero_covariance_yields_mu(self):
         grid = temperature_grid()
         g = clip_negative_eigenvalues(SymMatrix(np.zeros((6, 6))), 0.0, grid=grid)
@@ -223,6 +234,20 @@ class TestGenerateDataset:
                 mu=np.full(6, value), g=p.g, e=p.e, sigma2=0.0,
                 n_families=3, family_size=2, design="half-sib", seed=0,
             )
+
+    @pytest.mark.parametrize("bad", ["0.5", True, [0.5], None])
+    def test_mu_entries_must_be_numbers(self, bad):
+        # never coerced: "0.5" must not become 0.5, nor True 1.0
+        p = small_params()
+        with pytest.raises(ValueError, match=r"^each entry of mu must be a number, got "):
+            dataclasses.replace(p, mu=[0.0] * 5 + [bad])
+
+    @pytest.mark.parametrize("mu", [[0, 1, 2, 3, 4, 5], [0.5, 1, -2, 3.25, 4, 5],
+                                    np.arange(6, dtype=np.float32), np.arange(6)])
+    def test_mu_of_ints_or_floats_accepted(self, mu):
+        p = dataclasses.replace(small_params(), mu=mu)
+        assert p.mu.dtype == float
+        np.testing.assert_array_equal(p.mu, np.asarray(mu, dtype=float))
 
     def test_sibling_covariance_matches_family_share(self):
         # with E = 0 and sigma2 = 0 the records expose the genetic component;
