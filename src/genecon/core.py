@@ -1,5 +1,7 @@
 """Foundational numeric types: trait grids, symmetric matrices, and a
-symmetric eigensolver with negative-eigenvalue clipping.
+symmetric eigensolver with negative-eigenvalue clipping. Every number the
+package's public API takes is read by one rule, :func:`real` or :func:`reals`,
+so a bool, string, None or complex value raises ``ValueError``.
 
 Eigendecompositions come from LAPACK through ``numpy.linalg.eigh``. A fixed
 ordering and sign convention on top of it makes results identical run to
@@ -79,17 +81,34 @@ def json_int(value, what: str) -> int:
     return int(value)
 
 
-def json_number(value, what: str) -> float:
-    """A finite number read from JSON; bools, strings, containers, NaN and ±inf are rejected."""
+def real(value, what: str) -> float:
+    """A real number as a float, numpy's and a ``Fraction`` too; bools and the rest raise."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a number, got {brief_repr(value)}")
     try:
-        number = float(value)
+        return float(value)
     except OverflowError as exc:
         raise ValueError(f"{what} is out of range: {exc}") from exc
-    if not math.isfinite(number):
-        raise ValueError(f"{what} must be finite, got {brief_repr(value)}")
-    return number
+
+
+def reals(value, what: str) -> np.ndarray:
+    """``value`` as a float array: an int or float ndarray by its dtype alone, else entry by
+    entry by :func:`real`, so ragged nesting raises too. Finiteness is the caller's check."""
+    if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
+        return np.asarray(value, dtype=float)
+    try:
+        entries = np.array(value, dtype=object)
+    except ValueError:  # nested arrays numpy cannot lay out, even as objects
+        raise ValueError(f"{what} must be an array of numbers, got {brief_repr(value)}") from None
+    entry = f"each entry of {what}"
+    return np.array([real(x, entry) for x in entries.flat]).reshape(entries.shape)
+
+
+def json_number(value, what: str) -> float:
+    """A finite number read from JSON; bools, strings, containers, NaN and ±inf are rejected."""
+    if math.isfinite(number := real(value, what)):
+        return number
+    raise ValueError(f"{what} must be finite, got {brief_repr(value)}")
 
 
 def json_numbers(value, what: str) -> np.ndarray:
@@ -172,7 +191,7 @@ class TraitGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float).reshape(-1)
+        pts = reals(self.points, "points").reshape(-1)
         if pts.size < 2:
             raise InvalidGrid(f"need at least 2 measurement points, got {pts.size}")
         if not np.all(np.isfinite(pts)):
@@ -222,7 +241,7 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=float)
+        m = reals(self.entries, "entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise InvalidMatrix(f"expected a square matrix, got shape {m.shape}")
         object.__setattr__(self, "entries", _readonly(_symmetrized(m)))
@@ -276,8 +295,7 @@ def symmetric_eigen(m: SymMatrix) -> EigenDecomposition:
     positive, so the result does not depend on LAPACK's sign choices.
     ``degenerate`` is set when two adjacent eigenvalues tie (see :func:`_ties`).
     """
-    if not isinstance(m, SymMatrix):
-        m = SymMatrix(np.asarray(m, dtype=float))
+    m = m if isinstance(m, SymMatrix) else SymMatrix(m)
     lam, v = _eigh(m.entries)
     return EigenDecomposition(lam, v, degenerate=bool(_ties(lam).any()))
 
@@ -345,6 +363,7 @@ def clip_negative_eigenvalues(
     whose spectrum clears ``tol`` returns it unchanged, which makes the
     operation exactly idempotent.
     """
+    tol = real(tol, "clip tolerance")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"clip tolerance must be finite and nonnegative, got {tol}")
     if isinstance(m, GMatrix):
@@ -353,5 +372,5 @@ def clip_negative_eigenvalues(
         if grid is m.grid and not (m.eigenvalues < tol).any():
             return m
         return _clip_decomposition(m.matrix, m.eig, tol, grid)
-    source = m if isinstance(m, SymMatrix) else SymMatrix(np.asarray(m, dtype=float))
+    source = m if isinstance(m, SymMatrix) else SymMatrix(m)
     return _clip_decomposition(source, symmetric_eigen(source), tol, grid)

@@ -36,6 +36,7 @@ from .core import (
     brief,
     brief_repr,
     clip_negative_eigenvalues,
+    reals,
     symmetric_eigen,
 )
 from .errors import (
@@ -53,7 +54,7 @@ DESIGN_ALIASES = {HALF_SIB: HALF_SIB, "halfsib": HALF_SIB, FULL_SIB: FULL_SIB, "
 
 
 def normalize_design(tag: str) -> str:
-    cleaned = tag.strip().lower().replace("_", "-")
+    cleaned = tag.strip().lower().replace("_", "-") if isinstance(tag, str) else None
     if cleaned not in DESIGN_ALIASES:
         raise ValueError(f"unknown family design {brief_repr(tag)}; expected half-sib or full-sib")
     return DESIGN_ALIASES[cleaned]
@@ -73,7 +74,7 @@ class FamilyDataset:
     design: str
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = reals(self.values, "values")
         if v.ndim != 3:
             raise UnbalancedDesign(
                 f"expected a (families, members, traits) array, got shape {v.shape}"

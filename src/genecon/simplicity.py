@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PSD_RTOL, SymMatrix, TraitGrid, _ReadOnlyArrays, _check_psd, _eigh,
-                   _symmetrized, _ties, symmetric_eigen)
+                   _symmetrized, _ties, real, reals, symmetric_eigen)
 from .errors import GridTooSmall, InvalidMatrix, NotUnitVector, RankDeficientSubspace
 
 FIRST_DIFFERENCE = "first-difference"
@@ -38,6 +38,8 @@ class SimplicityMeasure:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown measure kind {self.kind!r}")
+        bound = real(self.score_upper_bound, "score_upper_bound")
+        object.__setattr__(self, "score_upper_bound", bound)
         lam = symmetric_eigen(self.lambda_matrix).eigenvalues
         _check_psd(lam, "simplicity form")
         if self.kind == FIRST_DIFFERENCE and lam.max() > 4.0 * (1.0 + PSD_RTOL):
@@ -153,7 +155,7 @@ def custom_measure(
 
 def simplicity_score(v: np.ndarray, measure: SimplicityMeasure) -> float:
     """Score v' L v of a unit vector."""
-    v = np.asarray(v, dtype=float).reshape(-1)
+    v = reals(v, "v").reshape(-1)
     norm = float(np.linalg.norm(v))
     if abs(norm - 1.0) > 1e-8:
         raise NotUnitVector(f"expected a unit vector, got norm {norm!r}")
@@ -200,14 +202,10 @@ def simplicity_basis(subspace_basis: np.ndarray, measure: SimplicityMeasure) -> 
         later vector maximizes it subject to orthogonality to its
         predecessors.
     """
-    basis = np.asarray(subspace_basis, dtype=float)
-    if basis.ndim == 1:
-        basis = basis.reshape(1, -1)
+    basis = np.atleast_2d(reals(subspace_basis, "subspace_basis"))
     k = measure.dim
     if basis.size and basis.shape[1] != k:
-        raise InvalidMatrix(
-            f"subspace vectors have length {basis.shape[1]}, measure expects {k}"
-        )
+        raise InvalidMatrix(f"subspace vectors have length {basis.shape[1]}, measure expects {k}")
     if basis.shape[0] == 0:
         return SimplicityBasis(np.empty((0, k)), np.empty(0), degenerate=False)
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (GMatrix, SymMatrix, _ReadOnlyArrays, _check_psd, _eigh, _readonly, brief_repr,
-                   json_int, json_number)
+                   json_int, real, reals)
 from .errors import DimensionMismatch, InvalidCovariance
 from .estimate import RELATEDNESS, FamilyDataset, _between_ms, _raw_estimates, normalize_design
 from .simplicity import SimplicityMeasure, _simplicity_vectors, simplicity_basis
@@ -74,9 +74,7 @@ class SimulationParams:
     means_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        # a float passes as it is, so a NaN or infinity gets the message below
-        mu = np.array([x if isinstance(x, float) else json_number(x, "each entry of mu")
-                       for x in np.asarray(self.mu, dtype=object).reshape(-1)], dtype=float)
+        mu = reals(self.mu, "mu").reshape(-1)
         k = self.g.dim
         if mu.size != k:
             raise DimensionMismatch(f"mu has length {mu.size}, G is {k}-dimensional")
@@ -84,8 +82,7 @@ class SimulationParams:
             raise ValueError(f"mu must be finite, got {brief_repr(mu.tolist())}")
         if self.e.dim != k:
             raise DimensionMismatch(f"E is {self.e.dim}-dimensional, G is {k}-dimensional")
-        if not isinstance(self.sigma2, float) or np.isfinite(self.sigma2):  # else InvalidCovariance
-            object.__setattr__(self, "sigma2", json_number(self.sigma2, "sigma2"))
+        object.__setattr__(self, "sigma2", real(self.sigma2, "sigma2"))
         if not (np.isfinite(self.sigma2) and self.sigma2 >= 0.0):
             raise InvalidCovariance(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
         for name in ("seed", "n_families", "family_size"):

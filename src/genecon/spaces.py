@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _ties, json_int, symmetric_eigen
+from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _ties, json_int, reals, symmetric_eigen
 from .errors import DimensionMismatch, InvalidMatrix, SingularPhenotypicCovariance
 from .parallel import ordered_map
 from .simplicity import SimplicityBasis, SimplicityMeasure, _simplicity_vectors
@@ -95,7 +95,7 @@ class SubspacePartition(_ReadOnlyArrays):
 
 
 def _as_vector(x, dim: int, name: str) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
+    v = reals(x, name).reshape(-1)
     if v.size != dim:
         raise DimensionMismatch(f"{name} has length {v.size}, expected {dim}")
     return v
@@ -120,13 +120,8 @@ def _solve_phenotypic(g: GMatrix, e: SymMatrix, rhs: np.ndarray) -> np.ndarray:
             f"G + E must be positive definite with condition number at most "
             f"{CONDITION_LIMIT:.0e}; its eigenvalues span [{lam_min:.3e}, {lam_max:.3e}]"
         )
-    v = eig.eigenvectors
-    coords = v.T @ rhs
-    if coords.ndim == 1:
-        coords = coords / eig.eigenvalues
-    else:
-        coords = coords / eig.eigenvalues[:, None]
-    return v @ coords
+    v, lam = eig.eigenvectors, eig.eigenvalues
+    return v @ ((v.T @ rhs) / (lam if rhs.ndim == 1 else lam[:, None]))
 
 
 def breeders_response(g: GMatrix, e: SymMatrix, s) -> SelectionVectors:
@@ -149,9 +144,7 @@ def variance_proportions(g: GMatrix, basis) -> VarianceShares:
     coincide with eigenvalue shares; for any other orthonormal basis they are
     the genuinely basis-dependent response-norm shares.
     """
-    b = np.asarray(basis, dtype=float)
-    if b.ndim == 1:
-        b = b.reshape(1, -1)
+    b = np.atleast_2d(reals(basis, "basis"))
     if b.shape[1] != g.dim:
         raise DimensionMismatch(f"basis vectors have length {b.shape[1]}, expected {g.dim}")
     _require_orthonormal(b, "basis")
@@ -221,20 +214,11 @@ def canonical_angle_distance(u, w) -> float:
     Equals L - ||U'W||_F^2 for orthonormal bases U, W of two L-dimensional
     subspaces, and lies in [0, L].
     """
-    ub = np.asarray(u, dtype=float)
-    wb = np.asarray(w, dtype=float)
-    if ub.ndim == 1:
-        ub = ub.reshape(1, -1)
-    if wb.ndim == 1:
-        wb = wb.reshape(1, -1)
+    ub, wb = np.atleast_2d(reals(u, "first basis"), reals(w, "second basis"))
     if ub.shape[0] != wb.shape[0]:
-        raise DimensionMismatch(
-            f"subspaces have dimensions {ub.shape[0]} and {wb.shape[0]}"
-        )
+        raise DimensionMismatch(f"subspaces have dimensions {ub.shape[0]} and {wb.shape[0]}")
     if ub.shape[1] != wb.shape[1]:
-        raise DimensionMismatch(
-            f"ambient dimensions differ: {ub.shape[1]} vs {wb.shape[1]}"
-        )
+        raise DimensionMismatch(f"ambient dimensions differ: {ub.shape[1]} vs {wb.shape[1]}")
     _require_orthonormal(ub, "first basis")
     _require_orthonormal(wb, "second basis")
     return float(_canonical_distances(ub, wb))

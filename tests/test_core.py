@@ -1,4 +1,5 @@
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,11 +17,13 @@ from genecon.core import (
     symmetric_eigen,
 )
 from genecon.errors import DimensionMismatch, InvalidGrid, InvalidMatrix
-from genecon.estimate import anova_estimate
+from genecon.estimate import FamilyDataset, anova_estimate
 from genecon.reference import study_params
-from genecon.simplicity import first_difference_measure
-from genecon.simulate import generate_dataset, run_study
-from genecon.spaces import breeders_response, partition, variance_proportions
+from genecon.simplicity import (SimplicityMeasure, first_difference_measure, simplicity_basis,
+                                simplicity_score)
+from genecon.simulate import SimulationParams, generate_dataset, run_study
+from genecon.spaces import (breeders_response, canonical_angle_distance, partition,
+                            response_to_selection, variance_proportions)
 
 
 def random_orthogonal(k, rng):
@@ -48,6 +51,113 @@ class TestJsonObject:
     def test_one_error_in_one_order(self, value, reason):
         with pytest.raises(ValueError, match=f"^{reason}$"):
             json_object(value, ("a", "b"), ("c",))
+
+
+GRID3 = TraitGrid(np.array([1.0, 2.0, 4.0]))
+G3 = clip_negative_eigenvalues(SymMatrix(np.diag([3.0, 2.0, 1.0])), grid=GRID3)
+E3 = SymMatrix(np.eye(3))
+MEASURE3 = first_difference_measure(GRID3)
+PARAMS3 = SimulationParams(mu=np.zeros(3), g=G3, e=E3, sigma2=0.1, n_families=2,
+                           family_size=2, design="half-sib", seed=0)
+
+# every array argument of the public API: (its name in messages, a call taking it, a valid value)
+ARRAY_ARGUMENTS = {
+    "TraitGrid.points": ("points", TraitGrid, [1, 2, 4]),
+    "SymMatrix.entries": ("entries", SymMatrix, [[2, 1], [1, 3]]),
+    "symmetric_eigen": ("entries", symmetric_eigen, [[2, 1], [1, 3]]),
+    "clip_negative_eigenvalues.m": ("entries", clip_negative_eigenvalues, [[1, 2], [2, 1]]),
+    "FamilyDataset.values": ("values", lambda v: FamilyDataset(v, GRID3, "half-sib"),
+                             [[[1, 2, 3], [2, 0, 1]], [[4, 1, 0], [0, 3, 2]]]),
+    "simplicity_score": ("v", lambda v: simplicity_score(v, MEASURE3), [0, 1, 0]),
+    "simplicity_basis": ("subspace_basis", lambda b: simplicity_basis(b, MEASURE3),
+                         [[1, 1, 0], [0, 1, 1]]),
+    "response_to_selection": ("selection gradient", lambda b: response_to_selection(G3, b),
+                              [1, 2, 3]),
+    "breeders_response": ("selection differential", lambda s: breeders_response(G3, E3, s),
+                          [1, 2, 3]),
+    "variance_proportions": ("basis", lambda b: variance_proportions(G3, b),
+                             [[1, 0, 0], [0, 0, 1]]),
+    "canonical_angle_distance.u": ("first basis",
+                                   lambda u: canonical_angle_distance(u, [[0.0, 1.0, 0.0]]),
+                                   [[1, 0, 0]]),
+    "canonical_angle_distance.w": ("second basis",
+                                   lambda w: canonical_angle_distance([[1.0, 0.0, 0.0]], w),
+                                   [[0, 1, 0]]),
+    "SimulationParams.mu": ("mu", lambda mu: replace(PARAMS3, mu=mu), [1, 2, 3]),
+}
+# every scalar argument: (its name in messages, a call taking it)
+SCALAR_ARGUMENTS = {
+    "clip_negative_eigenvalues.tol": (
+        "clip tolerance", lambda t: clip_negative_eigenvalues(SymMatrix(np.diag([1.0, 0.125])), t)),
+    "SimplicityMeasure.score_upper_bound": (
+        "score_upper_bound", lambda b: SimplicityMeasure(SymMatrix(np.eye(2)), b, "custom")),
+    "SimulationParams.sigma2": ("sigma2", lambda s: replace(PARAMS3, sigma2=s)),
+}
+NOT_NUMBERS = {"str": "1", "bool": True, "None": None, "complex": 1j}
+
+
+def _with_first_entry(value, entry):
+    """The nested list ``value`` with its first number replaced by ``entry``."""
+    return [_with_first_entry(value[0], entry), *value[1:]] if isinstance(value, list) else entry
+
+
+def _state(x):
+    """Everything a result holds, arrays by shape, dtype and bytes: equal means identical."""
+    if is_dataclass(x):
+        return type(x), tuple(_state(getattr(x, f.name)) for f in fields(x))
+    if isinstance(x, np.ndarray):
+        return x.shape, x.dtype.str, x.tobytes()
+    return type(x), x
+
+
+class TestNumberReader:
+    """One rule for every number the public API takes: nothing but a real number is read."""
+
+    @pytest.mark.parametrize("bad", [*NOT_NUMBERS.values(), [1.0, 2.0]],
+                             ids=[*NOT_NUMBERS, "ragged"])
+    @pytest.mark.parametrize("key", ARRAY_ARGUMENTS)
+    def test_array_entry_that_is_not_a_number_is_named(self, key, bad):
+        name, call, valid = ARRAY_ARGUMENTS[key]
+        with pytest.raises(ValueError, match=f"^each entry of {name} must be a number, got "):
+            call(_with_first_entry(valid, bad))
+
+    @pytest.mark.parametrize("bad", [np.array([True, False]), np.array(["1"])],
+                             ids=["bool-array", "str-array"])
+    @pytest.mark.parametrize("key", ARRAY_ARGUMENTS)
+    def test_array_of_another_dtype_is_named(self, key, bad):
+        name, call, _ = ARRAY_ARGUMENTS[key]
+        with pytest.raises(ValueError, match=f"^each entry of {name} must be a number, got "):
+            call(bad)
+
+    @pytest.mark.parametrize("bad", [*NOT_NUMBERS.values(), [1.0, [2.0]]],
+                             ids=[*NOT_NUMBERS, "ragged"])
+    @pytest.mark.parametrize("key", SCALAR_ARGUMENTS)
+    def test_scalar_that_is_not_a_number_is_named(self, key, bad):
+        name, call = SCALAR_ARGUMENTS[key]
+        with pytest.raises(ValueError, match=f"^{name} must be a number, got "):
+            call(bad)
+
+    def test_nesting_numpy_cannot_lay_out_is_named(self):
+        with pytest.raises(ValueError, match="^entries must be an array of numbers, got "):
+            SymMatrix([np.zeros((2, 2)), np.zeros((2, 3))])
+
+    def test_a_number_beyond_float_range_is_named(self):
+        with pytest.raises(ValueError, match="^sigma2 is out of range: int too large"):
+            replace(PARAMS3, sigma2=10**400)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float32])
+    @pytest.mark.parametrize("key", ARRAY_ARGUMENTS)
+    def test_int_and_float32_arrays_read_as_their_float64_casts(self, key, dtype):
+        _, call, valid = ARRAY_ARGUMENTS[key]
+        given = np.array(valid, dtype=dtype)
+        assert _state(call(given)) == _state(call(given.astype(float)))
+
+    @pytest.mark.parametrize("number", [np.float32(0.25), Fraction(1, 4)],
+                             ids=["float32", "Fraction"])
+    @pytest.mark.parametrize("key", SCALAR_ARGUMENTS)
+    def test_numpy_and_fraction_scalars_are_read_as_floats(self, key, number):
+        _, call = SCALAR_ARGUMENTS[key]
+        assert _state(call(number)) == _state(call(0.25))
 
 
 class TestTraitGrid:

@@ -86,8 +86,9 @@ class TestDatasetValidation:
     def test_design_normalization(self):
         assert normalize_design("halfsib") == "half-sib"
         assert normalize_design("FULL-SIB") == "full-sib"
-        with pytest.raises(ValueError):
-            normalize_design("cousins")
+        for tag in ("cousins", None, 4):  # a non-string is an unknown design, not a crash
+            with pytest.raises(ValueError, match=rf"^unknown family design {tag!r}; expected "):
+                normalize_design(tag)
 
 
 class TestLoopOracle:
