@@ -1,7 +1,8 @@
 """Foundational numeric types: trait grids, symmetric matrices, and a
 symmetric eigensolver with negative-eigenvalue clipping. Every number the
 package's public API takes is read by one rule, :func:`real` or :func:`reals`,
-so a bool, string, None or complex value raises ``ValueError``.
+so a bool, string, None or complex value raises ``ValueError``, and an array
+whose shape is not the one its argument declares raises ``DimensionMismatch``.
 
 Eigendecompositions come from LAPACK through ``numpy.linalg.eigh``. A fixed
 ordering and sign convention on top of it makes results identical run to
@@ -91,17 +92,32 @@ def real(value, what: str) -> float:
         raise ValueError(f"{what} is out of range: {exc}") from exc
 
 
-def reals(value, what: str) -> np.ndarray:
+def reals(value, what: str, shape: tuple) -> np.ndarray:
     """``value`` as a float array: an int or float ndarray by its dtype alone, else entry by
-    entry by :func:`real`, so ragged nesting raises too. Finiteness is the caller's check."""
+    entry by :func:`real`, so ragged nesting raises too. Then a shape other than ``shape``,
+    ``None`` for an axis of any length, raises DimensionMismatch. Finiteness is not checked."""
     if isinstance(value, np.ndarray) and value.dtype.kind in "fiu":
-        return np.asarray(value, dtype=float)
-    try:
-        entries = np.array(value, dtype=object)
-    except ValueError:  # nested arrays numpy cannot lay out, even as objects
-        raise ValueError(f"{what} must be an array of numbers, got {brief_repr(value)}") from None
-    entry = f"each entry of {what}"
-    return np.array([real(x, entry) for x in entries.flat]).reshape(entries.shape)
+        a = np.asarray(value, dtype=float)
+    else:
+        try:
+            entries = np.array(value, dtype=object)
+        except ValueError:  # nested arrays numpy cannot lay out, even as objects
+            raise ValueError(
+                f"{what} must be an array of numbers, got {brief_repr(value)}") from None
+        entry = f"each entry of {what}"
+        a = np.array([real(x, entry) for x in entries.flat]).reshape(entries.shape)
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        expected = str(shape).replace("None", "*")
+        raise DimensionMismatch(f"{what} must have shape {expected}, got {a.shape}")
+    return a
+
+
+def finite_reals(value, what: str, shape: tuple) -> np.ndarray:
+    """:func:`reals`, then ValueError unless every entry is finite."""
+    a = reals(value, what, shape)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite, got {brief_repr(a.tolist())}")
+    return a
 
 
 def json_number(value, what: str) -> float:
@@ -191,7 +207,7 @@ class TraitGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = reals(self.points, "points").reshape(-1)
+        pts = reals(self.points, "points", (None,))
         if pts.size < 2:
             raise InvalidGrid(f"need at least 2 measurement points, got {pts.size}")
         if not np.all(np.isfinite(pts)):
@@ -241,8 +257,8 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = reals(self.entries, "entries")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        m = reals(self.entries, "entries", (None, None))
+        if m.shape[0] != m.shape[1]:
             raise InvalidMatrix(f"expected a square matrix, got shape {m.shape}")
         object.__setattr__(self, "entries", _readonly(_symmetrized(m)))
 

@@ -40,7 +40,6 @@ from .core import (
     symmetric_eigen,
 )
 from .errors import (
-    DimensionMismatch,
     GeneconError,
     InsufficientData,
     InvalidMatrix,
@@ -74,20 +73,12 @@ class FamilyDataset:
     design: str
 
     def __post_init__(self):
-        v = reals(self.values, "values")
-        if v.ndim != 3:
-            raise UnbalancedDesign(
-                f"expected a (families, members, traits) array, got shape {v.shape}"
-            )
+        v = reals(self.values, "values", (None, None, self.grid.size))
         if not np.all(np.isfinite(v)):
             raise InvalidMatrix("phenotype records must be finite")
         if v.shape[0] < 2 or v.shape[1] < 2:
             raise InsufficientData(
                 f"need at least 2 families of 2 members, got {v.shape[0]} x {v.shape[1]}"
-            )
-        if v.shape[2] != self.grid.size:
-            raise DimensionMismatch(
-                f"records have {v.shape[2]} traits but grid has {self.grid.size} points"
             )
         object.__setattr__(self, "design", normalize_design(self.design))
         object.__setattr__(self, "values", _readonly(v))

@@ -155,9 +155,9 @@ def custom_measure(
 
 def simplicity_score(v: np.ndarray, measure: SimplicityMeasure) -> float:
     """Score v' L v of a unit vector."""
-    v = reals(v, "v").reshape(-1)
+    v = reals(v, "v", (measure.dim,))
     norm = float(np.linalg.norm(v))
-    if abs(norm - 1.0) > 1e-8:
+    if not abs(norm - 1.0) <= 1e-8:
         raise NotUnitVector(f"expected a unit vector, got norm {norm!r}")
     return float(v @ measure.lambda_matrix.entries @ v)
 
@@ -191,9 +191,9 @@ def simplicity_basis(subspace_basis: np.ndarray, measure: SimplicityMeasure) -> 
     """Simplicity-ordered orthonormal basis of span(subspace_basis).
 
     Args:
-        subspace_basis: (L, K) array whose rows span the subspace. Rows should
-            already be near-orthonormal; they are re-orthonormalized by a
-            Householder QR factorization before use.
+        subspace_basis: (L, K) rows spanning the subspace, so one vector v is
+            passed as ``[v]``. Rows should already be near-orthonormal; they
+            are re-orthonormalized by a Householder QR factorization before use.
         measure: quadratic simplicity measure on the ambient K-space.
 
     Returns:
@@ -202,13 +202,7 @@ def simplicity_basis(subspace_basis: np.ndarray, measure: SimplicityMeasure) -> 
         later vector maximizes it subject to orthogonality to its
         predecessors.
     """
-    basis = np.atleast_2d(reals(subspace_basis, "subspace_basis"))
-    k = measure.dim
-    if basis.size and basis.shape[1] != k:
-        raise InvalidMatrix(f"subspace vectors have length {basis.shape[1]}, measure expects {k}")
-    if basis.shape[0] == 0:
-        return SimplicityBasis(np.empty((0, k)), np.empty(0), degenerate=False)
-
+    basis = reals(subspace_basis, "subspace_basis", (None, measure.dim))
     vectors, scores, _ = _simplicity_vectors(_orthonormalize(basis), measure.lambda_matrix.entries)
     return SimplicityBasis(vectors, scores, degenerate=bool(_ties(scores).any()))
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (GMatrix, SymMatrix, _ReadOnlyArrays, _check_psd, _eigh, _readonly, brief_repr,
-                   json_int, real, reals)
+from .core import (GMatrix, SymMatrix, _ReadOnlyArrays, _check_psd, _eigh, _readonly,
+                   finite_reals, json_int, real)
 from .errors import DimensionMismatch, InvalidCovariance
 from .estimate import RELATEDNESS, FamilyDataset, _between_ms, _raw_estimates, normalize_design
 from .simplicity import SimplicityMeasure, _simplicity_vectors, simplicity_basis
@@ -74,12 +74,8 @@ class SimulationParams:
     means_factor: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        mu = reals(self.mu, "mu").reshape(-1)
         k = self.g.dim
-        if mu.size != k:
-            raise DimensionMismatch(f"mu has length {mu.size}, G is {k}-dimensional")
-        if not np.isfinite(mu).all():
-            raise ValueError(f"mu must be finite, got {brief_repr(mu.tolist())}")
+        mu = finite_reals(self.mu, "mu", (k,))
         if self.e.dim != k:
             raise DimensionMismatch(f"E is {self.e.dim}-dimensional, G is {k}-dimensional")
         object.__setattr__(self, "sigma2", real(self.sigma2, "sigma2"))

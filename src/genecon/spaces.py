@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GMatrix, SymMatrix, _ReadOnlyArrays, _ties, json_int, reals, symmetric_eigen
+from .core import (GMatrix, SymMatrix, _ReadOnlyArrays, _ties, finite_reals, json_int, reals,
+                   symmetric_eigen)
 from .errors import DimensionMismatch, InvalidMatrix, SingularPhenotypicCovariance
 from .parallel import ordered_map
 from .simplicity import SimplicityBasis, SimplicityMeasure, _simplicity_vectors
@@ -94,16 +95,9 @@ class SubspacePartition(_ReadOnlyArrays):
         return np.vstack([self.model_vectors, self.null_basis.vectors])
 
 
-def _as_vector(x, dim: int, name: str) -> np.ndarray:
-    v = reals(x, name).reshape(-1)
-    if v.size != dim:
-        raise DimensionMismatch(f"{name} has length {v.size}, expected {dim}")
-    return v
-
-
 def response_to_selection(g: GMatrix, beta) -> SelectionVectors:
     """Expected response G beta for a selection gradient beta."""
-    b = _as_vector(beta, g.dim, "selection gradient")
+    b = finite_reals(beta, "selection gradient", (g.dim,))
     response = g.matrix.entries @ b
     return SelectionVectors(b, response, float(np.linalg.norm(response)))
 
@@ -126,7 +120,7 @@ def _solve_phenotypic(g: GMatrix, e: SymMatrix, rhs: np.ndarray) -> np.ndarray:
 
 def breeders_response(g: GMatrix, e: SymMatrix, s) -> SelectionVectors:
     """Breeder's equation: response = G (G+E)^-1 s, with the gradient back-filled."""
-    diff = _as_vector(s, g.dim, "selection differential")
+    diff = finite_reals(s, "selection differential", (g.dim,))
     beta = _solve_phenotypic(g, e, diff)
     response = g.matrix.entries @ beta
     return SelectionVectors(beta, response, float(np.linalg.norm(response)), differential=diff)
@@ -138,15 +132,13 @@ def heritability_matrix(g: GMatrix, e: SymMatrix) -> np.ndarray:
 
 
 def variance_proportions(g: GMatrix, basis) -> VarianceShares:
-    """Response norms ||G b|| per basis vector, normalized to proportions.
+    """Response norms ||G b|| per vector of an (L, K) ``basis``, normalized to proportions.
 
     For the eigenbasis the norms are the eigenvalues, so the proportions
     coincide with eigenvalue shares; for any other orthonormal basis they are
     the genuinely basis-dependent response-norm shares.
     """
-    b = np.atleast_2d(reals(basis, "basis"))
-    if b.shape[1] != g.dim:
-        raise DimensionMismatch(f"basis vectors have length {b.shape[1]}, expected {g.dim}")
+    b = reals(basis, "basis", (None, g.dim))
     _require_orthonormal(b, "basis")
     norms = np.linalg.norm(b @ g.matrix.entries.T, axis=1)
     total = float(norms.sum())
@@ -197,8 +189,9 @@ def sweep_partitions(g: GMatrix, measure: SimplicityMeasure) -> list[SubspacePar
 
 
 def _require_orthonormal(b: np.ndarray, what: str) -> None:
-    """Raise unless the rows of ``b`` are orthonormal within 1e-8."""
-    if b.size and np.abs(b @ b.T - np.eye(len(b))).max() > 1e-8:
+    """Raise unless the rows of ``b`` are finite and orthonormal within 1e-8."""
+    ok = np.isfinite(b).all() and np.abs(b @ b.T - np.eye(len(b))).max(initial=0.0) <= 1e-8
+    if not ok:
         raise InvalidMatrix(f"{what} rows are not orthonormal within 1e-8")
 
 
@@ -212,13 +205,10 @@ def canonical_angle_distance(u, w) -> float:
     """Squared subspace distance: sum of squared sines of the canonical angles.
 
     Equals L - ||U'W||_F^2 for orthonormal bases U, W of two L-dimensional
-    subspaces, and lies in [0, L].
+    subspaces of R^K, each given as (L, K) rows, and lies in [0, L].
     """
-    ub, wb = np.atleast_2d(reals(u, "first basis"), reals(w, "second basis"))
-    if ub.shape[0] != wb.shape[0]:
-        raise DimensionMismatch(f"subspaces have dimensions {ub.shape[0]} and {wb.shape[0]}")
-    if ub.shape[1] != wb.shape[1]:
-        raise DimensionMismatch(f"ambient dimensions differ: {ub.shape[1]} vs {wb.shape[1]}")
+    ub = reals(u, "first basis", (None, None))
+    wb = reals(w, "second basis", ub.shape)
     _require_orthonormal(ub, "first basis")
     _require_orthonormal(wb, "second basis")
     return float(_canonical_distances(ub, wb))

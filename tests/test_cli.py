@@ -554,13 +554,15 @@ class TestSimulate:
     @pytest.mark.parametrize("field, value, message", [
         ("e", {"dim": 3, "entries": np.eye(3).ravel().tolist()},
          "E is 3-dimensional, G is 6-dimensional"),
+        ("mu", [0.0, 0.0], "mu must have shape (6,), got (2,)"),
         ("families", 1, "need at least 2 families of 2 members, got 1 x 4"),
         ("sigma2", 10**400, "field 'sigma2' is out of range: int too large to convert to float"),
         ("design", ["half-sib"], "field 'design' must be one of ('half-sib', 'halfsib', "
                                  "'full-sib', 'fullsib'), got ['half-sib']"),
         ("measure", ["d1"], "field 'measure' must be one of ('d1', 'd2', 'sparse'), "
                             "got ['d1']"),
-    ], ids=["e-3x3", "one-family", "sigma2-400-digits", "design-list", "measure-list"])
+    ], ids=["e-3x3", "mu-length-2", "one-family", "sigma2-400-digits", "design-list",
+            "measure-list"])
     def test_bad_model_field_is_named(self, study_config, tmp_path, capsys, field, value,
                                       message):
         cfg = json.loads(study_config.read_text())

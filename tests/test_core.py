@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 
@@ -94,6 +95,13 @@ SCALAR_ARGUMENTS = {
     "SimulationParams.sigma2": ("sigma2", lambda s: replace(PARAMS3, sigma2=s)),
 }
 NOT_NUMBERS = {"str": "1", "bool": True, "None": None, "complex": 1j}
+# the array arguments whose last axis has a fixed length
+FIXED_LENGTH = {"FamilyDataset.values", "simplicity_score", "simplicity_basis",
+                "response_to_selection", "breeders_response", "variance_proportions",
+                "canonical_angle_distance.w", "SimulationParams.mu"}
+SHAPE_CHANGES = [(key, change) for key in ARRAY_ARGUMENTS
+                 for change in ("extra-axis", "axis-fewer", "one-longer")
+                 if change != "one-longer" or key in FIXED_LENGTH]
 
 
 def _with_first_entry(value, entry):
@@ -158,6 +166,29 @@ class TestNumberReader:
     def test_numpy_and_fraction_scalars_are_read_as_floats(self, key, number):
         _, call = SCALAR_ARGUMENTS[key]
         assert _state(call(number)) == _state(call(0.25))
+
+
+def _reshaped(valid, change: str) -> np.ndarray:
+    """``valid`` with one extra leading axis, one axis fewer, or its last axis one longer."""
+    a = np.array(valid, dtype=float)
+    if change == "extra-axis":
+        return a[None]
+    if change == "axis-fewer":
+        return a[0]
+    return np.concatenate([a, np.zeros(a.shape[:-1] + (1,))], axis=-1)
+
+
+class TestShapeRule:
+    """One rule for every array the public API takes: any other rank or length is named."""
+
+    @pytest.mark.parametrize("form", ["list", "ndarray"])
+    @pytest.mark.parametrize("key, change", SHAPE_CHANGES)
+    def test_array_of_another_shape_is_named(self, key, change, form):
+        name, call, valid = ARRAY_ARGUMENTS[key]
+        bad = _reshaped(valid, change)
+        got = re.escape(str(bad.shape))
+        with pytest.raises(DimensionMismatch, match=rf"^{name} must have shape \(.+\), got {got}$"):
+            call(bad.tolist() if form == "list" else bad)
 
 
 class TestTraitGrid:

@@ -73,7 +73,8 @@ class TestDatasetValidation:
             FamilyDataset(np.zeros((2, 2, 3)), GRID1, "half-sib")
 
     def test_records_must_form_a_three_dimensional_array(self):
-        with pytest.raises(UnbalancedDesign, match=r"got shape \(4, 2\)$"):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^values must have shape \(\*, \*, 2\), got \(4, 2\)$"):
             FamilyDataset(np.zeros((4, 2)), GRID1, "half-sib")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

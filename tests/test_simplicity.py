@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from genecon.core import SymMatrix, TraitGrid, _eigh, _ties, symmetric_eigen
 from genecon.errors import (
+    DimensionMismatch,
     GridTooSmall,
     InvalidMatrix,
     NotUnitVector,
@@ -175,6 +176,11 @@ class TestSimplicityScore:
         measure = custom_measure(SymMatrix(np.zeros((3, 3))))
         assert simplicity_score(np.eye(3)[1], measure) == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        with pytest.raises(NotUnitVector, match="^expected a unit vector, got norm "):
+            simplicity_score([bad, 0.0, 0.0, 0.0, 0.0, 0.0], first_difference_measure(temp_grid()))
+
 
 class TestSimplicityBasis:
     def test_full_space_is_eigenbasis(self):
@@ -199,7 +205,7 @@ class TestSimplicityBasis:
         measure = first_difference_measure(temp_grid())
         u = np.array([1.0, 2.0, 0.0, -1.0, 0.5, 0.25])
         u /= np.linalg.norm(u)
-        basis = simplicity_basis(u, measure)
+        basis = simplicity_basis(u[None], measure)
         assert len(basis) == 1
         np.testing.assert_allclose(np.abs(basis.vectors[0]), np.abs(u), atol=1e-10)
         assert basis.scores[0] == pytest.approx(simplicity_score(u, measure), abs=1e-10)
@@ -297,7 +303,8 @@ class TestSimplicityBasis:
             assert canonical_angle_distance(b1.vectors, b2.vectors) <= 1e-8
 
     def test_dimension_checked(self):
-        with pytest.raises(InvalidMatrix):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^subspace_basis must have shape \(\*, 6\), got \(4, 4\)$"):
             simplicity_basis(np.eye(4), first_difference_measure(temp_grid()))
 
 

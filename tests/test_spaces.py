@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -199,12 +200,17 @@ class TestVarianceProportions:
         np.testing.assert_array_equal(shares.proportions, [0.5, 0.5])
 
     def test_one_vector_as_a_flat_array(self):
-        shares = variance_proportions(psd(np.diag([3.0, 1.0])), np.array([0.0, 1.0]))
+        g = psd(np.diag([3.0, 1.0]))
+        with pytest.raises(DimensionMismatch,
+                           match=r"^basis must have shape \(\*, 2\), got \(2,\)$"):
+            variance_proportions(g, np.array([0.0, 1.0]))
+        shares = variance_proportions(g, np.array([[0.0, 1.0]]))
         np.testing.assert_array_equal(shares.norms, [1.0])
         np.testing.assert_array_equal(shares.proportions, [1.0])
 
     def test_vector_length_checked(self):
-        with pytest.raises(DimensionMismatch, match="^basis vectors have length 3, expected 2$"):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^basis must have shape \(\*, 2\), got \(3, 3\)$"):
             variance_proportions(psd(np.eye(2)), np.eye(3))
 
 
@@ -454,8 +460,8 @@ class TestCanonicalAngleDistance:
 
     def test_45_degrees(self):
         mix = (np.eye(3)[0] + np.eye(3)[1]) / np.sqrt(2)
-        assert canonical_angle_distance(np.eye(3)[:1], mix) == pytest.approx(0.5, abs=1e-12)
-        assert canonical_angle_distance(mix, np.eye(3)[:1]) == pytest.approx(0.5, abs=1e-12)
+        assert canonical_angle_distance(np.eye(3)[:1], mix[None]) == pytest.approx(0.5, abs=1e-12)
+        assert canonical_angle_distance(mix[None], np.eye(3)[:1]) == pytest.approx(0.5, abs=1e-12)
 
     def test_symmetric_and_basis_invariant(self):
         rng = np.random.default_rng(19)
@@ -471,14 +477,43 @@ class TestCanonicalAngleDistance:
             assert -1e-12 <= d1 <= 3.0 + 1e-12
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^second basis must have shape \(2, 4\), got \(3, 4\)$"):
             canonical_angle_distance(np.eye(4)[:2], np.eye(4)[:3])
-        with pytest.raises(DimensionMismatch, match="^ambient dimensions differ: 3 vs 4$"):
+        with pytest.raises(DimensionMismatch,
+                           match=r"^second basis must have shape \(1, 3\), got \(1, 4\)$"):
             canonical_angle_distance(np.eye(3)[:1], np.eye(4)[:1])
 
     def test_non_orthonormal_rejected(self):
         with pytest.raises(InvalidMatrix):
             canonical_angle_distance(np.array([[1.0, 1.0, 0.0]]), np.eye(3)[:1])
+        with pytest.raises(InvalidMatrix):  # a row of length 0 has norm 0, not 1
+            canonical_angle_distance([[]], [[]])
+
+
+class TestNonFiniteInputs:
+    """A NaN or inf entry raises, rather than coming back as a NaN result."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name, call", [
+        ("selection gradient", lambda b: response_to_selection(psd(np.eye(3)), b)),
+        ("selection differential",
+         lambda s: breeders_response(psd(np.eye(3)), SymMatrix(np.eye(3)), s)),
+    ], ids=["gradient", "differential"])
+    def test_selection_vector(self, name, call, bad):
+        message = f"{name} must be finite, got [{bad}, 1.0, 0.0]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call([bad, 1.0, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name, call", [
+        ("basis", lambda b: variance_proportions(psd(np.eye(3)), b)),
+        ("first basis", lambda u: canonical_angle_distance(u, np.eye(3)[:2])),
+        ("second basis", lambda w: canonical_angle_distance(np.eye(3)[:2], w)),
+    ], ids=["variance_proportions", "canonical-u", "canonical-w"])
+    def test_basis(self, name, call, bad):
+        with pytest.raises(InvalidMatrix, match=f"^{name} rows are not orthonormal within 1e-8$"):
+            call([[bad, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 class TestSpectralBounds:
