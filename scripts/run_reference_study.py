@@ -7,7 +7,7 @@ nearly-null-space geometry and selection responses:
     python scripts/run_reference_study.py --out-dir results/study
     python scripts/run_reference_study.py --reps 50 --dump-replicate 0
 
-The optional --dump-replicate N, for N in [0, reps), writes as CSV the
+The optional --dump-replicate N, for N in [0, reps - 1], writes as CSV the
 records of replicate N, from the same parameters the study runs; their MANOVA
 reproduces that replicate up to roundoff.
 """
@@ -18,9 +18,10 @@ import sys
 from pathlib import Path
 
 from genecon.cli import main as genecon_main
+from genecon.core import json_int
 from genecon.estimate import save_family_csv
 from genecon.reference import STUDY_NULL_DIM, STUDY_REPS, STUDY_SEED, study_params
-from genecon.simulate import SimulationParams, generate_dataset
+from genecon.simulate import KEY_MAX, SimulationParams, generate_dataset
 
 
 def write_config(path: Path, p: SimulationParams, reps: int) -> None:
@@ -56,13 +57,11 @@ if __name__ == "__main__":
     parser.add_argument("--seed", type=int, default=STUDY_SEED)
     parser.add_argument("--dump-replicate", type=int, default=None)
     args = parser.parse_args()
-    if args.reps < 1:
-        parser.exit(2, f"{parser.prog}: --reps must be at least 1, got {args.reps}\n")
-    if args.dump_replicate is not None and not 0 <= args.dump_replicate < args.reps:
-        parser.exit(2, f"{parser.prog}: --dump-replicate must be in [0, {args.reps}), "
-                       f"got {args.dump_replicate}\n")
-    try:
-        params = study_params(seed=args.seed)
+    try:  # every flag by its own name, before any work
+        json_int(args.reps, "--reps", 1)
+        json_int(args.seed, "--seed", 0, KEY_MAX)
+        if args.dump_replicate is not None:
+            json_int(args.dump_replicate, "--dump-replicate", 0, args.reps - 1)
     except ValueError as exc:
-        parser.exit(2, f"{parser.prog}: --seed: {exc}\n")
-    sys.exit(run(args.out_dir, params, args.reps, args.dump_replicate))
+        parser.exit(2, f"{parser.prog}: {exc}\n")
+    sys.exit(run(args.out_dir, study_params(seed=args.seed), args.reps, args.dump_replicate))

@@ -7,15 +7,13 @@ same inputs, seed, numpy version and LAPACK build.
 Thread policy: importing this module sets OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 and MKL_NUM_THREADS to 1 wherever they are unset, so BLAS runs on one thread
 unless the user says otherwise (numpy must load afterwards, as it does when the
-CLI runs). GENECON_THREADS is ignored, since a thread pool never beat one
-thread, but a malformed value exits 2.
+CLI runs).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -27,7 +25,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np
 
 from .core import (SymMatrix, TraitGrid, brief_repr, clip_negative_eigenvalues, json_int,
-                   json_number, json_numbers, json_object)
+                   json_numbers, json_object, real)
 from .errors import GeneconError, InvalidMatrix
 from .estimate import (
     DESIGN_ALIASES,
@@ -48,19 +46,8 @@ from .report import (
     write_svg,
 )
 from .simplicity import MEASURE_ALIASES, SimplicityMeasure, measure_from_kind
-from .simulate import RNG_DESCRIPTION, SimulationParams, run_study
+from .simulate import KEY_MAX, RNG_DESCRIPTION, SimulationParams, run_study
 from .spaces import partition, sweep_partitions
-
-
-def _check_thread_env() -> None:
-    """Reject a GENECON_THREADS that is not a nonnegative integer; any other value is ignored."""
-    raw = os.environ.get("GENECON_THREADS", "").strip() or "0"
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"GENECON_THREADS must be an integer, got {brief_repr(raw)}") from None
-    if n < 0:
-        raise ValueError(f"GENECON_THREADS must be nonnegative, got {brief_repr(n)}")
 
 
 class UsageError(Exception):
@@ -146,8 +133,7 @@ def _load_analysis_inputs(args):
     """(G, simplicity measure, design or None) from the analysis flags."""
     if bool(args.g) == bool(args.data):
         raise UsageError("provide exactly one of --g or --data")
-    if not (math.isfinite(args.clip_tol) and args.clip_tol >= 0.0):
-        raise UsageError(f"--clip-tol must be finite and nonnegative, got {args.clip_tol}")
+    real(args.clip_tol, "--clip-tol", 0)  # by its flag's name, before any input is read
     grid = _load("--grid", args.grid, lambda path: TraitGrid.from_payload(_read_json(path)))
     if args.g:
         if args.design:
@@ -202,8 +188,7 @@ def _emit_partition(part, provenance, out_path, svg_path):
 
 def _cmd_analyze(args) -> int:
     g, measure, design = _load_analysis_inputs(args)
-    if not 0 <= args.J <= g.dim:
-        raise UsageError(f"--J must be in [0, {g.dim}], got {brief_repr(args.J)}")
+    json_int(args.J, "--J", 0, g.dim)  # by its flag's name, as --dry-run stops before partition
     if args.dry_run:
         return 0
     _check_outputs(args.out, args.svg)
@@ -228,12 +213,9 @@ def _cmd_sweep(args) -> int:
 
 def _study_config(cfg, args) -> tuple[SimulationParams, int, int, str, SimplicityMeasure]:
     """The study a decoded config describes; bad fields raise ValueError, bad flags UsageError."""
-    # a flag may give seed, reps or null_dim, so `checked` requires each field it reads
+    # a flag may give seed, reps or null_dim, so `bounded` requires each field it reads
     cfg = json_object(cfg, ("grid", "g", "e", "sigma2", "families", "siblings", "design"),
                       ("mu", "seed", "reps", "null_dim", "measure"))
-
-    def need_int(key):
-        return json_int(cfg[key], f"field {key!r}")
 
     def choice(key, value, names):  # a name its flag accepts, exactly as written
         if not (isinstance(value, str) and value in names):
@@ -241,32 +223,27 @@ def _study_config(cfg, args) -> tuple[SimulationParams, int, int, str, Simplicit
                              f"got {brief_repr(value)}")
         return value
 
-    def checked(key, ok, bounds):
-        """A flag's value if given, else the config field's; named by its source if bad."""
-        flag = getattr(args, key)
-        if flag is None:  # then the field is required
-            json_object(cfg, (key,), cfg)
-        value = need_int(key) if flag is None else flag
-        if ok(value):
-            return value
-        reason = f"{key} must be {bounds}, got {brief_repr(value)}"
-        if flag is None:
-            raise ValueError(f"field {key!r}: {reason}")
-        raise UsageError(f"--{key.replace('_', '-')}: {reason}")
+    def bounded(key, low, high=None):
+        """A flag's value if given, else the config field's, read by the range rule in its name."""
+        flag = getattr(args, key, None)  # seed, reps and null_dim have a flag
+        if flag is not None:
+            return json_int(flag, "--" + key.replace("_", "-"), low, high, UsageError)
+        json_object(cfg, (key,), cfg)  # then the field is required
+        return json_int(cfg[key], f"field {key!r}", low, high)
 
     grid = TraitGrid.from_payload(cfg["grid"])
     g = ingest_gmatrix(cfg["g"], grid=grid, clip_tolerance=0.0)
     e = SymMatrix.from_payload(cfg["e"])
-    seed = checked("seed", lambda n: 0 <= n < 2**64, "in [0, 2**64)")
-    reps = checked("reps", lambda n: n >= 1, "at least 1")
-    null_dim = checked("null_dim", lambda n: 1 <= n < grid.size, f"in [1, {grid.size - 1}]")
+    seed = bounded("seed", 0, KEY_MAX)
+    reps = bounded("reps", 1)
+    null_dim = bounded("null_dim", 1, grid.size - 1)
     params = SimulationParams(
         mu=json_numbers(cfg.get("mu", [0.0] * grid.size), "field 'mu'"),
         g=g,
         e=e,
-        sigma2=json_number(cfg["sigma2"], "field 'sigma2'"),
-        n_families=need_int("families"),
-        family_size=need_int("siblings"),
+        sigma2=real(cfg["sigma2"], "field 'sigma2'", 0),
+        n_families=bounded("families", 2),
+        family_size=bounded("siblings", 2),
         design=choice("design", cfg["design"], DESIGN_ALIASES),
         seed=seed,
     )
@@ -317,7 +294,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     handlers = {"analyze": _cmd_analyze, "sweep": _cmd_sweep, "simulate": _cmd_simulate}
     try:
-        _check_thread_env()  # before any work
         # realpath, as Path.resolve raises RuntimeError on a symlink loop before Python 3.13
         if getattr(args, "svg", None) and os.path.realpath(args.svg) == os.path.realpath(args.out):
             raise UsageError(f"--out {args.out} and --svg {args.svg} name the same file")

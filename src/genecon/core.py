@@ -3,6 +3,9 @@ symmetric eigensolver with negative-eigenvalue clipping. Every number the
 package's public API takes is read by one rule, :func:`real` or :func:`reals`,
 so a bool, string, None or complex value raises ``ValueError``, and an array
 whose shape is not the one its argument declares raises ``DimensionMismatch``.
+Every bounded input is checked by one range rule, :func:`json_int` or
+:func:`real` with a bound, worded ``<what> must be in [low, high], got <v>``
+or ``<what> must be at least <low>, got <v>``.
 
 Eigendecompositions come from LAPACK through ``numpy.linalg.eigh``. A fixed
 ordering and sign convention on top of it makes results identical run to
@@ -73,23 +76,39 @@ def json_object(value, required, optional=()) -> dict:
     return value
 
 
-def json_int(value, what: str) -> int:
-    """``value`` as an ``int``, numpy integers and integral reals too; bools and the rest raise."""
+def _in_range(value, what: str, low, high, error: type):
+    """``value`` if it lies in [low, high], a bound of None being no bound; else ``error``."""
+    if (low is None or value >= low) and (high is None or value <= high):
+        return value
+    bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+    raise error(f"{what} must be {bound}, got {brief_repr(value)}")
+
+
+def json_int(value, what: str, low=None, high=None, error: type = ValueError) -> int:
+    """``value`` as an ``int``, numpy integers and integral reals too; bools and the rest raise
+    ValueError. Then an int outside [low, high] raises ``error`` (the range rule)."""
     if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
         value = int(value) if abs(value) < math.inf and int(value) == value else value
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{what} must be an integer, got {brief_repr(value)}")
-    return int(value)
+    return _in_range(int(value), what, low, high, error)
 
 
-def real(value, what: str) -> float:
-    """A real number as a float, numpy's and a ``Fraction`` too; bools and the rest raise."""
+def real(value, what: str, low=None, high=None, error: type = ValueError) -> float:
+    """A real number as a float, numpy's and a ``Fraction`` too; bools and the rest raise
+    ValueError. Given a bound, a float that is not finite or lies outside [low, high] raises
+    ``error`` (the range rule)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a number, got {brief_repr(value)}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError as exc:
         raise ValueError(f"{what} is out of range: {exc}") from exc
+    if low is None and high is None:
+        return number
+    if not math.isfinite(number):
+        raise error(f"{what} must be finite, got {number}")
+    return _in_range(number, what, low, high, error)
 
 
 def reals(value, what: str, shape: tuple) -> np.ndarray:
@@ -149,9 +168,12 @@ def _magnitude(a: np.ndarray, axis) -> np.ndarray:
 
 
 def _check_psd(eigenvalues: np.ndarray, what: str, error: type = InvalidMatrix) -> None:
-    """Raise ``error`` if the smallest eigenvalue is below -``PSD_RTOL`` times the largest |one|."""
+    """Raise ``error`` unless the largest |eigenvalue| is at most the float maximum over K, so
+    that K of them sum without overflow, and the smallest is at least -``PSD_RTOL`` times it."""
+    largest = _in_range(float(_magnitude(eigenvalues, -1)), f"largest |eigenvalue| of {what}",
+                        0, float(np.finfo(float).max) / eigenvalues.shape[-1], error)
     low = float(eigenvalues.min(initial=0.0))
-    if low < -PSD_RTOL * _magnitude(eigenvalues, -1):
+    if low < -PSD_RTOL * largest:
         raise error(f"{what} is not positive semidefinite: min eigenvalue {low:.3e}")
 
 
@@ -174,7 +196,8 @@ def _symmetrized(m: np.ndarray) -> np.ndarray:
             f"{where}matrix is asymmetric: max |M - M'| = {asym[i]:.3e} exceeds "
             f"{SYMMETRY_RTOL:.0e} * {scale[i]:.3e}"
         )
-    return (m + mt) / 2.0
+    half = m / 2.0  # halved before adding, so finite entries cannot overflow
+    return half + np.swapaxes(half, -1, -2)
 
 
 def _ties(values: np.ndarray) -> np.ndarray:
@@ -208,8 +231,7 @@ class TraitGrid:
 
     def __post_init__(self):
         pts = reals(self.points, "points", (None,))
-        if pts.size < 2:
-            raise InvalidGrid(f"need at least 2 measurement points, got {pts.size}")
+        json_int(pts.size, "number of points", 2, error=InvalidGrid)
         if not np.all(np.isfinite(pts)):
             raise InvalidGrid("measurement points must be finite")
         if not math.isfinite(float(pts[-1]) - float(pts[0])):
@@ -260,6 +282,7 @@ class SymMatrix:
         m = reals(self.entries, "entries", (None, None))
         if m.shape[0] != m.shape[1]:
             raise InvalidMatrix(f"expected a square matrix, got shape {m.shape}")
+        json_int(m.shape[0], "dim", 1, error=InvalidMatrix)
         object.__setattr__(self, "entries", _readonly(_symmetrized(m)))
 
     @property
@@ -272,12 +295,10 @@ class SymMatrix:
     @classmethod
     def from_payload(cls, payload: dict) -> "SymMatrix":
         try:
-            dim = json_int(json_object(payload, ("dim", "entries"))["dim"], "dim")
+            dim = json_int(json_object(payload, ("dim", "entries"))["dim"], "dim", 1)
             raw = json_numbers(payload["entries"], "entries")
         except ValueError as exc:
             raise InvalidMatrix(f"malformed matrix payload: {exc}") from exc
-        if dim < 1:
-            raise InvalidMatrix(f"matrix payload dim must be at least 1, got {dim}")
         if raw.size != dim * dim:
             raise InvalidMatrix(
                 f"matrix payload has {raw.size} entries, "
@@ -379,9 +400,7 @@ def clip_negative_eigenvalues(
     whose spectrum clears ``tol`` returns it unchanged, which makes the
     operation exactly idempotent.
     """
-    tol = real(tol, "clip tolerance")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"clip tolerance must be finite and nonnegative, got {tol}")
+    tol = real(tol, "clip tolerance", 0)
     if isinstance(m, GMatrix):
         if grid is None:
             grid = m.grid

@@ -36,6 +36,7 @@ from .core import (
     brief,
     brief_repr,
     clip_negative_eigenvalues,
+    json_int,
     reals,
     symmetric_eigen,
 )
@@ -76,10 +77,8 @@ class FamilyDataset:
         v = reals(self.values, "values", (None, None, self.grid.size))
         if not np.all(np.isfinite(v)):
             raise InvalidMatrix("phenotype records must be finite")
-        if v.shape[0] < 2 or v.shape[1] < 2:
-            raise InsufficientData(
-                f"need at least 2 families of 2 members, got {v.shape[0]} x {v.shape[1]}"
-            )
+        json_int(v.shape[0], "n_families", 2, error=InsufficientData)
+        json_int(v.shape[1], "family_size", 2, error=InsufficientData)
         object.__setattr__(self, "design", normalize_design(self.design))
         object.__setattr__(self, "values", _readonly(v))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (PSD_RTOL, SymMatrix, TraitGrid, _ReadOnlyArrays, _check_psd, _eigh,
-                   _symmetrized, _ties, real, reals, symmetric_eigen)
+                   _in_range, _symmetrized, _ties, json_int, real, reals, symmetric_eigen)
 from .errors import GridTooSmall, InvalidMatrix, NotUnitVector, RankDeficientSubspace
 
 FIRST_DIFFERENCE = "first-difference"
@@ -42,11 +42,9 @@ class SimplicityMeasure:
         object.__setattr__(self, "score_upper_bound", bound)
         lam = symmetric_eigen(self.lambda_matrix).eigenvalues
         _check_psd(lam, "simplicity form")
-        if self.kind == FIRST_DIFFERENCE and lam.max() > 4.0 * (1.0 + PSD_RTOL):
-            raise InvalidMatrix(
-                f"first-difference form eigenvalues must lie in [0, 4], got "
-                f"[{lam.min():.3e}, {lam.max():.3e}]"
-            )
+        if self.kind == FIRST_DIFFERENCE:  # its scores span [0, 4], within PSD_RTOL
+            _in_range(float(lam.max()), "largest first-difference form eigenvalue", 0,
+                      4.0 * (1.0 + PSD_RTOL), InvalidMatrix)
 
     @property
     def dim(self) -> int:
@@ -103,9 +101,7 @@ def second_difference_penalty(grid: TraitGrid) -> SymMatrix:
     linear vectors are annihilated.
     """
     t = grid.points
-    k = grid.size
-    if k < 3:
-        raise GridTooSmall(f"second differences need at least 3 points, got {k}")
+    k = json_int(grid.size, "number of points", 3, error=GridTooSmall)
     m = np.zeros((k, k))
     for j in range(1, k - 1):
         span = t[j + 1] - t[j - 1]
@@ -128,8 +124,7 @@ def sparseness_measure(k: int) -> SimplicityMeasure:
 
     Constant vectors score 0; mean-zero unit vectors score 1.
     """
-    if k < 2:
-        raise ValueError(f"sparseness measure needs dimension >= 2, got {k}")
+    k = json_int(k, "k", 2)
     lam = np.eye(k) - np.full((k, k), 1.0 / k)
     return SimplicityMeasure(SymMatrix(lam), score_upper_bound=1.0, kind=SPARSENESS)
 

@@ -39,6 +39,7 @@ from .estimate import RELATEDNESS, FamilyDataset, _between_ms, _raw_estimates, n
 from .simplicity import SimplicityMeasure, _simplicity_vectors, simplicity_basis
 from .spaces import _canonical_distances
 
+KEY_MAX = 2**64 - 1  # a Philox key word is a uint64, so seed and replicate lie in [0, KEY_MAX]
 RNG_DESCRIPTION = (
     "philox4x64 keyed by (seed, replicate); per replicate, ziggurat normals for the family "
     "means, then Bartlett's factor of the within-family Wishart (numpy Generator)"
@@ -78,20 +79,12 @@ class SimulationParams:
         mu = finite_reals(self.mu, "mu", (k,))
         if self.e.dim != k:
             raise DimensionMismatch(f"E is {self.e.dim}-dimensional, G is {k}-dimensional")
-        object.__setattr__(self, "sigma2", real(self.sigma2, "sigma2"))
-        if not (np.isfinite(self.sigma2) and self.sigma2 >= 0.0):
-            raise InvalidCovariance(f"sigma2 must be finite and nonnegative, got {self.sigma2}")
-        for name in ("seed", "n_families", "family_size"):
-            object.__setattr__(self, name, json_int(getattr(self, name), name))
-        if self.n_families < 2 or self.family_size < 2:
-            raise ValueError(
-                f"need at least 2 families of 2 members, got "
-                f"{self.n_families} x {self.family_size}"
-            )
+        object.__setattr__(self, "sigma2", real(self.sigma2, "sigma2", 0, error=InvalidCovariance))
+        for name, low, high in (("seed", 0, KEY_MAX), ("n_families", 2, None),
+                                ("family_size", 2, None)):
+            object.__setattr__(self, name, json_int(getattr(self, name), name, low, high))
         object.__setattr__(self, "design", normalize_design(self.design))
         object.__setattr__(self, "mu", _readonly(mu))
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         _psd_factor(self.e.entries, "E")
         g = self.g.matrix.entries
         within = (1.0 - 1.0 / self.relatedness) * g + self.e.entries + self.sigma2 * np.eye(k)
@@ -153,9 +146,7 @@ def generate_dataset(params: SimulationParams, replicate: int = 0) -> FamilyData
     seed, replicate and family size, and the records' family means match
     them up to roundoff; the within-family deviations are not a prefix.
     """
-    replicate = json_int(replicate, "replicate")
-    if replicate < 0:
-        raise ValueError(f"replicate index must be nonnegative, got {replicate}")
+    replicate = json_int(replicate, "replicate", 0, KEY_MAX)
     gen, (means,), (b,) = _draws(params, [replicate])
     n_f, n = params.n_families, params.family_size
     z = gen.standard_normal((n_f, n, b.shape[1]))
@@ -228,12 +219,8 @@ def run_study(
     failing replicate. Vectors are only defined up to sign, so each is
     sign-aligned against its true counterpart.
     """
-    reps, null_dim = json_int(reps, "reps"), json_int(null_dim, "null_dim")
-    if reps < 1:
-        raise ValueError(f"need at least 1 replicate, got {reps}")
-    k = params.dim
-    if not 1 <= null_dim <= k - 1:
-        raise ValueError(f"null dimension must be in [1, {k - 1}], got {null_dim}")
+    k, reps = params.dim, json_int(reps, "reps", 1)
+    null_dim = json_int(null_dim, "null_dim", 1, k - 1)
     if measure.dim != k:
         raise DimensionMismatch(f"measure is {measure.dim}-dimensional, traits are {k}")
 

@@ -153,9 +153,7 @@ def partition(g: GMatrix, j: int, measure: SimplicityMeasure) -> SubspacePartiti
     A tie between eigenvalues J and J+1 makes the split ill-defined; it is
     flagged (``boundary_tie``) rather than rejected.
     """
-    k, j = g.dim, json_int(j, "j")
-    if not 0 <= j <= k:
-        raise ValueError(f"model dimension must be in [0, {k}], got {j}")
+    k, j = g.dim, json_int(j, "j", 0, g.dim)
     if measure.dim != k:
         raise DimensionMismatch(f"measure is {measure.dim}-dimensional, G is {k}-dimensional")
 

@@ -476,12 +476,6 @@ class TestSimulate:
         assert doc["provenance"]["rng"].startswith("philox")
         assert '<metadata id="provenance">' in svg.read_text()
 
-    def test_zero_reps_rejected(self, study_config, tmp_path, capsys):
-        code = main(["simulate", "--config", str(study_config), "--reps", "0",
-                     "--out", str(tmp_path / "s.json")])
-        assert code == 2
-        assert "--reps" in capsys.readouterr().err
-
     def test_overrides(self, study_config, tmp_path):
         out = tmp_path / "s.json"
         code = main(["simulate", "--config", str(study_config), "--reps", "2",
@@ -555,7 +549,7 @@ class TestSimulate:
         ("e", {"dim": 3, "entries": np.eye(3).ravel().tolist()},
          "E is 3-dimensional, G is 6-dimensional"),
         ("mu", [0.0, 0.0], "mu must have shape (6,), got (2,)"),
-        ("families", 1, "need at least 2 families of 2 members, got 1 x 4"),
+        ("families", 1, "field 'families' must be at least 2, got 1"),
         ("sigma2", 10**400, "field 'sigma2' is out of range: int too large to convert to float"),
         ("design", ["half-sib"], "field 'design' must be one of ('half-sib', 'halfsib', "
                                  "'full-sib', 'fullsib'), got ['half-sib']"),
@@ -610,44 +604,6 @@ class TestSimulate:
         assert len(err) == 1 and "E is not positive semidefinite" in err[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed, override", [(-1, False), (2**64, False), (-1, True)],
-                             ids=["config-minus-1", "config-2**64", "flag-minus-1"])
-    def test_seed_outside_64_bits_rejected(self, study_config, tmp_path, capsys, seed,
-                                           override):
-        out = tmp_path / "o.json"
-        argv = ["simulate", "--config", str(study_config), "--out", str(out)]
-        if override:
-            argv += ["--seed", str(seed)]
-        else:
-            cfg = json.loads(study_config.read_text())
-            cfg["seed"] = seed
-            study_config.write_text(json.dumps(cfg))
-        assert main(argv) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and f"seed must be in [0, 2**64), got {seed}" in err[0]
-        assert not out.exists()
-
-    @pytest.mark.parametrize("field, value", [("seed", -1), ("reps", 0), ("null_dim", 9)])
-    @pytest.mark.parametrize("by_flag", [True, False], ids=["flag", "config"])
-    def test_bad_value_names_its_source(self, study_config, tmp_path, capsys, field, value,
-                                        by_flag):
-        out = tmp_path / "o.json"
-        argv = ["simulate", "--config", str(study_config), "--out", str(out)]
-        if by_flag:
-            source = "--" + field.replace("_", "-")
-            argv += [source, str(value)]
-        else:
-            source = f"--config: {study_config}: field {field!r}"
-            cfg = json.loads(study_config.read_text())
-            cfg[field] = value
-            study_config.write_text(json.dumps(cfg))
-        assert main(argv) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith(f"genecon simulate: {source}: {field} must be ")
-        assert err[0].endswith(f"got {value}")
-        assert not out.exists()
-
     def test_measure_failure_is_usage_error(self, study_config, tmp_path, capsys):
         cfg = json.loads(study_config.read_text())
         cfg["grid"] = {"points": [i * 1e-200 for i in range(6)]}
@@ -676,13 +632,6 @@ class TestSimulate:
         code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.json")])
         assert code == 2
         assert "missing field" in capsys.readouterr().err
-
-    def test_bad_thread_env(self, study_config, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("GENECON_THREADS", "many")
-        code = main(["simulate", "--config", str(study_config),
-                     "--out", str(tmp_path / "o.json")])
-        assert code == 2
-        assert "GENECON_THREADS" in capsys.readouterr().err
 
 
 class TestNonFiniteReports:
@@ -822,7 +771,7 @@ def test_input_that_is_not_a_regular_file_is_named(inputs, tmp_path, capsys, kin
     ("family,individual,t1,t2,t3,t4,t5,t6\nF1,I1,0,0,0,0,0,0\nF1,I2,0,nan,0,0,0,0\n",
      ":3: t2 must be finite, got 'nan'"),
     ("family,individual,t1,t2,t3,t4,t5,t6\nF1,I1,0,0,0,0,0,0\nF1,I2,0,0,0,0,0,0\n",
-     ": need at least 2 families of 2 members, got 1 x 2"),
+     ": n_families must be at least 2, got 1"),
     # a quoted line break in the header is echoed escaped, so the message stays one line
     ('"fam\nily",individual,t1,t2,t3,t4,t5,t6\n',
      ": expected header family,individual,t1,t2,t3,t4,t5,t6, got fam\\nily,individual,t1,t2,t3,"
@@ -922,6 +871,89 @@ def test_rejected_j_is_echoed_briefly(inputs, tmp_path, capsys):
     assert not out.exists()
 
 
+TINY = 5e-324  # the least positive float: -TINY is one past a bound of 0
+
+# every bounded flag, and every bounded config field, one past each bound: the
+# flag or field, the value, and the message that names it
+RANGE_FLAGS = [
+    ("analyze", "--J", -1, "--J must be in [0, 6], got -1"),
+    ("analyze", "--J", 7, "--J must be in [0, 6], got 7"),
+    ("analyze", "--clip-tol", -TINY, "--clip-tol must be at least 0, got -5e-324"),
+    ("sweep", "--clip-tol", -TINY, "--clip-tol must be at least 0, got -5e-324"),
+    ("simulate", "--seed", -1, f"--seed must be in [0, {2**64 - 1}], got -1"),
+    ("simulate", "--seed", 2**64, f"--seed must be in [0, {2**64 - 1}], got {2**64}"),
+    ("simulate", "--reps", 0, "--reps must be at least 1, got 0"),
+    ("simulate", "--null-dim", 0, "--null-dim must be in [1, 5], got 0"),
+    ("simulate", "--null-dim", 6, "--null-dim must be in [1, 5], got 6"),
+]
+RANGE_FIELDS = [
+    ("seed", -1, f"field 'seed' must be in [0, {2**64 - 1}], got -1"),
+    ("seed", 2**64, f"field 'seed' must be in [0, {2**64 - 1}], got {2**64}"),
+    ("reps", 0, "field 'reps' must be at least 1, got 0"),
+    ("null_dim", 0, "field 'null_dim' must be in [1, 5], got 0"),
+    ("null_dim", 6, "field 'null_dim' must be in [1, 5], got 6"),
+    ("families", 1, "field 'families' must be at least 2, got 1"),
+    ("siblings", 1, "field 'siblings' must be at least 2, got 1"),
+    ("sigma2", -TINY, "field 'sigma2' must be at least 0, got -5e-324"),
+    ("grid", {"points": [1.0]}, "number of points must be at least 2, got 1"),
+    ("g", {"dim": 0, "entries": []}, "malformed matrix payload: dim must be at least 1, got 0"),
+    ("e", {"dim": 0, "entries": []}, "malformed matrix payload: dim must be at least 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+@pytest.mark.parametrize("command, flag, value, message", RANGE_FLAGS,
+                         ids=[f"{c}:{f}={v}" for c, f, v, _ in RANGE_FLAGS])
+def test_flag_one_past_its_bound_is_named(inputs, study_config, tmp_path, capsys, command,
+                                          flag, value, message, dry_run):
+    out = tmp_path / "out"
+    if command == "simulate":
+        argv = ["--config", str(study_config), "--out", str(out)]
+    else:
+        argv = ["--g", str(inputs["g"]), "--grid", str(inputs["grid"]),
+                *(["--J", "2", "--out", str(out)] if command == "analyze" else
+                  ["--out-dir", str(out)])]
+    argv = [command, *argv, f"{flag}={value}", *["--dry-run"] * dry_run]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"genecon {command}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+@pytest.mark.parametrize("field, value, message", RANGE_FIELDS,
+                         ids=[f if isinstance(v, dict) else f"{f}={v}"
+                              for f, v, _ in RANGE_FIELDS])
+def test_config_field_one_past_its_bound_is_named(study_config, tmp_path, capsys, field, value,
+                                                  message, dry_run):
+    study_config.write_text(json.dumps({**STUDY_CONFIG, field: value}))
+    out = tmp_path / "o.json"
+    argv = ["simulate", "--config", str(study_config), "--out", str(out)]
+    assert main(argv + ["--dry-run"] * dry_run) == 2
+    assert capsys.readouterr().err == f"genecon simulate: --config: {study_config}: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+@pytest.mark.parametrize("entries, limit, largest", [
+    ([1e308] * 4, "8.988465674311579e+307", "inf"),
+    ([1e308, 0, 0, 0, 1e308, 0, 0, 0, 1], "5.992310449541053e+307", "1e+308"),
+], ids=["2x2-of-1e308", "diag-1e308-1e308-1"])
+def test_g_spectrum_beyond_float_range_is_named(tmp_path, capsys, entries, limit, largest,
+                                                dry_run):
+    # finite entries whose K eigenvalues cannot be summed: exit 2 naming --g, not a
+    # report field (or exit 1, as when symmetrizing overflowed)
+    k = int(len(entries) ** 0.5)
+    grid, g = identity_inputs(tmp_path, list(range(k)))
+    g.write_text(json.dumps({"dim": k, "entries": entries}))
+    out = tmp_path / "o.json"
+    argv = ["analyze", "--g", str(g), "--grid", str(grid), "--J", "1", "--out", str(out)]
+    assert main(argv + ["--dry-run"] * dry_run) == 2
+    assert capsys.readouterr().err == (
+        f"genecon analyze: --g: {g}: largest |eigenvalue| of G must be in [0, {limit}], "
+        f"got {largest}\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, text, key", [
     ("--grid", json.dumps({**GRID_PAYLOAD, "pionts": [1.0]}), "'pionts'"),
     ("--grid", json.dumps({"pionts": GRID_PAYLOAD["points"]}), "'pionts'"),
@@ -1003,30 +1035,6 @@ def test_csv_field_is_echoed_briefly(inputs, tmp_path, monkeypatch, capsys, body
     assert len(err) == 1 and len(err[0]) < 200
     assert err[0].startswith(f"genecon analyze: --data: bad.csv{where}")
     assert not Path("o.json").exists()
-
-
-@pytest.mark.parametrize("value, code, message", [
-    (None, 0, None), ("  ", 0, None), ("0", 0, None), ("2", 0, None),
-    ("many", 2, "GENECON_THREADS must be an integer, got 'many'"),
-    ("-3", 2, "GENECON_THREADS must be nonnegative, got -3"),
-    ("7" * 5000, 2, "GENECON_THREADS must be an integer, got '777"),
-    ("-" + "7" * 4000, 2, "GENECON_THREADS must be nonnegative, got -777"),
-], ids=["unset", "blank", "zero", "two", "word", "negative", "5000-digits", "long-negative"])
-def test_thread_env_is_checked_once(inputs, tmp_path, monkeypatch, capsys, value, code, message):
-    if value is None:
-        monkeypatch.delenv("GENECON_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("GENECON_THREADS", value)
-    out = tmp_path / "o.json"
-    assert main(["analyze", "--g", str(inputs["g"]), "--grid", str(inputs["grid"]), "--J", "2",
-                 "--out", str(out)]) == code
-    err = capsys.readouterr().err.splitlines()
-    if message is None:
-        assert err == [] and out.exists()
-    else:
-        assert len(err) == 1 and len(err[0]) < 200
-        assert err[0].startswith(f"genecon analyze: {message}")
-        assert not out.exists()
 
 
 @pytest.mark.parametrize("command, flag, target", [

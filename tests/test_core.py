@@ -11,18 +11,21 @@ from genecon.core import (
     GMatrix,
     SymMatrix,
     TraitGrid,
+    _check_psd,
     _symmetrized,
     _ties,
     clip_negative_eigenvalues,
     json_object,
     symmetric_eigen,
 )
-from genecon.errors import DimensionMismatch, InvalidGrid, InvalidMatrix
+from genecon.errors import (DimensionMismatch, GridTooSmall, InsufficientData, InvalidCovariance,
+                            InvalidGrid, InvalidMatrix)
 from genecon.estimate import FamilyDataset, anova_estimate
 from genecon.reference import study_params
-from genecon.simplicity import (SimplicityMeasure, first_difference_measure, simplicity_basis,
-                                simplicity_score)
-from genecon.simulate import SimulationParams, generate_dataset, run_study
+from genecon.simplicity import (SimplicityMeasure, first_difference_measure,
+                                second_difference_penalty, simplicity_basis, simplicity_score,
+                                sparseness_measure)
+from genecon.simulate import KEY_MAX, SimulationParams, generate_dataset, run_study
 from genecon.spaces import (breeders_response, canonical_angle_distance, partition,
                             response_to_selection, variance_proportions)
 
@@ -191,6 +194,121 @@ class TestShapeRule:
             call(bad.tolist() if form == "list" else bad)
 
 
+# every bounded scalar argument of the public API:
+# (its name in messages, a call taking it, its least value, its greatest or None, its error)
+BOUNDED_ARGUMENTS = {
+    "clip_negative_eigenvalues.tol": (*SCALAR_ARGUMENTS["clip_negative_eigenvalues.tol"],
+                                      0, None, ValueError),
+    "SimulationParams.sigma2": (*SCALAR_ARGUMENTS["SimulationParams.sigma2"],
+                                0, None, InvalidCovariance),
+    "SimulationParams.seed": ("seed", lambda s: replace(PARAMS3, seed=s), 0, KEY_MAX, ValueError),
+    "SimulationParams.n_families": ("n_families", lambda n: replace(PARAMS3, n_families=n),
+                                    2, None, ValueError),
+    "SimulationParams.family_size": ("family_size", lambda n: replace(PARAMS3, family_size=n),
+                                     2, None, ValueError),
+    "generate_dataset.replicate": ("replicate", lambda r: generate_dataset(PARAMS3, r),
+                                   0, KEY_MAX, ValueError),
+    "run_study.reps": ("reps", lambda n: run_study(PARAMS3, n, MEASURE3, null_dim=1),
+                       1, None, ValueError),
+    "run_study.null_dim": ("null_dim", lambda d: run_study(PARAMS3, 1, MEASURE3, null_dim=d),
+                           1, 2, ValueError),
+    "partition.j": ("j", lambda j: partition(G3, j, MEASURE3), 0, 3, ValueError),
+    "sparseness_measure.k": ("k", sparseness_measure, 2, None, ValueError),
+    "SymMatrix.from_payload.dim": (
+        "malformed matrix payload: dim",
+        lambda d: SymMatrix.from_payload({"dim": d, "entries": [1.0] * d * d}),
+        1, None, InvalidMatrix),
+}
+REAL_BOUNDED = {"clip_negative_eigenvalues.tol", "SimulationParams.sigma2"}
+BOUNDS = [(key, side) for key, (*_, high, _) in BOUNDED_ARGUMENTS.items()
+          for side in ("low", "high") if side == "low" or high is not None]
+# every bounded size of an input: (a call on an input of size n, its least size, the size's
+# name in messages, its error)
+BOUNDED_SIZES = {
+    "TraitGrid.points": (lambda n: TraitGrid(np.arange(n, dtype=float)), 2, "number of points",
+                         InvalidGrid),
+    "SymMatrix.entries": (lambda n: SymMatrix(np.eye(n)), 1, "dim", InvalidMatrix),
+    "FamilyDataset.values.families": (
+        lambda n: FamilyDataset(np.zeros((n, 2, 3)), GRID3, "half-sib"), 2, "n_families",
+        InsufficientData),
+    "FamilyDataset.values.members": (
+        lambda n: FamilyDataset(np.zeros((2, n, 3)), GRID3, "half-sib"), 2, "family_size",
+        InsufficientData),
+    "second_difference_penalty.grid": (
+        lambda n: second_difference_penalty(TraitGrid(np.arange(n, dtype=float))), 3,
+        "number of points", GridTooSmall),
+}
+
+
+def _one_past(bound, key: str, step: int):
+    """The value one step beyond ``bound``: the adjacent float for a real, else bound + step."""
+    return np.nextafter(float(bound), step * np.inf).item() if key in REAL_BOUNDED else bound + step
+
+
+class TestRangeRule:
+    """One rule for every bounded input: each bound is accepted, one past it is named."""
+
+    @pytest.mark.parametrize("key, side", BOUNDS)
+    def test_each_bound_is_accepted(self, key, side):
+        _, call, low, high, _ = BOUNDED_ARGUMENTS[key]
+        call(low if side == "low" else high)
+
+    @pytest.mark.parametrize("key, side", BOUNDS)
+    def test_one_past_a_bound_is_named(self, key, side):
+        name, call, low, high, error = BOUNDED_ARGUMENTS[key]
+        value = _one_past(low, key, -1) if side == "low" else _one_past(high, key, 1)
+        bound = f"at least {low}" if high is None else f"in [{low}, {high}]"
+        with pytest.raises(error, match=f"^{re.escape(f'{name} must be {bound}, got {value}')}$"):
+            call(value)
+
+    @pytest.mark.parametrize("key", BOUNDED_ARGUMENTS)
+    def test_bool_is_rejected(self, key):
+        name, call, _, _, error = BOUNDED_ARGUMENTS[key]
+        kind = "a number" if key in REAL_BOUNDED else "an integer"
+        with pytest.raises((ValueError, error), match=f"^{name} must be {kind}, got True$"):
+            call(True)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("key", sorted(REAL_BOUNDED))
+    def test_bounded_real_must_be_finite(self, key, value):
+        name, call, _, _, error = BOUNDED_ARGUMENTS[key]
+        with pytest.raises(error, match=f"^{name} must be finite, got {value}$"):
+            call(value)
+
+    @pytest.mark.parametrize("key", BOUNDED_SIZES)
+    def test_size_below_its_least_is_named(self, key):
+        call, least, name, error = BOUNDED_SIZES[key]
+        call(least)
+        with pytest.raises(error, match=f"^{name} must be at least {least}, got {least - 1}$"):
+            call(least - 1)
+
+    @pytest.mark.parametrize("k", [2.5, "3", None])
+    def test_sparseness_dimension_is_an_integer(self, k):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {re.escape(repr(k))}$"):
+            sparseness_measure(k)
+
+    def test_integral_float_dimension_is_read_as_int(self):
+        assert sparseness_measure(3.0) == sparseness_measure(3)
+
+    def test_non_finite_spectrum_is_rejected(self):
+        with pytest.raises(InvalidMatrix, match=r"^largest \|eigenvalue\| of G must be in \[0, "
+                                                r"8.988465674311579e\+307\], got nan$"):
+            _check_psd(np.array([np.nan, 1.0]), "G")
+
+    @pytest.mark.parametrize("entries, limit, largest", [
+        (np.full((2, 2), 1e308), "8.988465674311579e+307", "inf"),
+        (np.diag([1e308, 1e308, 1.0]), "5.992310449541053e+307", "1e+308"),
+    ], ids=["2x2-of-1e308", "diag-1e308-1e308-1"])
+    def test_spectrum_beyond_float_range_over_k_is_rejected(self, entries, limit, largest):
+        # the K eigenvalues of a G must sum without overflow; symmetrizing keeps the
+        # finite entries finite, so the error names the spectrum, not the entries
+        m = SymMatrix(entries)
+        np.testing.assert_array_equal(m.entries, entries)
+        message = f"largest |eigenvalue| of G must be in [0, {limit}], got {largest}"
+        with pytest.raises(InvalidMatrix, match=f"^{re.escape(message)}$"):
+            clip_negative_eigenvalues(m)
+
+
 class TestTraitGrid:
     def test_gaps(self):
         grid = TraitGrid(np.array([11.0, 17.0, 23.0, 29.0, 35.0, 40.0]))
@@ -331,12 +449,6 @@ class TestSymmetricEigen:
         np.testing.assert_array_equal(flags[0], [False, True, False, True, False])
         np.testing.assert_array_equal(flags[2], [False, False, False, False, False])
         assert flags[5].all()
-
-    def test_empty_matrix(self):
-        eig = symmetric_eigen(SymMatrix(np.zeros((0, 0))))
-        assert eig.eigenvalues.shape == (0,)
-        assert eig.eigenvectors.shape == (0, 0)
-        assert not eig.degenerate
 
     def test_rejects_nonfinite(self):
         with pytest.raises(InvalidMatrix):

@@ -200,7 +200,7 @@ class TestCsvRoundTrip:
     def test_too_few_families_names_the_path(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("family,individual,t1,t2\nF1,I1,0,1\nF1,I2,1,2\n")
-        message = rf"^{re.escape(str(path))}: need at least 2 families of 2 members, got 1 x 2$"
+        message = rf"^{re.escape(str(path))}: n_families must be at least 2, got 1$"
         for load in (load_family_csv, _load_rows):
             with pytest.raises(InsufficientData, match=message):
                 load(path, GRID1, "half-sib")
@@ -385,7 +385,7 @@ class TestBulkParse:
         ("F1,I1,0,1\nF1,I2,1,2\nF2,I1,0,1\nF2,I2,1,2\nF2,I3,2,3\n", UnbalancedDesign,
          ": family 'F2' has 3 members, family 'F1' has 2"),
         ("F1,I1,0,1\nF1,I2,1,2\n\n", InsufficientData,
-         ": need at least 2 families of 2 members, got 1 x 2"),
+         ": n_families must be at least 2, got 1"),
     ], ids=["duplicate", "non-finite", "unbalanced", "one-family"])
     def test_record_errors_stay_bulk(self, tmp_path, monkeypatch, records, error, message):
         # a file the bulk parse can split is worded from that parse, not read again

@@ -62,11 +62,11 @@ def test_reference_study_and_dumped_replicate(tmp_path):
 
 
 @pytest.mark.parametrize("args, message", [
-    (["--dump-replicate", -1], "--dump-replicate must be in [0, 3), got -1"),
-    (["--dump-replicate", 3], "--dump-replicate must be in [0, 3), got 3"),
-    (["--dump-replicate", 9], "--dump-replicate must be in [0, 3), got 9"),
-    (["--seed", -1], "--seed: seed must be in [0, 2**64), got -1"),
-    (["--seed", 2**64], f"--seed: seed must be in [0, 2**64), got {2**64}"),
+    (["--dump-replicate", -1], "--dump-replicate must be in [0, 2], got -1"),
+    (["--dump-replicate", 3], "--dump-replicate must be in [0, 2], got 3"),
+    (["--dump-replicate", 9], "--dump-replicate must be in [0, 2], got 9"),
+    (["--seed", -1], f"--seed must be in [0, {2**64 - 1}], got -1"),
+    (["--seed", 2**64], f"--seed must be in [0, {2**64 - 1}], got {2**64}"),
     (["--reps", 0], "--reps must be at least 1, got 0"),
     (["--reps", -1], "--reps must be at least 1, got -1"),
 ], ids=["dump-negative", "dump-reps", "dump-beyond", "seed-negative", "seed-too-large",

@@ -370,7 +370,8 @@ class TestMeasureConstruction:
             SimplicityMeasure(SymMatrix(np.eye(2)), 1.0, "rough")
 
     def test_first_difference_form_scores_at_most_four(self):
-        message = r"must lie in \[0, 4\], got \[1.000e\+00, 5.000e\+00\]$"
+        message = (r"^largest first-difference form eigenvalue must be in \[0, 4.000000004\], "
+                   r"got 5.0$")
         with pytest.raises(InvalidMatrix, match=message):
             SimplicityMeasure(SymMatrix(np.diag([5.0, 1.0])), 5.0, "first-difference")
 

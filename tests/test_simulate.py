@@ -211,7 +211,7 @@ class TestGenerateDataset:
     @pytest.mark.parametrize("sigma2", [np.nan, np.inf])
     def test_non_finite_sigma2_rejected(self, sigma2):
         p = small_params()
-        message = rf"^sigma2 must be finite and nonnegative, got {sigma2}$"
+        message = rf"^sigma2 must be finite, got {sigma2}$"
         with pytest.raises(InvalidCovariance, match=message):
             SimulationParams(
                 mu=np.zeros(6), g=p.g, e=p.e, sigma2=sigma2,
